@@ -16,6 +16,7 @@ from .errors import ParameterError
 __all__ = [
     "is_prime",
     "p_part",
+    "odd_prime_divisors",
     "as_prime_power",
     "PrimePower",
     "epsilon",
@@ -54,6 +55,24 @@ def p_part(n: int, p: int) -> int:
         n //= p
         part *= p
     return part
+
+
+def odd_prime_divisors(n: int):
+    """The odd primes dividing the positive integer n, ascending."""
+    out = []
+    m = n
+    while m % 2 == 0:
+        m //= 2
+    d = 3
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 2
+    if m > 1:
+        out.append(m)
+    return out
 
 
 def as_prime_power(n: int):
@@ -297,9 +316,11 @@ def mod_p_rank(m: IntMatrix, p: int) -> int:
         raise ParameterError(f"mod_p_rank needs a prime, got {p}")
     if m.rows == 0 or m.cols == 0:
         return 0
-    # exact reduction of arbitrary-precision entries before handing to numpy
+    # exact reduction of arbitrary-precision entries before handing to numpy;
+    # products of two residues must fit int64, else use exact Python ints
     reduced = [x % p for x in m.entries]
-    A = np.array(reduced, dtype=np.int64).reshape(m.rows, m.cols)
+    dtype = np.int64 if (p - 1) ** 2 < 2 ** 63 else object
+    A = np.array(reduced, dtype=dtype).reshape(m.rows, m.cols)
     rank = 0
     row = 0
     nrows, ncols = A.shape

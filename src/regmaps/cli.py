@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
-from .algebra import IntMatrix, smith_normal_form
+from .algebra import IntMatrix, PrimePower, smith_normal_form
 from .constructors import (
     SemidirectSpec,
     ModuleExtensionSpec,
@@ -51,7 +49,7 @@ from .mapcore import (
     map_counts,
     verify_structural_lemmas,
 )
-from .permgrp import cycles
+from .permgrp import cycles, pmul
 
 DESCRIPTOR_HELP = (
     "group descriptors: pgl2:q | psl2:q | h1:L | h2:j,k | h3:L | he3 | wr3 | "
@@ -68,8 +66,8 @@ def resolve_group(desc: str):
     if desc.startswith("pgl2:") or desc.startswith("psl2:"):
         kind = desc[:4].replace("2", "")  # 'pgl' / 'psl'
         q = int(desc.split(":", 1)[1])
-        pe = _prime_power(q)
-        return make_pgl2(make_field(*pe), kind), None
+        pp = PrimePower.of(q)
+        return make_pgl2(make_field(pp.p, pp.e), kind), None
     if desc.startswith("h1:"):
         t = build_h1(int(desc[3:]))
         return t.group, t
@@ -99,22 +97,14 @@ def resolve_group(desc: str):
     raise ParameterError(f"unknown group descriptor {desc!r}; {DESCRIPTOR_HELP}")
 
 
-def _prime_power(q):
-    from .algebra import as_prime_power
-
-    pe = as_prime_power(q)
-    if pe is None:
-        raise ParameterError(f"{q} is not a prime power")
-    return pe
-
-
 def _resolve_cell(base_desc: str, ell: int):
     if base_desc.startswith("pgl2:"):
         parts = base_desc.split(":")
         if len(parts) != 4:
             raise ParameterError("cell base must be pgl2:q:m:n")
         q, m, n = int(parts[1]), int(parts[2]), int(parts[3])
-        ctx = make_field(*_prime_power(q))
+        pp = PrimePower.of(q)
+        ctx = make_field(pp.p, pp.e)
         g = make_pgl2(ctx, "pgl")
         h0 = psl2_membership(ctx)
         for t in find_triples(g, m, n, limit=64):
@@ -134,15 +124,11 @@ def _resolve_cell(base_desc: str, ell: int):
         cur = t.group.ident
         for _ in range(t.n):
             h0.add(cur)
-            cur = _pm(cur, rot)
+            cur = pmul(cur, rot)
         return build_semidirect_cell(
             SemidirectSpec(base=t, h0_elements=frozenset(h0), ell=ell)
         )
     raise ParameterError("cell base must be pgl2:q:m:n or h1:L")
-
-
-def _pm(p, q):
-    return tuple(q[i] for i in p)
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +290,7 @@ def cmd_tables(args):
         except RegmapsError as exc:
             return {"row": row.id, "error": str(exc), "pass": False}
 
-    # row evaluation is pure, so the pool result order is fixed by the input
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        items = list(pool.map(check, minimal_rows()))
+    items = [check(row) for row in minimal_rows()]
     passed = all(it["pass"] for it in items)
     return _report("tables", {"all": True}, items, passed, t0)
 
@@ -401,12 +385,6 @@ def build_parser():
         "prime-power Euler characteristic.  " + DESCRIPTOR_HELP,
     )
     ap.add_argument("--format", choices=("json", "tsv", "text"), default="text")
-    ap.add_argument(
-        "--jobs",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker pool size for the pure search layers",
-    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="verify a star triple and its structure facts")

@@ -4,7 +4,7 @@ Finite fields GF(p^e) with a deterministic modulus choice, PSL2/PGL2 on
 the projective line, the three soluble almost-Sylow-cyclic families as
 explicit permutation triples, Heisenberg and wreath 3-groups, (split)
 extensions by modules and by 3-groups, the C_ell twisted products that
-stretch a map's face size by ell, and the pruned involution-triple search.
+stretch a map's face size by ell, and the involution-triple search.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
+from .algebra import is_prime
 from .errors import ContractError, ParameterError, ResourceError
-from .mapcore import MapTriple, euler_characteristic, verify_star_group
+from .mapcore import MapTriple, euler_characteristic, involution_triples, verify_star_group
 from .permgrp import (
     PermGroup,
     element_table,
@@ -21,6 +22,7 @@ from .permgrp import (
     identity,
     pmul,
     porder,
+    ppow,
 )
 
 __all__ = [
@@ -210,8 +212,6 @@ def make_field(p: int, e: int) -> FieldCtx:
     """GF(p^e) with the lexicographically least monic irreducible modulus
     (coefficients compared from the x^(e-1) coefficient down to the
     constant term)."""
-    from .algebra import is_prime
-
     if not is_prime(p) or p == 2 or p > 97:
         raise ParameterError(f"need an odd prime p <= 97, got {p}")
     if not 1 <= e <= 4:
@@ -336,24 +336,13 @@ def build_h1(ell: int) -> MapTriple:
     g = PermGroup(n, [rot, ref])
     y = rot
     b = ref
-    a = _perm_pow(y, ell // 2)
+    a = ppow(y, ell // 2)
     c = pmul(b, y)
     t = verify_star_group(g, a, b, c)
     # the defining relator a (bc)^(ell/2)
-    if pmul(a, _perm_pow(t.bc, ell // 2)) != g.ident:
+    if pmul(a, ppow(t.bc, ell // 2)) != g.ident:
         raise ContractError("H1 relator failed")
     return t
-
-
-def _perm_pow(p, k):
-    result = identity(len(p))
-    base = p
-    while k:
-        if k & 1:
-            result = pmul(result, base)
-        base = pmul(base, base)
-        k >>= 1
-    return result
 
 
 def build_h2(j: int, k: int) -> MapTriple:
@@ -378,7 +367,7 @@ def build_h2(j: int, k: int) -> MapTriple:
     t = verify_star_group(g, a, b, c)
     if (t.m, t.n) != (2 * j, 2 * k):
         raise ContractError(f"H2 built type ({t.m},{t.n}), wanted ({2*j},{2*k})")
-    rel = pmul(b, pmul(_perm_pow(t.ab, j), _perm_pow(t.bc, k)))
+    rel = pmul(b, pmul(ppow(t.ab, j), ppow(t.bc, k)))
     if rel != g.ident:
         raise ContractError("H2 relator failed")
     return t
@@ -425,7 +414,7 @@ def build_h3(ell: int) -> MapTriple:
     t = verify_star_group(g, a, b, c)
     if (t.m, t.n) != (4, ell):
         raise ContractError(f"H3 built type ({t.m},{t.n}), wanted (4,{ell})")
-    rel = pmul(pmul(pmul(c, b), pmul(a, b)), pmul(c, _perm_pow(t.ab, 2)))
+    rel = pmul(pmul(pmul(c, b), pmul(a, b)), pmul(c, ppow(t.ab, 2)))
     if rel != g.ident:
         raise ContractError("H3 relator failed")
     if g.order() != 8 * ell:
@@ -889,7 +878,7 @@ def build_semidirect_cell(spec: SemidirectSpec) -> MapTriple:
     # <a,b,c> projects onto H* (base triple generates) and contains the
     # C_ell part: (ab)^m (resp. (bc)^n) is a generator of C_ell since
     # gcd(ell, m*n) = 1; so the cell group has order ell * |H*|.
-    power = _perm_pow(ab, base.m) if attach == "a" else _perm_pow(bc, base.n)
+    power = ppow(ab, base.m) if attach == "a" else ppow(bc, base.n)
     if porder(power) != ell:
         raise ContractError("C_ell part not recovered from the stretched product")
     group = PermGroup(ell + deg_base, [a1, b1, c1], order=order)
@@ -920,37 +909,18 @@ class TripleSearch:
 def find_triples(g: PermGroup, m: int, n: int, limit: int = 16, cap: int = FIND_TRIPLES_CAP) -> TripleSearch:
     """Up to ``limit`` verified (2,m,n)*-triples in g.
 
-    a ranges over involution conjugacy-class representatives (sufficient
-    for existence up to conjugacy), b over involutions with ord(ab) = m,
-    c over involutions with ord(bc) = n and (ac)^2 = 1.  An empty result
+    The triples come from mapcore.involution_triples: a ranges over
+    involution conjugacy-class representatives (sufficient for existence
+    up to conjugacy), then b and c in ascending order.  An empty result
     with exhaustive=True is a definitive nonexistence certificate.
     """
     order = g.order()
     if order > cap:
         raise ResourceError(f"find_triples budget is {cap}, group has order {order}")
-    table = element_table(g)
-    mul, order_of = table.mul, table.order_of
-    invs = table.involution_indices()
-    elems = table.elems
-    class_reps = [table.pos[r] for r in g.involution_class_reps()]
+    elems = element_table(g).elems
     out = []
-    exhaustive = True
-    n_all = table.n
-    for ia in class_reps:
-        row_a = mul[ia]
-        for ib in invs:
-            if int(order_of[row_a[ib]]) != m:
-                continue
-            row_b = mul[ib]
-            for ic in invs:
-                if int(order_of[row_b[ic]]) != n:
-                    continue
-                if int(order_of[row_a[ic]]) > 2:
-                    continue
-                if table.closure([int(row_a[ib]), int(row_b[ic])]).sum() != n_all:
-                    continue
-                t = verify_star_group(g, elems[ia], elems[ib], elems[ic])
-                out.append(t)
-                if len(out) >= limit:
-                    return TripleSearch(out, False)
-    return TripleSearch(out, exhaustive)
+    for ia, ib, ic, *_ in involution_triples(g, {(m, n)}):
+        out.append(verify_star_group(g, elems[ia], elems[ib], elems[ic]))
+        if len(out) >= limit:
+            return TripleSearch(out, False)
+    return TripleSearch(out, True)

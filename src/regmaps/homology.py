@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from .algebra import IntMatrix, SnfResult, mod_p_rank, smith_normal_form, is_prime
 from .errors import ContractError, ParameterError, ResourceError
-from .mapcore import MapTriple, map_counts
-from .permgrp import pmul
+from .mapcore import MapTriple, euler_characteristic, map_counts
+from .permgrp import pmul, porder
 
 __all__ = [
     "TriangleTarget",
@@ -209,17 +209,12 @@ def reidemeister_schreier(
     # base-map data straight from the table: ord(ab), ord(bc) of the
     # composite actions, then chi, genus and the branch-point count
     def composite_order(l1, l2):
-        perm = tuple(acts[l2][acts[l1][i]] for i in range(n))
-        from .permgrp import porder
-
-        return porder(perm)
+        return porder(tuple(acts[l2][acts[l1][i]] for i in range(n)))
 
     m = composite_order(0, 1)
     n_ord = composite_order(1, 2)
     if M % m or N % n_ord:
         raise ContractError("table is inconsistent with the delta type")
-    from .mapcore import euler_characteristic
-
     chi = euler_characteristic(n, m, n_ord)
     branched = (M, N) != (m, n_ord)
     u = (n // (2 * n_ord) + n // (2 * m)) if branched else 0

@@ -4,8 +4,9 @@ A non-orientable regular map of type {m, n} is carried by a group G
 generated by involutions a, b, c with (ac)^2 = 1, ord(ab) = m, ord(bc) = n
 and <ab, bc> = G.  This module verifies candidate triples, computes the
 Euler characteristic and flag counts, checks the structural constraints
-that odd characteristic imposes, and provides the exhaustive
-involution-triple census used as a ground-truth oracle on small groups.
+that odd characteristic imposes, and provides the involution-triple
+enumerator behind both the triple search and the census up to Aut(G)
+used as a ground-truth oracle on small groups.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .algebra import as_prime_power, p_part
+import numpy as np
+
+from .algebra import as_prime_power, odd_prime_divisors, p_part
 from .errors import ContractError, ParameterError, ResourceError
 from .permgrp import (
     NormalSubgroupHandle,
@@ -42,6 +45,7 @@ __all__ = [
     "verify_star_group",
     "quotient_data",
     "verify_structural_lemmas",
+    "involution_triples",
     "classify_maps_for_group",
     "CENSUS_CAP",
 ]
@@ -295,23 +299,6 @@ class StructuralReport:
         }
 
 
-def _odd_prime_divisors(n: int):
-    out = []
-    m = n
-    while m % 2 == 0:
-        m //= 2
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 2
-    if m > 1:
-        out.append(m)
-    return out
-
-
 def verify_structural_lemmas(t: MapTriple, chi_override: int | None = None) -> StructuralReport:
     """Check the odd-characteristic structure facts on a concrete triple.
 
@@ -337,7 +324,7 @@ def verify_structural_lemmas(t: MapTriple, chi_override: int | None = None) -> S
     orders_present = set(g.element_orders())
     bad = [
         tt
-        for tt in _odd_prime_divisors(order)
+        for tt in odd_prime_divisors(order)
         if chi % tt != 0 and p_part(order, tt) not in orders_present
     ]
     report.add(
@@ -364,7 +351,7 @@ def verify_structural_lemmas(t: MapTriple, chi_override: int | None = None) -> S
         r = rd[0]
         offenders = [
             tt
-            for tt in _odd_prime_divisors(gbar_order)
+            for tt in odd_prime_divisors(gbar_order)
             if p_part(gbar_order, tt) > p_part(m_bar, tt) * p_part(n_bar, tt) and tt != r
         ]
         report.add(
@@ -418,16 +405,54 @@ class CensusClass:
     hyperbolic: bool
 
 
-def classify_maps_for_group(g: PermGroup, cap: int = CENSUS_CAP, types=None):
-    """Exhaustive census of (2,m,n)*-triples on g, up to Aut(g).
+def involution_triples(g: PermGroup, types=None):
+    """(2,m,n)*-triples on g whose a is an involution class representative.
 
-    Enumerates all involution triples (a, b, c) with (ac)^2 = 1 and
-    2 <= ord(ab) <= ord(bc) that pass verify_star_group (degenerate
-    quotient types like (2, l) included), and splits each type (m, n)
-    into Aut(g)-orbits.  Because Aut(g) acts freely on generating
-    triples, the class count is (number of triples) / |Aut(g)|; this is
-    cross-checked by explicit orbit-representative extraction.  The dual
-    copy of a type with m < n (its (n, m) triples) is not listed again.
+    Yields (ia, ib, ic, m, n, class_size) with indices into element_table(g):
+    a runs over the involution class representatives of
+    g.conjugacy_classes(), b over the involutions in ascending index order,
+    c in ascending index order over the involutions with (ac)^2 = 1.  A
+    candidate is kept when (ord(ab), ord(bc)) is in ``types`` (None means
+    every type with 2 <= m <= n) and <ab, bc> = G, which forces <a, b, c> = G
+    and non-orientability.  Every Aut(g)-orbit of triples meets this set,
+    and a triple with a fixed stands for class_size conjugate triples.
+    """
+    table = element_table(g)
+    mul, order_of, n_all = table.mul, table.order_of, table.n
+    invs = np.array(table.involution_indices(), dtype=np.intp)
+    for rep, class_size in g.conjugacy_classes():
+        if porder(rep) != 2:
+            continue
+        ia = table.pos[rep]
+        row_a = mul[ia]
+        ord_ax = order_of[row_a[invs]]  # ord(ax) for each involution x
+        cs = invs[ord_ax <= 2]  # (ac)^2 = 1
+        ms = ord_ax[:, None]  # ord(ab), one row per b
+        ns = order_of[mul[np.ix_(invs, cs)]]  # ord(bc), b by c
+        if types is None:
+            keep = (ms >= 2) & (ms <= ns)
+        else:
+            keep = np.zeros(ns.shape, dtype=bool)
+            for m, n in types:
+                keep |= (ms == m) & (ns == n)
+        for i, j in zip(*np.nonzero(keep)):  # row-major: b, then c ascending
+            ib, ic = int(invs[i]), int(cs[j])
+            if table.closure([int(row_a[ib]), int(mul[ib, ic])]).sum() == n_all:
+                yield ia, ib, ic, int(ms[i, 0]), int(ns[i, j]), class_size
+
+
+def classify_maps_for_group(g: PermGroup, cap: int = CENSUS_CAP, types=None):
+    """Census of (2,m,n)*-triples on g, up to Aut(g).
+
+    Runs involution_triples over the involution class representatives a:
+    every triple with 2 <= ord(ab) <= ord(bc) that passes verify_star_group
+    (degenerate quotient types like (2, l) included) is conjugate to one of
+    them, so a type (m, n) has sum |class(a)| * #triples(a) triples in all.
+    Because Aut(g) acts freely on generating triples, the class count is
+    that total / |Aut(g)|; this is cross-checked by explicit
+    orbit-representative extraction among the class-representative
+    triples, which every Aut-orbit meets.  The dual copy of a type with
+    m < n (its (n, m) triples) is not listed again.
 
     ``types``, if given, restricts the census to those ordered types.
     """
@@ -444,46 +469,11 @@ def classify_maps_for_group(g: PermGroup, cap: int = CENSUS_CAP, types=None):
     if key is not None and key in cache:
         return cache[key]
     table = element_table(g)
-    mul, order_of = table.mul, table.order_of
-    invs = table.involution_indices()
-    if not invs:
-        cache[key] = []
-        return []
-
-    # candidate triples by order filters, then verify by subgroup closure:
-    # <ab, bc> = G suffices (it forces <a,b,c> = G and non-orientability)
-    accepted = {}  # (m, n) -> list of (ia, ib, ic)
-    closure_memo = {}
-    n_all = table.n
-
-    def rot_closure_is_full(ix, iy):
-        memo_key = (ix, iy)
-        got = closure_memo.get(memo_key)
-        if got is None:
-            got = bool(table.closure([ix, iy]).sum() == n_all)
-            closure_memo[memo_key] = got
-        return got
-
-    # (a, c) commute is the rarest filter, so fix it first
-    for ia in invs:
-        row_a = mul[ia]
-        commuting = [ic for ic in invs if order_of[row_a[ic]] <= 2]
-        for ic in commuting:
-            row_c_orders = order_of[mul[:, ic]]
-            for ib in invs:
-                ix = int(row_a[ib])
-                m = int(order_of[ix])
-                if m < 2:
-                    continue  # a = b never generates through <ab, bc>
-                n = int(row_c_orders[ib])
-                if n < m:
-                    continue
-                if types is not None and (m, n) not in key:
-                    continue
-                iy = int(mul[ib, ic])
-                if not rot_closure_is_full(ix, iy):
-                    continue
-                accepted.setdefault((m, n), []).append((ia, ib, ic))
+    totals = {}  # (m, n) -> number of triples of that type
+    accepted = {}  # (m, n) -> list of class-representative (ia, ib, ic)
+    for ia, ib, ic, m, n, class_size in involution_triples(g, key):
+        totals[(m, n)] = totals.get((m, n), 0) + class_size
+        accepted.setdefault((m, n), []).append((ia, ib, ic))
     if not accepted:
         cache[key] = []
         return []
@@ -492,10 +482,16 @@ def classify_maps_for_group(g: PermGroup, cap: int = CENSUS_CAP, types=None):
     aut_maps = table.automorphism_index_maps(list(first))
     n_aut = len(aut_maps)
 
+    def same_orbit(t1, t2):
+        for f in aut_maps:
+            if (int(f[t1[0]]), int(f[t1[1]]), int(f[t1[2]])) == t2:
+                return True
+        return False
+
     elems = table.elems
     out = []
     for (m, n), triples in sorted(accepted.items()):
-        total = len(triples)
+        total = totals[(m, n)]
         if total % n_aut:
             raise ContractError(
                 f"type ({m},{n}): {total} triples not divisible by |Aut| = {n_aut}"
@@ -504,32 +500,13 @@ def classify_maps_for_group(g: PermGroup, cap: int = CENSUS_CAP, types=None):
         # pick k pairwise non-equivalent representatives
         reps = [triples[0]]
         if k > 1:
-            triple_set = set(triples)
             for cand in triples[1:]:
                 if len(reps) == k:
                     break
-                equivalent = False
-                for rep in reps:
-                    for f in aut_maps:
-                        if (
-                            int(f[rep[0]]) == cand[0]
-                            and int(f[rep[1]]) == cand[1]
-                            and int(f[rep[2]]) == cand[2]
-                        ):
-                            equivalent = True
-                            break
-                    if equivalent:
-                        break
-                if not equivalent:
+                if not any(same_orbit(rep, cand) for rep in reps):
                     reps.append(cand)
             if len(reps) != k:
                 raise ContractError(f"type ({m},{n}): found {len(reps)} of {k} classes")
-        def same_orbit(t1, t2):
-            for f in aut_maps:
-                if (int(f[t1[0]]), int(f[t1[1]]), int(f[t1[2]])) == t2:
-                    return True
-            return False
-
         self_duality = [same_orbit(rep, (rep[2], rep[1], rep[0])) for rep in reps]
         if m == n:
             n_self = sum(self_duality)

@@ -13,7 +13,7 @@ from math import gcd
 
 import numpy as np
 
-from .algebra import is_prime, p_part
+from .algebra import is_prime, odd_prime_divisors, p_part
 from .errors import ContractError, ParameterError, ResourceError
 
 __all__ = [
@@ -222,9 +222,6 @@ class PermGroup:
 
     def involutions(self, cap: int = ELEMENTS_CAP):
         return sorted(x for x in self.elements(cap) if x != self.ident and pmul(x, x) == self.ident)
-
-    def involution_class_reps(self, cap: int = ELEMENTS_CAP):
-        return [rep for rep, _ in self.conjugacy_classes(cap) if porder(rep) == 2]
 
     def element_orders(self, cap: int = ELEMENTS_CAP):
         """Multiset {order: count} over the whole group."""
@@ -473,30 +470,13 @@ def is_almost_sylow_cyclic(g: PermGroup) -> bool:
     """
     n = g.order()
     orders = set(g.element_orders())
-    for t in _odd_prime_divisors(n):
+    for t in odd_prime_divisors(n):
         if p_part(n, t) not in orders:
             return False
     n2 = p_part(n, 2)
     if n2 <= 2:
         return True
     return n2 in orders or (n2 // 2) in orders
-
-
-def _odd_prime_divisors(n: int):
-    out = []
-    d = 3
-    m = n
-    while m % 2 == 0:
-        m //= 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 2
-    if m > 1:
-        out.append(m)
-    return out
 
 
 class QuotientGroup(PermGroup):
@@ -647,7 +627,6 @@ class ElementTable:
         self.n = n
         self.pos = {e: i for i, e in enumerate(self.elems)}
         arr = np.array(self.elems, dtype=np.int32)  # n x degree
-        lut = {self.elems[i]: i for i in range(n)}
         mul = np.empty((n, n), dtype=np.int32)
         buf = {bytes(memoryview(np.ascontiguousarray(arr[i]))): i for i in range(n)}
         for j in range(n):

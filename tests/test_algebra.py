@@ -80,6 +80,8 @@ def test_mod_p_rank_big_entries():
     assert mod_p_rank(m, 3) == 1
     assert mod_p_rank(m, 5) == 1
     assert mod_p_rank(m, 7) == 2
+    p = 4294967311  # (p - 1)^2 overflows int64
+    assert mod_p_rank(IntMatrix.from_rows([[3, p - 1, 5], [6, p - 2, 10]]), p) == 1
 
 
 def test_matrix_text_roundtrip():

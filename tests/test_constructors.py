@@ -346,7 +346,7 @@ def test_find_triples_limit(pgl_groups):
 def test_cell_projection_recovers_base(pgl_groups):
     # factoring the C_ell part out of a stretched triple recovers the base
     from regmaps.permgrp import NormalSubgroupHandle, quotient_group, porder
-    from regmaps.constructors import _perm_pow
+    from regmaps.permgrp import ppow
 
     pslset = psl2_membership(make_field(7, 1))
     base = next(
@@ -355,7 +355,7 @@ def test_cell_projection_recovers_base(pgl_groups):
         if t.a not in pslset and t.b not in pslset
     )
     cell = build_semidirect_cell(SemidirectSpec(base=base, h0_elements=pslset, ell=5))
-    z_part = _perm_pow(cell.ab, base.m)
+    z_part = ppow(cell.ab, base.m)
     handle = NormalSubgroupHandle(cell.group, [z_part])
     assert handle.order() == 5 and handle.check_normal()
     q = quotient_group(cell.group, handle)
