@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ResourceError
 
 __all__ = [
     "is_prime",
@@ -28,19 +28,40 @@ __all__ = [
 ]
 
 
+# Miller-Rabin with these bases is exact below MR_BOUND, the least strong
+# pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86 (2017)).
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic primality test, trial division (inputs here are small)."""
+    """Deterministic primality test: Miller-Rabin over the prime bases 2..41.
+
+    A composite answer is proven at any size by its witness.  A prime answer
+    is proven only below ``MR_BOUND``; above it, an n that no base witnesses
+    raises ``ResourceError``.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
+    if n >= MR_BOUND:
+        raise ResourceError(f"cannot certify {n} prime: Miller-Rabin is exact below {MR_BOUND}")
     return True
 
 
@@ -75,28 +96,25 @@ def odd_prime_divisors(n: int):
     return out
 
 
+def _iroot(n: int, e: int) -> int:
+    """Largest r with r**e <= n, for n >= 1 (integer Newton from above)."""
+    r = 1 << -(-n.bit_length() // e)
+    while True:
+        s = ((e - 1) * r + n // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
 def as_prime_power(n: int):
     """Return (p, e) with n = p**e if n >= 2 is a prime power, else None."""
     if n < 2:
         raise ParameterError(f"as_prime_power needs n >= 2, got {n}")
-    # extract smallest prime factor, then check the rest is a power of it
-    p = None
-    if n % 2 == 0:
-        p = 2
-    else:
-        d = 3
-        while d * d <= n:
-            if n % d == 0:
-                p = d
-                break
-            d += 2
-        if p is None:
-            return (n, 1)  # n itself is prime
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return (p, e) if n == 1 else None
+    for e in range(n.bit_length(), 0, -1):
+        p = _iroot(n, e)
+        if p >= 2 and p ** e == n and is_prime(p):
+            return (p, e)
+    return None
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from .families import (
     verify_congruence_row,
     verify_corollary_table,
 )
-from .homology import TriangleTarget, branched_rank_check, kernel_presentation
+from .homology import branched_rank, branched_target, kernel_presentation
 from .mapcore import (
     classify_maps_for_group,
     map_counts,
@@ -332,10 +332,8 @@ def cmd_cover_rank(args):
                 t0,
             )
         triple = found[0]
-    pres = kernel_presentation(
-        TriangleTarget(triple, (2, args.r * triple.m, args.r * triple.n))
-    )
-    expected, computed, ok = branched_rank_check(triple, args.r)
+    pres = kernel_presentation(branched_target(triple, args.r))
+    expected, computed, ok = branched_rank(triple, args.r, pres)
     items = [
         {
             "expected": expected,

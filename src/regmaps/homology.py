@@ -30,6 +30,8 @@ __all__ = [
     "reidemeister_schreier",
     "kernel_presentation",
     "kernel_abelianization",
+    "branched_target",
+    "branched_rank",
     "branched_rank_check",
     "cover_characteristic",
     "cover_exponent",
@@ -239,26 +241,36 @@ def kernel_abelianization(pres: KernelPresentation) -> SnfResult:
     return smith_normal_form(pres.relation_matrix)
 
 
-def branched_rank_check(base: MapTriple, r: int, cap: int = COSET_CAP):
-    """Mod-r dimension of the branched-cover kernel vs 1 + |G|/4.
-
-    Builds the target D(2, rm, rn) -> G, computes
-    dim_r K/(K' K^(r)) = (number of Schreier generators) - rank_r(matrix),
-    and compares with the two equal closed forms 1 + |G|/4 and
-    (g - 1) + u, u = V + F.
-    """
+def branched_target(base: MapTriple, r: int) -> TriangleTarget:
+    """The branched target D(2, rm, rn) -> G of ``base``, for an odd prime r."""
     if not is_prime(r) or r == 2:
         raise ParameterError(f"need an odd prime, got {r}")
-    order = base.group.order()
-    target = TriangleTarget(base, (2, r * base.m, r * base.n))
-    pres = kernel_presentation(target, cap=cap)
+    return TriangleTarget(base, (2, r * base.m, r * base.n))
+
+
+def branched_rank(base: MapTriple, r: int, pres: KernelPresentation):
+    """Mod-r dimension of the branched-cover kernel vs 1 + |G|/4.
+
+    ``pres`` is the kernel presentation of ``branched_target(base, r)``.
+    Computes dim_r K/(K' K^(r)) = (number of Schreier generators) -
+    rank_r(matrix), and compares with the two equal closed forms 1 + |G|/4
+    and (g - 1) + u, u = V + F.  Returns (expected, computed, ok).
+    """
+    if pres.delta_type != branched_target(base, r).delta_type:
+        raise ParameterError(f"presentation of {pres.delta_type} is not the branched target for r = {r}")
     computed = pres.n_generators - mod_p_rank(pres.relation_matrix, r)
-    expected = 1 + order // 4
-    cert = map_counts(base)
-    alt = (pres.genus_g - 1) + cert.u
+    expected = 1 + base.group.order() // 4
+    alt = (pres.genus_g - 1) + map_counts(base).u
     if alt != expected:
         raise ContractError(f"(g-1)+u = {alt} but 1+|G|/4 = {expected}")
     return expected, computed, computed == expected
+
+
+def branched_rank_check(base: MapTriple, r: int, cap: int = COSET_CAP):
+    """Build the branched target's kernel presentation and check it with
+    ``branched_rank``; returns (expected, computed, ok)."""
+    pres = kernel_presentation(branched_target(base, r), cap=cap)
+    return branched_rank(base, r, pres)
 
 
 def cover_characteristic(chi: int, s: int) -> int:

@@ -612,12 +612,56 @@ def hom_from_generator_images(degree: int, gens, images, codomain_mul, codomain_
     return mapping
 
 
+TABLE_BLOCK_CELLS = 1 << 14  # cells of ``mul`` filled per block; bounds temporaries
+
+
+def _base_lookups(arr):
+    """A base for the rows of ``arr`` (n distinct permutations, one per row)
+    and one lookup array per base point.
+
+    Points are taken in domain order whenever their images split more
+    elements apart, until all n are apart.  After base point t, element i has
+    the code ``c_t[i]``: the least element index that agrees with it on base
+    points 0..t.  ``luts[t][c_{t-1} * degree + image]`` is that code, or -1 if
+    no element agrees (``c_{-1}`` is 0).  Codes are below n, so no lookup
+    array is longer than ``(n + 1) * degree``, and the last codes are the
+    element indices themselves.  Each array ends in ``degree`` extra -1
+    entries: a miss (-1) makes the next key negative, which lands there and
+    stays -1.
+    """
+    n, degree = arr.shape
+    code = np.zeros(n, dtype=np.intp)
+    distinct = 1
+    base, luts = [], []
+    for point in range(degree):
+        if distinct == n:
+            break
+        keys = code * degree + arr[:, point]
+        uniq, first = np.unique(keys, return_index=True)
+        if uniq.size == distinct:
+            continue
+        lut = np.full((int(code.max()) + 2) * degree, -1, dtype=np.intp)
+        lut[uniq] = first
+        code = lut[keys]
+        distinct = uniq.size
+        base.append(point)
+        luts.append(lut)
+    return base, luts
+
+
 class ElementTable:
     """Indexed multiplication table of a (small) group.
 
     Elements are sorted and indexed 0..n-1; ``mul[i, j]`` is the index of
     elems[i] * elems[j].  All census and automorphism machinery runs in
     this index space.
+
+    The table is built from a base (see ``_base_lookups``): a product is
+    found from its images of the base points by a chain of array lookups,
+    never by comparing whole permutations.  The element list is built as
+    the closure of the generators; checking every generator column on every
+    point proves it closed under them, hence a group, and a base tells the
+    elements of a group apart, so every lookup is exact.
     """
 
     def __init__(self, g: PermGroup, cap: int = ELEMENTS_CAP):
@@ -626,21 +670,48 @@ class ElementTable:
         n = len(self.elems)
         self.n = n
         self.pos = {e: i for i, e in enumerate(self.elems)}
+        try:
+            e = self.identity_index = self.pos[g.ident]
+            gen_cols = [self.pos[x] for x in g.generators]
+        except KeyError:
+            raise ContractError("element list misses the identity or a generator") from None
+        degree = g.degree
         arr = np.array(self.elems, dtype=np.int32)  # n x degree
+        base, luts = _base_lookups(arr)
+        # images[p, j] = elems[j][p]; a product x_i * y_j sends b to y_j[x_i[b]]
+        images = np.ascontiguousarray(arr.T)
+        base_images = arr[:, base]
         mul = np.empty((n, n), dtype=np.int32)
-        buf = {bytes(memoryview(np.ascontiguousarray(arr[i]))): i for i in range(n)}
-        for j in range(n):
-            y = arr[j]
-            prod = y[arr]  # row i = elems[i] then elems[j]
-            col = [buf[bytes(memoryview(np.ascontiguousarray(prod[i])))] for i in range(n)]
-            mul[:, j] = col
-        self.mul = mul
-        self.identity_index = self.pos[g.ident]
-        self.order_of = np.array([porder(e) for e in self.elems], dtype=np.int32)
         inv = np.empty(n, dtype=np.int32)
-        for i, e in enumerate(self.elems):
-            inv[i] = self.pos[pinv(e)]
+        rows = max(1, TABLE_BLOCK_CELLS // n)
+        for lo in range(0, n, rows):
+            hi = min(n, lo + rows)
+            code = 0
+            for t, lut in enumerate(luts):
+                code = lut[code * degree + images[base_images[lo:hi, t]]]
+            if np.min(code) < 0:
+                raise ContractError("a product is missing from the element list")
+            mul[lo:hi] = code
+            inv[lo:hi] = np.argmax(mul[lo:hi] == e, axis=1)
+        for gen, j in zip(g.generators, gen_cols):
+            if not np.array_equal(arr[mul[:, j]], np.array(gen)[arr]):
+                raise ContractError("a generator column disagrees with the permutations")
+        self.mul = mul
         self.inv = inv
+        # order of x: the least k with x^k = identity, powering through mul
+        order_of = np.zeros(n, dtype=np.int32)
+        todo = np.arange(n)
+        power = todo
+        for k in range(1, n + 1):
+            hit = power == e
+            order_of[todo[hit]] = k
+            todo, power = todo[~hit], power[~hit]
+            if not todo.size:
+                break
+            power = mul[power, todo]
+        else:
+            raise ContractError("an element has order above the group order")
+        self.order_of = order_of
 
     def involution_indices(self):
         return [i for i in range(self.n) if self.order_of[i] == 2]

@@ -1,17 +1,22 @@
+import random
+
 import pytest
+from sympy import isprime
 
 from regmaps.algebra import (
+    MR_BOUND,
     IntMatrix,
     PrimePower,
     SnfResult,
     as_prime_power,
     det_bareiss,
     epsilon,
+    is_prime,
     mod_p_rank,
     p_part,
     smith_normal_form,
 )
-from regmaps.errors import ParameterError
+from regmaps.errors import ParameterError, ResourceError
 
 
 def test_p_part():
@@ -44,6 +49,34 @@ def test_as_prime_power():
     assert as_prime_power(97) == (97, 1)
     with pytest.raises(ParameterError):
         as_prime_power(1)
+
+
+def test_is_prime_matches_sympy():
+    assert all(is_prime(n) == isprime(n) for n in range(-3, 10 ** 5))
+    rng = random.Random(0x5EED)
+    for _ in range(2000):
+        n = rng.getrandbits(64)
+        assert is_prime(n) == isprime(n), n
+    assert is_prime(2 ** 61 - 1)
+
+
+def test_is_prime_bound():
+    # composites above the bound are still proven by a witness
+    assert not is_prime((2 ** 31 - 1) * (2 ** 61 - 1))
+    assert not is_prime(2 ** 200)
+    # the bound itself is a strong pseudoprime to every base
+    with pytest.raises(ResourceError):
+        is_prime(MR_BOUND)
+    with pytest.raises(ResourceError):
+        is_prime(2 ** 89 - 1)
+
+
+def test_as_prime_power_large():
+    assert as_prime_power(3 ** 40) == (3, 40)
+    assert as_prime_power((2 ** 31 - 1) * (2 ** 61 - 1)) is None
+    assert as_prime_power((2 ** 61 - 1) ** 3) == (2 ** 61 - 1, 3)
+    assert as_prime_power(3 ** 40 * 5) is None
+    assert as_prime_power(2 ** 127) == (2, 127)
 
 
 def test_epsilon():
