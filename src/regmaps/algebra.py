@@ -78,19 +78,33 @@ def p_part(n: int, p: int) -> int:
     return part
 
 
+TRIAL_DIVISION_BOUND = 10 ** 6  # largest trial divisor for odd_prime_divisors
+
+
 def odd_prime_divisors(n: int):
-    """The odd primes dividing the positive integer n, ascending."""
+    """The odd primes dividing the positive integer n, ascending.
+
+    Trial division stops as soon as the cofactor is 1 or prime; a composite
+    cofactor with no factor up to ``TRIAL_DIVISION_BOUND`` raises
+    ``ResourceError``.
+    """
+    if n < 1:
+        raise ParameterError(f"odd_prime_divisors needs n >= 1, got {n}")
     out = []
     m = n
     while m % 2 == 0:
         m //= 2
     d = 3
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 2
+    while m > 1 and not is_prime(m):
+        while m % d:
+            d += 2
+            if d > TRIAL_DIVISION_BOUND:
+                raise ResourceError(
+                    f"{m} has no prime factor up to the trial-division bound {TRIAL_DIVISION_BOUND}"
+                )
+        out.append(d)
+        while m % d == 0:
+            m //= d
     if m > 1:
         out.append(m)
     return out

@@ -5,21 +5,29 @@ the projective line, the three soluble almost-Sylow-cyclic families as
 explicit permutation triples, Heisenberg and wreath 3-groups, (split)
 extensions by modules and by 3-groups, the C_ell twisted products that
 stretch a map's face size by ell, and the involution-triple search.
+
+GL_k(p) acts as the permutations it induces on the p^k vectors of F_p^k
+(vector codes, see ``_vec_index``), so module actions and automorphism
+actions are both found by one generator-image search over permutations;
+matrices appear only in ``ModuleExtensionSpec``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from itertools import product
+from math import gcd, lcm, prod
 
 from .algebra import is_prime
 from .errors import ContractError, ParameterError, ResourceError
 from .mapcore import MapTriple, euler_characteristic, involution_triples, verify_star_group
 from .permgrp import (
+    ELEMENTS_CAP,
     PermGroup,
     element_table,
     hom_from_generator_images,
     identity,
+    pinv,
     pmul,
     porder,
     ppow,
@@ -40,7 +48,7 @@ __all__ = [
     "ModuleExtensionSpec",
     "build_module_extension",
     "search_module_actions",
-    "gl_elements",
+    "gl_group",
     "regular_form",
     "automorphism_perm_group",
     "search_split_actions",
@@ -462,59 +470,17 @@ class ModuleExtensionSpec:
     matrices: tuple
 
     def __post_init__(self):
+        if not is_prime(self.p):
+            raise ParameterError(f"need a prime p, got {self.p}")
+        if self.k < 0:
+            raise ParameterError(f"need k >= 0, got {self.k}")
+        if self.k > CELL_DEGREE_CAP.bit_length() or self.p ** self.k > CELL_DEGREE_CAP:
+            raise ResourceError(f"F_{self.p}^{self.k} has more than {CELL_DEGREE_CAP} points")
         for m in self.matrices:
             if len(m) != self.k or any(len(r) != self.k for r in m):
                 raise ParameterError("matrix shape mismatch")
-
-
-def _mat_mul(a, b, p):
-    k = len(a)
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(k))
-        for i in range(k)
-    )
-
-
-def _mat_identity(k):
-    return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-
-
-def _mat_is_invertible(m, p):
-    k = len(m)
-    a = [list(r) for r in m]
-    for col in range(k):
-        piv = next((i for i in range(col, k) if a[i][col] % p), None)
-        if piv is None:
-            return False
-        a[col], a[piv] = a[piv], a[col]
-        inv = pow(a[col][col], -1, p)
-        a[col] = [(x * inv) % p for x in a[col]]
-        for i in range(k):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[col])]
-    return True
-
-
-def gl_elements(k: int, p: int, cap: int = 2_000_000):
-    """All of GL_k(p) as matrix tuples (budgeted by p^(k^2) <= cap)."""
-    total = p ** (k * k)
-    if total > cap:
-        raise ResourceError(f"GL_{k}({p}) enumeration needs {total} candidates > cap {cap}")
-    out = []
-    for code in range(total):
-        v = code
-        rows = []
-        for _i in range(k):
-            row = []
-            for _j in range(k):
-                row.append(v % p)
-                v //= p
-            rows.append(tuple(row))
-        m = tuple(rows)
-        if _mat_is_invertible(m, p):
-            out.append(m)
-    return out
+            if any(not isinstance(x, int) or not 0 <= x < self.p for r in m for x in r):
+                raise ParameterError(f"matrix entries must be integers in [0, {self.p})")
 
 
 def _vec_index(v, p):
@@ -530,6 +496,82 @@ def _vec_of_index(code, k, p):
         v.append(code % p)
         code //= p
     return tuple(v)
+
+
+def _mat_perm(m, p):
+    """The map v -> v m on the p^k vector codes; a permutation exactly when
+    m is invertible."""
+    k = len(m)
+    return tuple(
+        _vec_index(tuple(sum(v[i] * m[i][j] for i in range(k)) % p for j in range(k)), p)
+        for v in (_vec_of_index(c, k, p) for c in range(p ** k))
+    )
+
+
+def _perm_mat(x, k, p):
+    """The matrix of the linear permutation x: row i is the image of e_i."""
+    return tuple(_vec_of_index(x[p ** i], k, p) for i in range(k))
+
+
+def gl_group(k: int, p: int) -> PermGroup:
+    """GL_k(p) as the permutation group it induces on the p^k vector codes,
+    budgeted by |GL_k(p)| <= ELEMENTS_CAP before anything is enumerated."""
+    if not is_prime(p) or k < 1:
+        raise ParameterError(f"need a prime p and k >= 1, got p = {p}, k = {k}")
+    order = prod(p ** k - p ** i for i in range(k))
+    if order > ELEMENTS_CAP:
+        raise ResourceError(f"|GL_{k}({p})| = {order} exceeds the element budget {ELEMENTS_CAP}")
+    gl = PermGroup(p ** k, [_mat_perm(m, p) for m in _gl_generators(k, p)])
+    if gl.order() != order:
+        raise ContractError(f"GL_{k}({p}) generators give order {gl.order()}, not {order}")
+    return gl
+
+
+def _gl_generators(k, p):
+    """Generating matrices of GL_k(p): a primitive scalar in slot (0, 0)
+    and, for k > 1, the cyclic permutation matrix and a transvection."""
+    nu = _primitive_root(p)
+    diag = tuple(
+        tuple((nu if i == 0 else 1) if i == j else 0 for j in range(k)) for i in range(k)
+    )
+    if k == 1:
+        return [diag]
+    cyc = tuple(
+        tuple(1 if j == (i + 1) % k else 0 for j in range(k)) for i in range(k)
+    )
+    trans = tuple(
+        tuple(1 if i == j else (1 if (i, j) == (0, 1) else 0) for j in range(k))
+        for i in range(k)
+    )
+    return [cyc, trans, diag]
+
+
+def _primitive_root(p):
+    for g in range(1, p):
+        seen, cur = set(), 1
+        for _ in range(p - 1):
+            cur = cur * g % p
+            seen.add(cur)
+        if len(seen) == p - 1:
+            return g
+    raise ContractError("no primitive root")
+
+
+def _action_homs(acting: PermGroup, targets):
+    """The generator-image tuples from ``targets`` (permutations of one
+    degree) that extend to homomorphisms from ``acting``, in the
+    lexicographic order of ``targets``.  An image's order must divide its
+    generator's order."""
+    orders = [porder(t) for t in targets]
+    candidates = [
+        [t for t, o in zip(targets, orders) if n % o == 0]
+        for n in map(porder, acting.generators)
+    ]
+    return [
+        images
+        for images in product(*candidates)
+        if hom_from_generator_images(acting.degree, acting.generators, images) is not None
+    ]
 
 
 def build_module_extension(acting, spec: ModuleExtensionSpec) -> PermGroup:
@@ -554,24 +596,17 @@ def build_module_extension(acting, spec: ModuleExtensionSpec) -> PermGroup:
         return h
     if len(spec.matrices) != len(h.generators):
         raise ParameterError("need one matrix per generator")
-    for m in spec.matrices:
-        if not _mat_is_invertible(m, p):
-            raise ContractError("action matrix is singular")
-    hom = hom_from_generator_images(
-        h.degree, h.generators, spec.matrices, lambda x, y: _mat_mul(x, y, p), _mat_identity(k)
-    )
-    if hom is None:
-        raise ContractError("matrices do not satisfy the acting group's relations")
     nv = p ** k
     deg = nv + h.degree
-    gens = []
+    if deg > CELL_DEGREE_CAP:
+        raise ResourceError(f"extension degree {deg} exceeds {CELL_DEGREE_CAP}")
+    actions = [_mat_perm(m, p) for m in spec.matrices]
+    if any(len(set(x)) != nv for x in actions):
+        raise ContractError("action matrix is singular")
+    if hom_from_generator_images(h.degree, h.generators, actions) is None:
+        raise ContractError("matrices do not satisfy the acting group's relations")
+    gens = [tuple(list(x) + [nv + i for i in gen]) for gen, x in zip(h.generators, actions)]
     vectors = [_vec_of_index(i, k, p) for i in range(nv)]
-    for gen, mat in zip(h.generators, spec.matrices):
-        imgs = []
-        for v in vectors:
-            w = tuple(sum(v[i] * mat[i][j] for i in range(k)) % p for j in range(k))
-            imgs.append(_vec_index(w, p))
-        gens.append(tuple(imgs + [nv + gen[i] for i in range(h.degree)]))
     for b in range(k):
         e = tuple(1 if i == b else 0 for i in range(k))
         imgs = [
@@ -587,121 +622,38 @@ def build_module_extension(acting, spec: ModuleExtensionSpec) -> PermGroup:
 def search_module_actions(acting: PermGroup, p: int, k: int):
     """All actions of `acting` on F_p^k, up to GL_k(p)-conjugacy.
 
-    Enumerates generator-image tuples in GL_k(p) (pruned by element order),
-    keeps those extending to a homomorphism, and returns one
-    ModuleExtensionSpec per simultaneous-conjugacy orbit.  The trivial
-    action is included.
+    GL_k(p) acts as permutations of the vector codes (``gl_group``).  The
+    generator-image tuples that extend to a homomorphism (candidates in the
+    code order of their matrices, pruned by element order) are split into
+    simultaneous-conjugacy orbits, and the first tuple of each orbit becomes
+    one ModuleExtensionSpec.  The trivial action is included.
     """
     if k == 0:
         return [ModuleExtensionSpec(0, p, tuple(() for _ in acting.generators))]
-    gl = gl_elements(k, p)
-    ident = _mat_identity(k)
-
-    def mat_order(m):
-        o, cur = 1, m
-        while cur != ident:
-            cur = _mat_mul(cur, m, p)
-            o += 1
-        return o
-
-    orders = {m: mat_order(m) for m in gl}
-    gen_orders = [porder(g) for g in acting.generators]
-    candidates_per_gen = [
-        [m for m in gl if gen_orders[i] % orders[m] == 0] for i in range(len(acting.generators))
-    ]
-    specs = []
-
-    def extend(i, chosen):
-        if i == len(acting.generators):
-            hom = hom_from_generator_images(
-                acting.degree,
-                acting.generators,
-                chosen,
-                lambda x, y: _mat_mul(x, y, p),
-                ident,
-            )
-            if hom is not None:
-                specs.append(tuple(chosen))
-            return
-        for m in candidates_per_gen[i]:
-            extend(i + 1, chosen + [m])
-
-    extend(0, [])
-
-    # conjugacy orbits under a generating set of GL_k(p)
-    gl_gens = _gl_generators(k, p)
-    spec_set = set(specs)
+    gl = gl_group(k, p)
+    elems = sorted(gl.elements(), key=lambda x: sum(x[p ** i] * p ** (i * k) for i in range(k)))
+    homs = _action_homs(acting, elems)
+    conj = [(pinv(g), g) for g in gl.generators]
+    hom_set = set(homs)
     seen = set()
     reps = []
-    for s in specs:
+    for s in homs:
         if s in seen:
             continue
         orbit = {s}
         frontier = [s]
         while frontier:
             cur = frontier.pop()
-            for gmat, ginv in gl_gens:
-                img = tuple(_mat_mul(_mat_mul(ginv, m, p), gmat, p) for m in cur)
+            for ginv, g in conj:
+                img = tuple(pmul(pmul(ginv, x), g) for x in cur)
                 if img not in orbit:
-                    if img not in spec_set:
+                    if img not in hom_set:
                         raise ContractError("conjugate action escaped the search set")
                     orbit.add(img)
                     frontier.append(img)
         seen |= orbit
         reps.append(s)
-    return [ModuleExtensionSpec(k, p, s) for s in reps]
-
-
-def _gl_generators(k, p):
-    """A small generating set of GL_k(p) with inverses."""
-    mats = []
-    if k == 1:
-        nu = _primitive_root(p)
-        mats.append(((nu % p,),))
-    else:
-        # permutation cycle, transvection, primitive scalar in slot 0
-        cyc = tuple(
-            tuple(1 if j == (i + 1) % k else 0 for j in range(k)) for i in range(k)
-        )
-        trans = tuple(
-            tuple(1 if i == j else (1 if (i, j) == (0, 1) else 0) for j in range(k))
-            for i in range(k)
-        )
-        nu = _primitive_root(p)
-        diag = tuple(
-            tuple((nu if i == 0 else 1) if i == j else 0 for j in range(k)) for i in range(k)
-        )
-        mats = [cyc, trans, diag]
-    out = []
-    for m in mats:
-        out.append((m, _mat_inverse(m, p)))
-    return out
-
-
-def _mat_inverse(m, p):
-    k = len(m)
-    a = [list(r) + [1 if i == j else 0 for j in range(k)] for i, r in enumerate(m)]
-    for col in range(k):
-        piv = next(i for i in range(col, k) if a[i][col] % p)
-        a[col], a[piv] = a[piv], a[col]
-        inv = pow(a[col][col], -1, p)
-        a[col] = [(x * inv) % p for x in a[col]]
-        for i in range(k):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[col])]
-    return tuple(tuple(row[k:]) for row in a)
-
-
-def _primitive_root(p):
-    for g in range(2, p):
-        seen, cur = set(), 1
-        for _ in range(p - 1):
-            cur = cur * g % p
-            seen.add(cur)
-        if len(seen) == p - 1:
-            return g
-    raise ContractError("no primitive root")
+    return [ModuleExtensionSpec(k, p, tuple(_perm_mat(x, k, p) for x in s)) for s in reps]
 
 
 # ---------------------------------------------------------------------------
@@ -737,27 +689,7 @@ def search_split_actions(v: PermGroup, d: PermGroup, cap: int = 2000):
     the matching regular copy is returned alongside.
     """
     reg, auts = automorphism_perm_group(v, cap)
-    aut_orders = {a: porder(a) for a in auts}
-    gen_orders = [porder(g) for g in d.generators]
-    candidates = [
-        [a for a in auts if gen_orders[i] % aut_orders[a] == 0]
-        for i in range(len(d.generators))
-    ]
-    homs = []
-
-    def extend(i, chosen):
-        if i == len(d.generators):
-            hom = hom_from_generator_images(
-                d.degree, d.generators, chosen, pmul, identity(reg.degree)
-            )
-            if hom is not None:
-                homs.append(tuple(chosen))
-            return
-        for a in candidates[i]:
-            extend(i + 1, chosen + [a])
-
-    extend(0, [])
-    return reg, homs
+    return reg, _action_homs(d, auts)
 
 
 def build_split_extension(v_regular: PermGroup, d: PermGroup, aut_images) -> PermGroup:

@@ -145,7 +145,10 @@ def reidemeister_schreier(
     edges are eliminated, leaving 2|G| + 1 columns.  Each relator of
     D(2, M, N), conjugated by each coset representative, is rewritten; the
     rewrite of w_i R w_i^{-1} reduces to tracing R from coset i because
-    tree words contribute only eliminated generators.  With dedupe=True,
+    tree words contribute only eliminated generators.  A relator R = P^e
+    is traced once around the cycle of its period word P from coset i;
+    that cycle has some length L dividing e, and the row is the cycle's
+    row times e / L, so the work does not grow with e.  With dedupe=True,
     starts on the same relator cycle (which abelianize identically) are
     emitted once; correctness is unaffected, only size.
     """
@@ -163,48 +166,38 @@ def reidemeister_schreier(
     if n_gens != 2 * n + 1:
         raise ContractError(f"expected {2 * n + 1} Schreier generators, got {n_gens}")
 
-    relators = [
-        ((0, 0), 1),          # A^2: word (AA), period word (A)
-        ((1, 1), 1),          # B^2
-        ((2, 2), 1),          # C^2
-        ((0, 2, 0, 2), 2),    # (AC)^2, period (AC)
-        (tuple([0, 1] * M), 2),   # (AB)^M, period (AB)
-        (tuple([1, 2] * N), 2),   # (BC)^N, period (BC)
+    relators = [  # (period word, exponent)
+        ((0,), 2),       # A^2
+        ((1,), 2),       # B^2
+        ((2,), 2),       # C^2
+        ((0, 2), 2),     # (AC)^2
+        ((0, 1), M),     # (AB)^M
+        ((1, 2), N),     # (BC)^N
     ]
 
     rows = []
-    for word, period in relators:
-        period_word = word[:period]
-        starts = range(n)
-        if dedupe:
-            seen = [False] * n
-            chosen = []
-            for s in range(n):
-                if seen[s]:
-                    continue
-                chosen.append(s)
-                c = s
-                while True:
-                    for lab in period_word:
-                        c = acts[lab][c]
-                    if c == s:
-                        break
-                    seen[c] = True
-            starts = chosen
-        for s in starts:
-            row = {}
-            c = s
-            for lab in word:
-                col = col_of.get((c, lab))
-                if col is not None:
-                    row[col] = row.get(col, 0) + 1
-                c = acts[lab][c]
-            if c != s:
-                raise ContractError("relator trace did not close")
-            dense = [0] * n_gens
-            for col, v in row.items():
-                dense[col] = v
-            rows.append(dense)
+    for period_word, exponent in relators:
+        seen = [False] * n
+        for s in range(n):
+            if dedupe and seen[s]:
+                continue
+            row = [0] * n_gens
+            c, length = s, 0
+            while True:
+                for lab in period_word:
+                    col = col_of.get((c, lab))
+                    if col is not None:
+                        row[col] += 1
+                    c = acts[lab][c]
+                length += 1
+                if c == s:
+                    break
+                seen[c] = True
+            if exponent % length:
+                raise ContractError(
+                    f"relator cycle of length {length} does not divide the exponent {exponent}"
+                )
+            rows.append([v * (exponent // length) for v in row])
 
     matrix = IntMatrix.from_rows(rows) if rows else IntMatrix(0, n_gens, [])
 

@@ -582,18 +582,17 @@ def check_order_bound(g: PermGroup, l: NormalSubgroupHandle, p: int) -> bool:
     return True
 
 
-def hom_from_generator_images(degree: int, gens, images, codomain_mul, codomain_id):
-    """Try to extend generator -> image to a homomorphism from <gens>.
+def hom_from_generator_images(degree: int, gens, images):
+    """Try to extend generator -> image to a homomorphism from <gens> into
+    the permutations of the images' degree.
 
     Walks the Cayley graph of the generated group once; returns the dict
     element -> image, or None if the assignment is inconsistent.
-    ``codomain_mul``/``codomain_id`` make this usable for images that are
-    permutations, matrices, etc.
     """
     if len(images) != len(gens):
         raise ParameterError("need one image per generator")
     ident = identity(degree)
-    mapping = {ident: codomain_id}
+    mapping = {ident: identity(len(images[0]) if images else 0)}
     frontier = [ident]
     while frontier:
         nxt = []
@@ -601,7 +600,7 @@ def hom_from_generator_images(degree: int, gens, images, codomain_mul, codomain_
             fx = mapping[x]
             for gen, img in zip(gens, images):
                 y = pmul(x, gen)
-                fy = codomain_mul(fx, img)
+                fy = pmul(fx, img)
                 old = mapping.get(y)
                 if old is None:
                     mapping[y] = fy

@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from sympy import isprime
+from sympy import isprime, nextprime, primefactors
 
 from regmaps.algebra import (
     MR_BOUND,
+    TRIAL_DIVISION_BOUND,
     IntMatrix,
     PrimePower,
     SnfResult,
@@ -13,6 +14,7 @@ from regmaps.algebra import (
     epsilon,
     is_prime,
     mod_p_rank,
+    odd_prime_divisors,
     p_part,
     smith_normal_form,
 )
@@ -69,6 +71,28 @@ def test_is_prime_bound():
         is_prime(MR_BOUND)
     with pytest.raises(ResourceError):
         is_prime(2 ** 89 - 1)
+
+
+def test_odd_prime_divisors_matches_sympy():
+    assert odd_prime_divisors(2 ** 61 - 1) == [2 ** 61 - 1]
+    assert odd_prime_divisors(1) == [] and odd_prime_divisors(2 ** 40) == []
+    rng = random.Random(0xD1F)
+    for i in range(500):
+        if i % 2:
+            # a large prime cofactor is accepted at once
+            n = rng.randint(1, 10 ** 6) * nextprime(rng.getrandbits(61))
+        else:
+            # every composite cofactor below 10^12 has a factor below the bound
+            n = rng.randint(1, 10 ** 12)
+        assert odd_prime_divisors(n) == [q for q in primefactors(n) if q != 2], n
+
+
+def test_odd_prime_divisors_budget():
+    p = nextprime(TRIAL_DIVISION_BOUND)
+    with pytest.raises(ResourceError):
+        odd_prime_divisors(p * nextprime(p))
+    with pytest.raises(ParameterError):
+        odd_prime_divisors(0)
 
 
 def test_as_prime_power_large():

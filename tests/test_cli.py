@@ -100,6 +100,13 @@ def test_bad_descriptor(capsys):
     assert main(["verify", "sporadic:1", "--type", "3,7"]) == 2
 
 
+def test_modext_bad_modulus(tmp_path, capsys):
+    f = tmp_path / "ext.json"
+    f.write_text(json.dumps({"acting": "h1:2", "p": 4, "k": 1, "matrices": [[[2]]]}))
+    assert main(["census", f"modext:{f}"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_failing_check_exits_nonzero(capsys):
     # no (2,7,3)*-triple in PSL2(7): definitive refusal
     code, rep = run_json(capsys, "verify", "psl2:7", "--type", "7,3")

@@ -1,5 +1,8 @@
+from itertools import product
+
 import pytest
 
+from regmaps.algebra import IntMatrix, det_bareiss
 from regmaps.constructors import (
     SemidirectSpec,
     ModuleExtensionSpec,
@@ -13,7 +16,7 @@ from regmaps.constructors import (
     build_split_extension,
     build_wreath_c3,
     find_triples,
-    gl_elements,
+    gl_group,
     make_dihedral,
     make_field,
     make_pgl2,
@@ -21,7 +24,7 @@ from regmaps.constructors import (
     search_module_actions,
     search_split_actions,
 )
-from regmaps.errors import ContractError, ParameterError
+from regmaps.errors import ContractError, ParameterError, ResourceError
 from regmaps.mapcore import verify_star_group
 from regmaps.permgrp import PermGroup, normal_closure, pmul, porder
 
@@ -188,8 +191,92 @@ def test_wreath():
 
 
 def test_gl_elements():
-    assert len(gl_elements(2, 3)) == 48
-    assert len(gl_elements(1, 5)) == 4
+    assert gl_group(2, 3).order() == 48
+    assert gl_group(1, 5).order() == 4
+    assert gl_group(3, 3).order() == 11232
+    with pytest.raises(ResourceError):
+        gl_group(4, 3)  # |GL_4(3)| = 24261120 is over the element budget
+    with pytest.raises(ParameterError):
+        gl_group(2, 4)
+
+
+def _det(m):
+    return det_bareiss(IntMatrix(len(m), len(m), [x for row in m for x in row]))
+
+
+def _oracle_gl(k, p):
+    """GL_k(p) from all p^(k^2) integer matrices with a unit determinant."""
+    mats = [tuple(zip(*[iter(e)] * k)) for e in product(range(p), repeat=k * k)]
+    return [m for m in mats if _det(m) % p]
+
+
+def _mm(a, b, p):
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)) for row in a
+    )
+
+
+def _inverse(m, p):
+    """det^-1 times the adjugate (cofactors from Bareiss determinants)."""
+    k, scale = len(m), pow(_det(m), -1, p)
+
+    def minor(i, j):
+        return [[x for c, x in enumerate(row) if c != j] for r, row in enumerate(m) if r != i]
+
+    return tuple(
+        tuple((-1) ** (i + j) * _det(minor(j, i)) * scale % p for j in range(k))
+        for i in range(k)
+    )
+
+
+def _oracle_homs(n, gl, p):
+    """Images of make_dihedral(n)'s generators satisfying its presentation:
+    x^2 for n = 1, else x^n, y^2, (xy)^2."""
+    k = len(gl[0])
+    ident = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+
+    def power(m, e):
+        out = ident
+        for _ in range(e):
+            out = _mm(out, m, p)
+        return out
+
+    if n == 1:
+        return {(x,) for x in gl if power(x, 2) == ident}
+    return {
+        (x, y)
+        for x in gl
+        if power(x, n) == ident
+        for y in gl
+        if power(y, 2) == ident and power(_mm(x, y, p), 2) == ident
+    }
+
+
+@pytest.mark.parametrize("n,p,k", [(2, 3, 2), (4, 3, 2), (1, 3, 3)])
+def test_module_actions_vs_brute_force(n, p, k):
+    gl = _oracle_gl(k, p)
+    conj = [(_inverse(g, p), g) for g in gl]
+    homs = _oracle_homs(n, gl, p)
+    covered = []
+    for spec in search_module_actions(make_dihedral(n), p, k):
+        covered += {
+            tuple(_mm(_mm(ginv, m, p), g, p) for m in spec.matrices) for ginv, g in conj
+        }
+    # the orbits are disjoint and together hold every homomorphism
+    assert len(covered) == len(set(covered)) and set(covered) == homs
+
+
+def test_module_spec_validation():
+    with pytest.raises(ParameterError):
+        ModuleExtensionSpec(1, 4, (((2,),),))
+    with pytest.raises(ParameterError):
+        ModuleExtensionSpec(1, 3, (((3,),),))
+    with pytest.raises(ResourceError):
+        ModuleExtensionSpec(13, 3, ())  # 3^13 points
+    # 3^12 + 500000 points is over the cell degree cap
+    ident = tuple(tuple(int(i == j) for j in range(12)) for i in range(12))
+    with pytest.raises(ResourceError):
+        build_module_extension(make_dihedral(500_000), ModuleExtensionSpec(12, 3, (ident, ident)))
 
 
 def test_search_module_actions_d4(e9_d4_triple):

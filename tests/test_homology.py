@@ -129,3 +129,51 @@ def test_smooth_kernel_soluble_group():
     t = build_h2(3, 5)  # order 60, chi = -7
     snf = kernel_abelianization(kernel_presentation(TriangleTarget(t, (2, 6, 10))))
     assert snf.torsion() == (2,) and snf.free_rank == 8
+
+
+def _full_word_matrix(table, delta_type, dedupe):
+    """Rows of the relation matrix from tracing every relator word in full
+    (length up to 2 * exponent * |period|) from each start."""
+    _two, M, N = delta_type
+    n, acts = table.index, table.actions
+    col_of = {}
+    for lab in range(3):
+        for i in range(n):
+            if (i, lab) not in table.tree_edge:
+                col_of[(i, lab)] = len(col_of)
+    rows = []
+    for period, exponent in (((0,), 2), ((1,), 2), ((2,), 2), ((0, 2), 2), ((0, 1), M), ((1, 2), N)):
+        seen = [False] * n
+        for s in range(n):
+            if dedupe and seen[s]:
+                continue
+            row, c = [0] * len(col_of), s
+            for _ in range(exponent):
+                for lab in period:
+                    if (c, lab) in col_of:
+                        row[col_of[(c, lab)]] += 1
+                    c = acts[lab][c]
+                if c != s:
+                    seen[c] = True
+            assert c == s
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("group,m,n", [("pgl5", 5, 4), ("pgl7", 3, 8), ("pgl9", 5, 8)])
+def test_scaled_cycle_rows_match_full_words(pgl_groups, group, m, n):
+    t = find_triples(pgl_groups[group], m, n)[0]
+    for r in (3, 5, 7):
+        delta = (2, r * m, r * n)
+        table = cayley_coset_table(TriangleTarget(t, delta))
+        for dedupe in (True, False) if r == 3 else (True,):
+            pres = reidemeister_schreier(table, delta, dedupe)
+            mat = pres.relation_matrix
+            got = [mat.entries[i * mat.cols:(i + 1) * mat.cols] for i in range(mat.rows)]
+            assert got == [tuple(row) for row in _full_word_matrix(table, delta, dedupe)]
+
+
+def test_branched_rank_large_r(pgl_groups):
+    # the rewrite traces each relator cycle once, so r only scales entries
+    t = find_triples(pgl_groups["pgl5"], 5, 4)[0]
+    assert branched_rank_check(t, 1000003) == (31, 31, True)
