@@ -4,11 +4,21 @@ matrices, Smith normal form and mod-p rank.
 Everything here works with Python's arbitrary-precision integers; numpy
 is used only for the mod-p rank kernel, after reducing every entry mod p
 in exact arithmetic.
+
+The Smith normal form is sparse first (Dumas, Saunders and Villard, "On
+efficient sparse integer matrix Smith normal form computations",
+J. Symbolic Comput. 32 (2001)): +-1 pivots are eliminated on sparse rows
+in Markowitz order, then a dense minimal-pivot pass finishes the rows that
+are left.  Kernel relation matrices have a few nonzeros per row and almost
+all of them go in the sparse phase.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import heapq
+import operator
+
 import numpy as np
 
 from .errors import ParameterError, ResourceError
@@ -172,12 +182,19 @@ def epsilon(q: PrimePower, r: int) -> int:
 
 
 class IntMatrix:
-    """Dense integer matrix with arbitrary-precision entries, row-major."""
+    """Dense integer matrix with arbitrary-precision entries, row-major.
+
+    Entries must be integers (anything ``operator.index`` accepts, such as
+    numpy integers); floats and strings raise ``ParameterError``.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(int(x) for x in entries)
+        try:
+            entries = tuple(map(operator.index, entries))
+        except TypeError as exc:
+            raise ParameterError(f"IntMatrix entries must be integers: {exc}") from exc
         if rows * cols != len(entries):
             raise ParameterError(
                 f"IntMatrix {rows}x{cols} needs {rows * cols} entries, got {len(entries)}"
@@ -231,7 +248,10 @@ class IntMatrix:
             raise ParameterError(f"expected {nrows} rows, found {len(lines) - 1}")
         rows = []
         for ln in lines[1:]:
-            row = [int(tok) for tok in ln.split()]
+            try:
+                row = [int(tok) for tok in ln.split()]
+            except ValueError as exc:
+                raise ParameterError(f"row {ln!r} has a non-integer entry") from exc
             if len(row) != ncols:
                 raise ParameterError(f"row {ln!r} does not have {ncols} entries")
             rows.append(row)
@@ -254,12 +274,96 @@ class SnfResult:
 def smith_normal_form(m: IntMatrix) -> SnfResult:
     """Smith normal form of the cokernel Z^cols / (row lattice of m).
 
-    Minimal-absolute-value pivoting keeps intermediate entries small; all
-    arithmetic is exact.  Returns the nonzero diagonal entries d1 | d2 | ...
-    and the free rank cols - (number of nonzero factors).
+    Two phases, all arithmetic exact.  The sparse phase repeatedly takes the
+    +-1 entry of least Markowitz cost (row nnz - 1) * (col nnz - 1), ties to
+    the first row and then the first column, clears its column by integer
+    row operations and drops its row and column; each such unit pivot splits
+    off a factor Z/1 of the cokernel.  The dense phase runs minimal-pivot
+    elimination on the rows left, over the columns that still hold a nonzero.
+    Returns the nonzero diagonal entries d1 | d2 | ... (the 1s first) and the
+    free rank cols - (number of nonzero factors).
     """
-    A = m.to_rows()
-    nrows, ncols = m.rows, m.cols
+    rows, col_rows = _sparse_rows(m)
+    units = _eliminate_unit_pivots(rows, col_rows)
+    cols_left = sorted(c for c, hit in col_rows.items() if hit)
+    A = [[row.get(c, 0) for c in cols_left] for _i, row in sorted(rows.items())]
+    factors = [1] * units + _dense_snf(A, len(cols_left))
+    return SnfResult(tuple(factors), m.cols - len(factors))
+
+
+def _sparse_rows(m: IntMatrix):
+    """Nonzero rows of m as {row: {col: value}} and the index {col: {rows}}."""
+    rows = {}
+    col_rows = {c: set() for c in range(m.cols)}
+    cols, entries = m.cols, m.entries
+    for k in [k for k, x in enumerate(entries) if x]:
+        i, j = divmod(k, cols)
+        rows.setdefault(i, {})[j] = entries[k]
+        col_rows[j].add(i)
+    return rows, col_rows
+
+
+def _eliminate_unit_pivots(rows, col_rows) -> int:
+    """Pivot on +-1 entries in Markowitz order until none is left; return
+    how many.  ``rows`` and ``col_rows`` are updated in place.
+
+    The heap holds (cost, row, col) with a cost no larger than the entry's
+    current one: after each pivot, the +-1 entries of every row it changed
+    and of every column that lost a nonzero are pushed at their current
+    cost, and an entry popped with a stale, lower cost is pushed again.
+    """
+
+    def cost(i, j):
+        return (len(rows[i]) - 1) * (len(col_rows[j]) - 1)
+
+    def units_of(row_ids, col_ids):
+        cells = [(i, j) for i in row_ids if i in rows for j in rows[i]]
+        cells += [(i, j) for j in col_ids if j in col_rows for i in col_rows[j]]
+        return [(cost(i, j), i, j) for i, j in cells if rows[i][j] in (1, -1)]
+
+    heap = units_of(rows, ())
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        old, p, c = heapq.heappop(heap)
+        prow = rows.get(p)
+        if prow is None or prow.get(c) not in (1, -1):
+            continue
+        now = cost(p, c)
+        if now != old:
+            if now > old:
+                heapq.heappush(heap, (now, p, c))
+            continue
+        changed_rows = col_rows[c] - {p}
+        for i in changed_rows:
+            row = rows[i]
+            q = row[c] * prow[c]  # row_i -= q * row_p clears column c
+            for j, x in prow.items():
+                y = row.get(j, 0) - q * x
+                if y:
+                    if j not in row:
+                        col_rows[j].add(i)
+                    row[j] = y
+                else:
+                    del row[j]
+                    col_rows[j].discard(i)
+            if not row:
+                del rows[i]
+        del rows[p]
+        for j in prow:
+            col_rows[j].discard(p)
+        del col_rows[c]
+        units += 1
+        # every column of the pivot row lost at least that row's entry
+        for entry in units_of(changed_rows, prow):
+            heapq.heappush(heap, entry)
+    return units
+
+
+def _dense_snf(A, ncols: int):
+    """Nonzero Smith invariant factors of the dense row list A (modified in
+    place), by minimal-absolute-value pivoting."""
+    nrows = len(A)
     factors = []
     t = 0
     while t < min(nrows, ncols):
@@ -339,7 +443,7 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
             continue  # redo column clearing at the same t
         factors.append(abs(pivot))
         t += 1
-    return SnfResult(tuple(factors), ncols - len(factors))
+    return factors
 
 
 def mod_p_rank(m: IntMatrix, p: int) -> int:

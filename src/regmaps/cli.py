@@ -57,6 +57,18 @@ DESCRIPTOR_HELP = (
 )
 
 
+def _ints(text: str, desc: str, count: int, sep: str = ","):
+    """The ``count`` integers of ``text`` split at ``sep``; anything else is
+    a ``ParameterError`` naming the descriptor."""
+    fields = text.split(sep)
+    if len(fields) == count:
+        try:
+            return [int(f) for f in fields]
+        except ValueError:
+            pass
+    raise ParameterError(f"malformed group descriptor {desc!r}; {DESCRIPTOR_HELP}")
+
+
 def resolve_group(desc: str):
     """Descriptor -> (PermGroup, MapTriple or None)."""
     if desc == "he3":
@@ -65,44 +77,42 @@ def resolve_group(desc: str):
         return build_wreath_c3(), None
     if desc.startswith("pgl2:") or desc.startswith("psl2:"):
         kind = desc[:4].replace("2", "")  # 'pgl' / 'psl'
-        q = int(desc.split(":", 1)[1])
+        (q,) = _ints(desc[5:], desc, 1)
         pp = PrimePower.of(q)
         return make_pgl2(make_field(pp.p, pp.e), kind), None
     if desc.startswith("h1:"):
-        t = build_h1(int(desc[3:]))
+        t = build_h1(*_ints(desc[3:], desc, 1))
         return t.group, t
     if desc.startswith("h2:"):
-        j, k = map(int, desc[3:].split(","))
-        t = build_h2(j, k)
+        t = build_h2(*_ints(desc[3:], desc, 2))
         return t.group, t
     if desc.startswith("h3:"):
-        t = build_h3(int(desc[3:]))
+        t = build_h3(*_ints(desc[3:], desc, 1))
         return t.group, t
     if desc.startswith("modext:"):
         path = desc[len("modext:"):]
-        with open(path) as fh:
-            data = json.load(fh)
-        acting, _ = resolve_group(data["acting"])
-        spec = ModuleExtensionSpec(
-            k=int(data["k"]),
-            p=int(data["p"]),
-            matrices=tuple(tuple(tuple(r) for r in m) for m in data["matrices"]),
-        )
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+            acting_desc, k, p = str(data["acting"]), int(data["k"]), int(data["p"])
+            matrices = tuple(tuple(tuple(r) for r in m) for m in data["matrices"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParameterError(
+                f"malformed modext file {path!r} ({type(exc).__name__}: {exc}); {DESCRIPTOR_HELP}"
+            ) from exc
+        acting, _ = resolve_group(acting_desc)
+        spec = ModuleExtensionSpec(k=k, p=p, matrices=matrices)
         return build_module_extension(acting, spec), None
     if desc.startswith("cell:"):
-        body = desc[len("cell:"):]
-        base_desc, ell = body.rsplit(",", 1)
-        t = _resolve_cell(base_desc, int(ell))
+        base_desc, _, ell = desc[len("cell:"):].rpartition(",")
+        t = _resolve_cell(base_desc, *_ints(ell, desc, 1), desc)
         return t.group, t
     raise ParameterError(f"unknown group descriptor {desc!r}; {DESCRIPTOR_HELP}")
 
 
-def _resolve_cell(base_desc: str, ell: int):
+def _resolve_cell(base_desc: str, ell: int, desc: str):
     if base_desc.startswith("pgl2:"):
-        parts = base_desc.split(":")
-        if len(parts) != 4:
-            raise ParameterError("cell base must be pgl2:q:m:n")
-        q, m, n = int(parts[1]), int(parts[2]), int(parts[3])
+        q, m, n = _ints(base_desc[5:], desc, 3, sep=":")
         pp = PrimePower.of(q)
         ctx = make_field(pp.p, pp.e)
         g = make_pgl2(ctx, "pgl")
@@ -118,7 +128,7 @@ def _resolve_cell(base_desc: str, ell: int):
             f"no (2,{m},{n})*-triple of pgl2:{q} has a usable index-2 membership pattern"
         )
     if base_desc.startswith("h1:"):
-        t = build_h1(int(base_desc[3:]))
+        t = build_h1(*_ints(base_desc[3:], desc, 1))
         rot = t.bc
         h0 = set()
         cur = t.group.ident
@@ -128,7 +138,7 @@ def _resolve_cell(base_desc: str, ell: int):
         return build_semidirect_cell(
             SemidirectSpec(base=t, h0_elements=frozenset(h0), ell=ell)
         )
-    raise ParameterError("cell base must be pgl2:q:m:n or h1:L")
+    raise ParameterError(f"cell base must be pgl2:q:m:n or h1:L; {DESCRIPTOR_HELP}")
 
 
 # ---------------------------------------------------------------------------

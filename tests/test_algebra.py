@@ -1,7 +1,10 @@
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
-from sympy import isprime, nextprime, primefactors
+from sympy import ZZ, Matrix, isprime, nextprime, primefactors
+from sympy.matrices.normalforms import invariant_factors
 
 from regmaps.algebra import (
     MR_BOUND,
@@ -124,6 +127,41 @@ def test_snf_examples():
     assert smith_normal_form(IntMatrix(0, 4, [])) == SnfResult((), 4)
 
 
+def _snf_pool(kind, rng):
+    """A seeded matrix of at most 12x12 from one of three pools."""
+    rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+    if kind == "units":  # +-1-heavy and sparse: the sparse phase does most work
+        vals = (1, -1, 1, -1, 1, -1, 2, -3, 6)
+        density = rng.uniform(0.1, 0.5)
+    elif kind == "no_units":  # no +-1 entry: only the dense phase runs
+        vals = (2, -2, 3, -3, 4, 6, -9, 10, 15)
+        density = rng.uniform(0.2, 1.0)
+    else:  # "zero_lines": whole zero rows and zero columns
+        vals = (1, -1, 2, -2, 3, 4, -6)
+        density = rng.uniform(0.3, 0.9)
+    a = [[rng.choice(vals) if rng.random() < density else 0 for _ in range(cols)]
+         for _ in range(rows)]
+    if kind == "zero_lines":
+        for i in rng.sample(range(rows), rng.randint(0, rows - 1)):
+            a[i] = [0] * cols
+        for j in rng.sample(range(cols), rng.randint(0, cols - 1)):
+            for row in a:
+                row[j] = 0
+    return a
+
+
+@pytest.mark.parametrize("kind", ["units", "no_units", "zero_lines"])
+def test_snf_matches_sympy(kind):
+    rng = random.Random(f"snf-{kind}")
+    for _ in range(150):
+        a = _snf_pool(kind, rng)
+        if kind == "no_units":
+            assert all(abs(x) != 1 for row in a for x in row)
+        want = [abs(int(d)) for d in invariant_factors(Matrix(a), domain=ZZ) if d]
+        got = smith_normal_form(IntMatrix.from_rows(a))
+        assert got == SnfResult(tuple(want), len(a[0]) - len(want)), a
+
+
 def test_mod_p_rank_examples():
     m = IntMatrix.from_rows([[2, 4], [6, 8]])
     assert mod_p_rank(m, 2) == 0
@@ -146,6 +184,22 @@ def test_matrix_text_roundtrip():
     assert IntMatrix.from_text(m.to_text()) == m
     with pytest.raises(ParameterError):
         IntMatrix.from_text("2 2\n1 2\n")
+    with pytest.raises(ParameterError):
+        IntMatrix.from_text("1 2\n1 x\n")
+
+
+@pytest.mark.parametrize("bad", [2.7, 3.0, "3", None, Fraction(3)])
+def test_matrix_entries_must_be_integers(bad):
+    with pytest.raises(ParameterError):
+        IntMatrix(1, 2, [1, bad])
+    with pytest.raises(ParameterError):
+        IntMatrix.from_rows([[bad]])
+
+
+def test_matrix_accepts_numpy_integers():
+    m = IntMatrix(1, 3, [np.int64(-3), np.uint8(200), True])
+    assert m.entries == (-3, 200, 1)
+    assert all(type(x) is int for x in m.entries)
 
 
 def test_snf_vs_det_and_modp(snf_random_cases):

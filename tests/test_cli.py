@@ -107,6 +107,34 @@ def test_modext_bad_modulus(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "desc",
+    [
+        {"acting": "h1:2", "p": 3, "matrices": [[[2]]]},  # no "k"
+        {"acting": 3, "p": 3, "k": 1, "matrices": [[[2]]]},
+        "pgl2:x",
+        "h2:3",
+        "cell:pgl2:7:3:8,x",
+        "cell:pgl2:7:3,2",
+    ],
+)
+def test_malformed_descriptor_exits_2(tmp_path, capsys, desc):
+    if isinstance(desc, dict):  # the body of a modext file
+        f = tmp_path / "ext.json"
+        f.write_text(json.dumps(desc))
+        desc = f"modext:{f}"
+    assert main(["census", desc]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "group descriptors:" in err
+
+
+def test_snf_file_non_integer(tmp_path, capsys):
+    f = tmp_path / "m.txt"
+    f.write_text("1 2\n1 x\n")
+    assert main(["snf", str(f)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_failing_check_exits_nonzero(capsys):
     # no (2,7,3)*-triple in PSL2(7): definitive refusal
     code, rep = run_json(capsys, "verify", "psl2:7", "--type", "7,3")

@@ -71,6 +71,16 @@ def test_smooth_kernel_pgl7(pgl_groups):
         assert mod_p_rank(pres.relation_matrix, p) == rank
 
 
+def test_smooth_kernel_pgl9(pgl_groups):
+    t = find_triples(pgl_groups["pgl9"], 5, 8)[0]
+    assert t.chi == -63
+    pres = kernel_presentation(TriangleTarget(t, (2, 5, 8)))
+    snf = kernel_abelianization(pres)
+    assert snf.torsion() == (2,) and snf.free_rank == 64
+    rank = pres.relation_matrix.cols - snf.free_rank
+    assert mod_p_rank(pres.relation_matrix, 10007) == rank
+
+
 def test_branched_mod3_dimension_31(pgl_groups):
     t = find_triples(pgl_groups["pgl5"], 5, 4)[0]
     pres = kernel_presentation(TriangleTarget(t, (2, 15, 12)))

@@ -1,4 +1,5 @@
 import pytest
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from regmaps.errors import ContractError, ResourceError
 from regmaps.permgrp import (
@@ -183,3 +184,10 @@ def test_odd_core_generator_invariant():
     conj = PermGroup(15, [pmul(pmul(wi, x), w) for x in d15.generators])
     assert conj.order() == 30
     assert odd_core(conj).elements() == oc1
+
+
+def test_order_and_solubility_match_sympy(group_zoo):
+    for g in group_zoo[::25]:
+        ref = PermutationGroup([Permutation(list(x)) for x in g.generators])
+        assert g.order() == ref.order()
+        assert g.is_soluble() == ref.is_solvable
