@@ -1,16 +1,16 @@
 """Exact integer arithmetic: prime parts, prime-power tests, integer
 matrices, Smith normal form and mod-p rank.
 
-Everything here works with Python's arbitrary-precision integers; numpy
-is used only for the mod-p rank kernel, after reducing every entry mod p
-in exact arithmetic.
+Everything here works with Python's arbitrary-precision integers.
 
-The Smith normal form is sparse first (Dumas, Saunders and Villard, "On
-efficient sparse integer matrix Smith normal form computations",
-J. Symbolic Comput. 32 (2001)): +-1 pivots are eliminated on sparse rows
-in Markowitz order, then a dense minimal-pivot pass finishes the rows that
-are left.  Kernel relation matrices have a few nonzeros per row and almost
-all of them go in the sparse phase.
+Matrices are stored sparse, one {col: value} dict per row.  One sparse
+eliminator (Dumas, Saunders and Villard, "On efficient sparse integer
+matrix Smith normal form computations", J. Symbolic Comput. 32 (2001))
+pivots on unit entries in Markowitz order.  The Smith normal form runs it
+over Z on the +-1 entries, then a dense minimal-pivot pass finishes the
+rows that are left; kernel relation matrices have a few nonzeros per row
+and almost all of them go in the sparse phase.  The mod-p rank runs it
+over F_p, where every nonzero entry is a unit, so it needs no dense pass.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 import heapq
 import operator
-
-import numpy as np
 
 from .errors import ParameterError, ResourceError
 
@@ -181,27 +179,54 @@ def epsilon(q: PrimePower, r: int) -> int:
     return (q.q - 1) // 2
 
 
-class IntMatrix:
-    """Dense integer matrix with arbitrary-precision entries, row-major.
+def _ints(values):
+    """The values as Python ints, or ``ParameterError``."""
+    try:
+        return list(map(operator.index, values))
+    except TypeError as exc:
+        raise ParameterError(f"IntMatrix entries must be integers: {exc}") from exc
 
-    Entries must be integers (anything ``operator.index`` accepts, such as
-    numpy integers); floats and strings raise ``ParameterError``.
+
+class IntMatrix:
+    """Sparse integer matrix with arbitrary-precision entries.
+
+    ``sparse`` holds one ``{col: value}`` dict per row with the zeros left
+    out; it is the only storage and must not be mutated.  Entries must be
+    integers (anything ``operator.index`` accepts, such as numpy integers);
+    floats and strings raise ``ParameterError``.  ``entries`` is a dense
+    row-major view built on each access, for small matrices and tests.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "sparse")
 
     def __init__(self, rows: int, cols: int, entries):
-        try:
-            entries = tuple(map(operator.index, entries))
-        except TypeError as exc:
-            raise ParameterError(f"IntMatrix entries must be integers: {exc}") from exc
-        if rows * cols != len(entries):
+        entries = _ints(entries)
+        if rows < 0 or cols < 0 or rows * cols != len(entries):
             raise ParameterError(
                 f"IntMatrix {rows}x{cols} needs {rows * cols} entries, got {len(entries)}"
             )
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        self.sparse = tuple(
+            {j: x for j, x in enumerate(entries[i * cols:(i + 1) * cols]) if x}
+            for i in range(rows)
+        )
+
+    @classmethod
+    def from_sparse(cls, cols: int, sparse_rows) -> "IntMatrix":
+        """Matrix with ``cols`` columns and one row per ``{col: value}``
+        mapping; zero values are dropped and every column must lie in
+        range(cols)."""
+        m = cls(0, cols, ())
+        rows = []
+        for row in sparse_rows:
+            keys, values = _ints(row.keys()), _ints(row.values())
+            if any(not 0 <= j < cols for j in keys):
+                raise ParameterError(f"IntMatrix row {row} has a column outside range({cols})")
+            rows.append({j: x for j, x in zip(keys, values) if x})
+        m.rows = len(rows)
+        m.sparse = tuple(rows)
+        return m
 
     @classmethod
     def from_rows(cls, rows_list) -> "IntMatrix":
@@ -212,8 +237,16 @@ class IntMatrix:
             raise ParameterError("ragged rows")
         return cls(nrows, ncols, [x for r in rows_list for x in r])
 
+    @property
+    def entries(self) -> tuple:
+        dense = [0] * (self.rows * self.cols)
+        for i, row in enumerate(self.sparse):
+            for j, x in row.items():
+                dense[i * self.cols + j] = x
+        return tuple(dense)
+
     def row(self, i: int):
-        return list(self.entries[i * self.cols:(i + 1) * self.cols])
+        return [self.sparse[i].get(j, 0) for j in range(self.cols)]
 
     def to_rows(self):
         return [self.row(i) for i in range(self.rows)]
@@ -221,7 +254,7 @@ class IntMatrix:
     def __eq__(self, other):
         return (
             isinstance(other, IntMatrix)
-            and (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+            and (self.rows, self.cols, self.sparse) == (other.rows, other.cols, other.sparse)
         )
 
     def __repr__(self):
@@ -274,16 +307,13 @@ class SnfResult:
 def smith_normal_form(m: IntMatrix) -> SnfResult:
     """Smith normal form of the cokernel Z^cols / (row lattice of m).
 
-    Two phases, all arithmetic exact.  The sparse phase repeatedly takes the
-    +-1 entry of least Markowitz cost (row nnz - 1) * (col nnz - 1), ties to
-    the first row and then the first column, clears its column by integer
-    row operations and drops its row and column; each such unit pivot splits
-    off a factor Z/1 of the cokernel.  The dense phase runs minimal-pivot
-    elimination on the rows left, over the columns that still hold a nonzero.
-    Returns the nonzero diagonal entries d1 | d2 | ... (the 1s first) and the
-    free rank cols - (number of nonzero factors).
+    Two phases, all arithmetic exact.  ``_eliminate_unit_pivots`` takes the
+    +-1 pivots; each splits off a factor Z/1 of the cokernel.  Minimal-pivot
+    elimination then runs on the rows left, over the columns that still hold
+    a nonzero.  Returns the nonzero diagonal entries d1 | d2 | ... (the 1s
+    first) and the free rank cols - (number of nonzero factors).
     """
-    rows, col_rows = _sparse_rows(m)
+    rows, col_rows = _sparse_rows(map(dict, m.sparse))
     units = _eliminate_unit_pivots(rows, col_rows)
     cols_left = sorted(c for c, hit in col_rows.items() if hit)
     A = [[row.get(c, 0) for c in cols_left] for _i, row in sorted(rows.items())]
@@ -291,26 +321,32 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     return SnfResult(tuple(factors), m.cols - len(factors))
 
 
-def _sparse_rows(m: IntMatrix):
-    """Nonzero rows of m as {row: {col: value}} and the index {col: {rows}}."""
-    rows = {}
-    col_rows = {c: set() for c in range(m.cols)}
-    cols, entries = m.cols, m.entries
-    for k in [k for k, x in enumerate(entries) if x]:
-        i, j = divmod(k, cols)
-        rows.setdefault(i, {})[j] = entries[k]
-        col_rows[j].add(i)
+def _sparse_rows(row_dicts):
+    """The nonzero rows of ``row_dicts`` as {row: {col: value}}, taking
+    ownership of the dicts, and the index {col: {rows}}."""
+    rows = {i: row for i, row in enumerate(row_dicts) if row}
+    col_rows = {}
+    for i, row in rows.items():
+        for j in row:
+            col_rows.setdefault(j, set()).add(i)
     return rows, col_rows
 
 
-def _eliminate_unit_pivots(rows, col_rows) -> int:
-    """Pivot on +-1 entries in Markowitz order until none is left; return
-    how many.  ``rows`` and ``col_rows`` are updated in place.
+def _eliminate_unit_pivots(rows, col_rows, p=None) -> int:
+    """Pivot on unit entries until none is left; return how many.  Each
+    step takes the unit of least Markowitz cost (row nnz - 1) * (col nnz - 1),
+    ties to the first row and then the first column, clears its column by
+    row operations and drops its row and column.  ``rows`` and ``col_rows``
+    are updated in place.
+
+    Over Z (``p`` None) the units are the +-1 entries and the arithmetic is
+    exact.  Over F_p the rows must hold residues in [1, p); every entry is
+    a unit, each update is reduced mod p, and the count is the rank.
 
     The heap holds (cost, row, col) with a cost no larger than the entry's
-    current one: after each pivot, the +-1 entries of every row it changed
-    and of every column that lost a nonzero are pushed at their current
-    cost, and an entry popped with a stale, lower cost is pushed again.
+    current one: after each pivot, the units of every row it changed and of
+    every column that lost a nonzero are pushed at their current cost, and
+    an entry popped with a stale, lower cost is pushed again.
     """
 
     def cost(i, j):
@@ -319,27 +355,30 @@ def _eliminate_unit_pivots(rows, col_rows) -> int:
     def units_of(row_ids, col_ids):
         cells = [(i, j) for i in row_ids if i in rows for j in rows[i]]
         cells += [(i, j) for j in col_ids if j in col_rows for i in col_rows[j]]
-        return [(cost(i, j), i, j) for i, j in cells if rows[i][j] in (1, -1)]
+        return [(cost(i, j), i, j) for i, j in cells if p or rows[i][j] in (1, -1)]
 
     heap = units_of(rows, ())
     heapq.heapify(heap)
     units = 0
     while heap:
-        old, p, c = heapq.heappop(heap)
-        prow = rows.get(p)
-        if prow is None or prow.get(c) not in (1, -1):
+        old, r, c = heapq.heappop(heap)
+        prow = rows.get(r)
+        if prow is None or c not in prow or not (p or prow[c] in (1, -1)):
             continue
-        now = cost(p, c)
+        now = cost(r, c)
         if now != old:
             if now > old:
-                heapq.heappush(heap, (now, p, c))
+                heapq.heappush(heap, (now, r, c))
             continue
-        changed_rows = col_rows[c] - {p}
+        inverse = pow(prow[c], -1, p) if p else prow[c]
+        changed_rows = col_rows[c] - {r}
         for i in changed_rows:
             row = rows[i]
-            q = row[c] * prow[c]  # row_i -= q * row_p clears column c
+            q = row[c] * inverse  # row_i -= q * row_r clears column c
             for j, x in prow.items():
                 y = row.get(j, 0) - q * x
+                if p:
+                    y %= p
                 if y:
                     if j not in row:
                         col_rows[j].add(i)
@@ -349,9 +388,9 @@ def _eliminate_unit_pivots(rows, col_rows) -> int:
                     col_rows[j].discard(i)
             if not row:
                 del rows[i]
-        del rows[p]
+        del rows[r]
         for j in prow:
-            col_rows[j].discard(p)
+            col_rows[j].discard(r)
         del col_rows[c]
         units += 1
         # every column of the pivot row lost at least that row's entry
@@ -447,39 +486,16 @@ def _dense_snf(A, ncols: int):
 
 
 def mod_p_rank(m: IntMatrix, p: int) -> int:
-    """Rank of m over the field with p elements (dense elimination)."""
+    """Rank of m over the field with p elements.
+
+    The rows are reduced mod p in exact arithmetic, zeros dropped, and
+    handed to the sparse eliminator of ``smith_normal_form``: over F_p every
+    nonzero entry is a unit pivot, so the number of pivots is the rank.
+    """
     if not is_prime(p):
         raise ParameterError(f"mod_p_rank needs a prime, got {p}")
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    # exact reduction of arbitrary-precision entries before handing to numpy;
-    # products of two residues must fit int64, else use exact Python ints
-    reduced = [x % p for x in m.entries]
-    dtype = np.int64 if (p - 1) ** 2 < 2 ** 63 else object
-    A = np.array(reduced, dtype=dtype).reshape(m.rows, m.cols)
-    rank = 0
-    row = 0
-    nrows, ncols = A.shape
-    for col in range(ncols):
-        sub = A[row:, col]
-        nz = np.nonzero(sub)[0]
-        if nz.size == 0:
-            continue
-        i = row + int(nz[0])
-        if i != row:
-            A[[row, i]] = A[[i, row]]
-        inv = pow(int(A[row, col]), -1, p)
-        A[row] = (A[row] * inv) % p
-        below = A[row + 1:, col]
-        hit = np.nonzero(below)[0]
-        if hit.size:
-            idx = row + 1 + hit
-            A[idx] = (A[idx] - np.outer(A[idx, col], A[row])) % p
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+    reduced = ({j: y for j, x in row.items() if (y := x % p)} for row in m.sparse)
+    return _eliminate_unit_pivots(*_sparse_rows(reduced), p)
 
 
 def det_bareiss(m: IntMatrix) -> int:

@@ -351,6 +351,7 @@ def cmd_cover_rank(args):
             "pass": ok,
             "matrix_rows": pres.relation_matrix.rows,
             "matrix_cols": pres.relation_matrix.cols,
+            "matrix_nnz": sum(map(len, pres.relation_matrix.sparse)),
         }
     ]
     return _report(

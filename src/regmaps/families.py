@@ -19,7 +19,7 @@ from math import gcd, lcm
 import sympy
 
 from .algebra import as_prime_power, is_prime, p_part
-from .errors import ContractError, ParameterError
+from .errors import ContractError, ParameterError, ResourceError
 from .mapcore import classify_maps_for_group, euler_characteristic
 from .constructors import (
     build_heisenberg,
@@ -736,7 +736,7 @@ def verify_corollary_table(census_counts: bool = True):
                 break
             if not ok and not detail:
                 detail = "no candidate group carries the type"
-        except Exception as exc:  # surface the failure in the report
+        except (ContractError, ParameterError, ResourceError) as exc:  # fails the row
             detail = f"{type(exc).__name__}: {exc}"
         entry.update(evidence="constructed", ok=ok, detail=detail)
         results.append(entry)

@@ -3,10 +3,11 @@
 For a star triple (a, b, c) on G and a full triangle group
 D = D(2, M, N) = <A, B, C | A^2, B^2, C^2, (AC)^2, (AB)^M, (BC)^N>
 with M, N multiples of (ord(ab), ord(bc)), the kernel K of the obvious
-epimorphism D -> G has coset table equal to the Cayley graph of G.
-Reidemeister-Schreier then presents K on 2|G| + 1 generators (spanning-tree
-generators eliminated); the abelianized relation matrix yields K/K' by
-Smith normal form and the mod-r kernel dimension by mod-p rank.
+epimorphism D -> G has coset table equal to the Cayley graph of G, read
+off G's element table.  Reidemeister-Schreier then presents K on 2|G| + 1
+generators (spanning-tree generators eliminated); the abelianized relation
+matrix, built and kept as sparse rows, yields K/K' by Smith normal form
+and the mod-r kernel dimension by mod-p rank.
 
 A smooth target (M, N) = (m, n) realizes the surface group: K/K' is
 C2 x Z^(1-chi).  The branched target (rm, rn) gives the elementary-abelian
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from .algebra import IntMatrix, SnfResult, mod_p_rank, smith_normal_form, is_prime
 from .errors import ContractError, ParameterError, ResourceError
 from .mapcore import MapTriple, euler_characteristic, map_counts
-from .permgrp import pmul, porder
+from .permgrp import element_table, porder
 
 __all__ = [
     "TriangleTarget",
@@ -88,39 +89,20 @@ def cayley_coset_table(
         raise ResourceError(f"coset table budget is {cap}, |G| = {order}")
     if sorted(label_order) != [0, 1, 2]:
         raise ParameterError("label_order must be a permutation of (0, 1, 2)")
-    elems = sorted(g.elements(max(cap, order)))
-    index = {e: i for i, e in enumerate(elems)}
-    gens = (t.triple.a, t.triple.b, t.triple.c)
-    actions = tuple(
-        tuple(index[pmul(x, gen)] for x in elems) for gen in gens
-    )
-    root = index[g.ident]
+    table = element_table(g, cap)
+    gens = [table.pos[x] for x in (t.triple.a, t.triple.b, t.triple.c)]
+    actions = tuple(tuple(table.mul[:, j].tolist()) for j in gens)
+    schedule = table.bfs_schedule([gens[lab] for lab in label_order])
     parent = [-1] * order
     label = [-1] * order
-    seen = [False] * order
-    seen[root] = True
-    tree_edges = set()
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for lab in label_order:
-                j = actions[lab][i]
-                if not seen[j]:
-                    seen[j] = True
-                    parent[j] = i
-                    label[j] = lab
-                    tree_edges.add((i, lab))
-                    nxt.append(j)
-        frontier = nxt
-    if not all(seen):
-        raise ContractError("Cayley graph is not connected (triple does not generate)")
+    for dst, src, slot in schedule:
+        parent[dst], label[dst] = src, label_order[slot]
     return CosetTable(
         index=order,
         actions=actions,
         tree_parent=tuple(parent),
         tree_label=tuple(label),
-        tree_edge=frozenset(tree_edges),
+        tree_edge=frozenset((src, label_order[slot]) for _dst, src, slot in schedule),
     )
 
 
@@ -181,13 +163,13 @@ def reidemeister_schreier(
         for s in range(n):
             if dedupe and seen[s]:
                 continue
-            row = [0] * n_gens
+            row = {}
             c, length = s, 0
             while True:
                 for lab in period_word:
                     col = col_of.get((c, lab))
                     if col is not None:
-                        row[col] += 1
+                        row[col] = row.get(col, 0) + 1
                     c = acts[lab][c]
                 length += 1
                 if c == s:
@@ -197,9 +179,9 @@ def reidemeister_schreier(
                 raise ContractError(
                     f"relator cycle of length {length} does not divide the exponent {exponent}"
                 )
-            rows.append([v * (exponent // length) for v in row])
+            rows.append({col: v * (exponent // length) for col, v in row.items()})
 
-    matrix = IntMatrix.from_rows(rows) if rows else IntMatrix(0, n_gens, [])
+    matrix = IntMatrix.from_sparse(n_gens, rows)
 
     # base-map data straight from the table: ord(ab), ord(bc) of the
     # composite actions, then chi, genus and the branch-point count

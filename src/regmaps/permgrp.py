@@ -731,8 +731,9 @@ class ElementTable:
             frontier = new
         return members
 
-    def _bfs_schedule(self, gen_indices):
-        """Spanning-tree schedule (dst, src, gen_slot) of the Cayley graph."""
+    def bfs_schedule(self, gen_indices):
+        """BFS spanning tree (dst, src, gen_slot) of the Cayley graph, each
+        frontier element scanning the generators in slot order."""
         mul = self.mul
         seen = np.zeros(self.n, dtype=bool)
         seen[self.identity_index] = True
@@ -761,7 +762,7 @@ class ElementTable:
         """
         mul = self.mul
         order_of = self.order_of
-        schedule = self._bfs_schedule(gen_indices)
+        schedule = self.bfs_schedule(gen_indices)
         k = len(gen_indices)
         by_order = {}
         for i in range(self.n):

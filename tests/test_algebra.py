@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from sympy import ZZ, Matrix, isprime, nextprime, primefactors
+from sympy import GF, ZZ, Matrix, isprime, nextprime, primefactors
+from sympy.polys.matrices import DomainMatrix
 from sympy.matrices.normalforms import invariant_factors
 
 from regmaps.algebra import (
@@ -177,6 +178,54 @@ def test_mod_p_rank_big_entries():
     assert mod_p_rank(m, 7) == 2
     p = 4294967311  # (p - 1)^2 overflows int64
     assert mod_p_rank(IntMatrix.from_rows([[3, p - 1, 5], [6, p - 2, 10]]), p) == 1
+
+
+def _modp_pool(p, rng):
+    """A seeded sparse matrix of at most 15x15 with zero rows and columns,
+    entries that are multiples of p, and rows that combine two others."""
+    rows, cols = rng.randint(0, 12), rng.randint(0, 15)
+    vals = (1, -1, 2, p, -p, 3 * p, p - 1, p + 1, 5 * p + 2, rng.randint(-p * p, p * p))
+    density = rng.uniform(0.1, 0.6)
+    a = [[rng.choice(vals) if rng.random() < density else 0 for _ in range(cols)]
+         for _ in range(rows)]
+    for _ in range(rng.randint(0, 3) if rows >= 2 else 0):
+        (s, x), (t, y) = [(rng.choice(a), rng.randint(-3, 3)) for _ in range(2)]
+        a.insert(rng.randint(0, len(a)), [x * u + y * v for u, v in zip(s, t)])
+    rows = len(a)
+    for i in rng.sample(range(rows), rng.randint(0, rows // 3)):
+        a[i] = [0] * cols
+    for j in rng.sample(range(cols), rng.randint(0, cols // 3)):
+        for row in a:
+            row[j] = 0
+    return rows, cols, a
+
+
+@pytest.mark.parametrize("p", [3, 7, 10007, 4294967311])
+def test_mod_p_rank_matches_sympy(p):
+    rng = random.Random(f"modp-{p}")
+    for _ in range(200):
+        rows, cols, a = _modp_pool(p, rng)
+        want = DomainMatrix([[ZZ(x) for x in row] for row in a], (rows, cols), ZZ)
+        dense = IntMatrix(rows, cols, [x for row in a for x in row])
+        assert mod_p_rank(dense, p) == want.convert_to(GF(p)).rank(), a
+        # the same matrix from sparse rows, explicit zeros included
+        sparse = IntMatrix.from_sparse(
+            cols, [{j: x for j, x in enumerate(row) if x or j % 2} for row in a]
+        )
+        assert sparse == dense and sparse.rows == rows
+        assert sparse.entries == dense.entries
+        assert sparse.to_text() == dense.to_text()
+        assert smith_normal_form(sparse) == smith_normal_form(dense)
+        assert mod_p_rank(sparse, p) == mod_p_rank(dense, p)
+
+
+def test_matrix_from_sparse_validation():
+    m = IntMatrix.from_sparse(3, [{2: np.int64(4), 0: 0}, {}])
+    assert m.to_rows() == [[0, 0, 4], [0, 0, 0]] and m.sparse == ({2: 4}, {})
+    assert IntMatrix.from_sparse(2, []) == IntMatrix(0, 2, [])
+    for bad in ({3: 1}, {-1: 1}, {0: 1.5}, {"0": 1}, {0.0: 1}):
+        with pytest.raises(ParameterError):
+            IntMatrix.from_sparse(3, [bad])
 
 
 def test_matrix_text_roundtrip():

@@ -7,6 +7,7 @@ import importlib.util
 from pathlib import Path
 
 from regmaps import algebra, constructors, homology, mapcore, permgrp
+from regmaps.constructors import find_triples, make_field, make_pgl2
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -29,3 +30,14 @@ def test_instrument_and_restore():
     tracer.restore()
     assert [dict(vars(m)) for m in modules] == before
     assert {cls: dict(vars(cls)) for cls in classes} == classes
+
+
+def test_matrix_size_reads_the_relation_matrix():
+    # homology.matrix_cells / matrix_nnz in traced runs come from _matrix_size
+    g = make_pgl2(make_field(5, 1), "pgl")
+    t = find_triples(g, 5, 4)[0]
+    pres = homology.kernel_presentation(homology.TriangleTarget(t, (2, 5, 4)))
+    m = pres.relation_matrix
+    nnz = sum(1 for row in m.to_rows() for x in row if x)
+    assert nnz > 0
+    assert _load_spans()._matrix_size((), pres) == (m.rows * m.cols, nnz)

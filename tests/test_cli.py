@@ -61,6 +61,7 @@ def test_cover_rank(capsys):
     item = rep["items"][0]
     assert item["expected"] == item["computed"] == 31 and item["pass"]
     assert item["matrix_cols"] == 241
+    assert item["matrix_rows"] == 294 and item["matrix_nnz"] == 723
 
 
 def test_snf_file(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import pytest
 
-from regmaps.errors import ParameterError
+from regmaps import families
+from regmaps.errors import ContractError, ParameterError
 from regmaps.families import (
     CONGRUENCE_ROWS,
     FamilyRow,
@@ -12,6 +13,7 @@ from regmaps.families import (
     search_c4,
     search_c6_c7,
     verify_congruence_row,
+    verify_corollary_table,
 )
 from regmaps.algebra import as_prime_power
 
@@ -128,3 +130,19 @@ def test_scan_pgl_cases():
 def test_scan_excludes_q13_and_q9():
     hits = scan_pgl_cases(121)
     assert not any(q in (9, 13) for q, _mn, _r, _d in hits)
+
+
+def test_corollary_table_propagates_bugs(monkeypatch):
+    def fail(exc):
+        def find_triples(*args, **kwargs):
+            raise exc
+        return find_triples
+
+    # a library error is a failed row; anything else is a bug and propagates
+    monkeypatch.setattr(families, "COROLLARY_ROWS", families.COROLLARY_ROWS[:1])
+    monkeypatch.setattr(families, "find_triples", fail(ContractError("no triple")))
+    [row] = verify_corollary_table()
+    assert not row["ok"] and row["detail"] == "ContractError: no triple"
+    monkeypatch.setattr(families, "find_triples", fail(RuntimeError("bug")))
+    with pytest.raises(RuntimeError, match="bug"):
+        verify_corollary_table()

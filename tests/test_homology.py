@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from regmaps.algebra import mod_p_rank
@@ -13,6 +15,7 @@ from regmaps.homology import (
     kernel_presentation,
     reidemeister_schreier,
 )
+from regmaps.permgrp import pmul
 
 
 def test_coset_table_sizes(pgl_groups):
@@ -24,6 +27,39 @@ def test_coset_table_sizes(pgl_groups):
     assert cayley_coset_table(TriangleTarget(h1, (2, 2, 2))).index == 4
     t38 = find_triples(pgl_groups["pgl7"], 3, 8)[0]
     assert cayley_coset_table(TriangleTarget(t38, (2, 3, 8))).index == 336
+
+
+def _pmul_coset_table(t, label_order):
+    """Actions and BFS tree of the Cayley graph from the sorted elements and
+    3|G| permutation products."""
+    g = t.triple.group
+    elems = sorted(g.elements())
+    index = {e: i for i, e in enumerate(elems)}
+    gens = (t.triple.a, t.triple.b, t.triple.c)
+    actions = tuple(tuple(index[pmul(x, gen)] for x in elems) for gen in gens)
+    parent, label = [-1] * len(elems), [-1] * len(elems)
+    root = index[g.ident]
+    seen, frontier, edges = {root}, [root], set()
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for lab in label_order:
+                j = actions[lab][i]
+                if j not in seen:
+                    seen.add(j)
+                    parent[j], label[j] = i, lab
+                    edges.add((i, lab))
+                    nxt.append(j)
+        frontier = nxt
+    return actions, tuple(parent), tuple(label), frozenset(edges)
+
+
+def test_coset_table_matches_permutation_products(pgl_groups):
+    t = TriangleTarget(find_triples(pgl_groups["pgl7"], 3, 8)[0], (2, 3, 8))
+    for order in itertools.permutations(range(3)):
+        table = cayley_coset_table(t, label_order=order)
+        got = (table.actions, table.tree_parent, table.tree_label, table.tree_edge)
+        assert got == _pmul_coset_table(t, order)
 
 
 def test_target_validation(pgl_groups):
@@ -179,7 +215,8 @@ def test_scaled_cycle_rows_match_full_words(pgl_groups, group, m, n):
         for dedupe in (True, False) if r == 3 else (True,):
             pres = reidemeister_schreier(table, delta, dedupe)
             mat = pres.relation_matrix
-            got = [mat.entries[i * mat.cols:(i + 1) * mat.cols] for i in range(mat.rows)]
+            dense = mat.entries
+            got = [dense[i * mat.cols:(i + 1) * mat.cols] for i in range(mat.rows)]
             assert got == [tuple(row) for row in _full_word_matrix(table, delta, dedupe)]
 
 
