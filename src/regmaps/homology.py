@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .algebra import IntMatrix, SnfResult, mod_p_rank, smith_normal_form, is_prime
 from .errors import ContractError, ParameterError, ResourceError
 from .mapcore import MapTriple, euler_characteristic, map_counts
-from .permgrp import element_table, porder
+from .permgrp import element_table, pmul, porder
 
 __all__ = [
     "TriangleTarget",
@@ -186,7 +186,7 @@ def reidemeister_schreier(
     # base-map data straight from the table: ord(ab), ord(bc) of the
     # composite actions, then chi, genus and the branch-point count
     def composite_order(l1, l2):
-        return porder(tuple(acts[l2][acts[l1][i]] for i in range(n)))
+        return porder(pmul(acts[l1], acts[l2]))
 
     m = composite_order(0, 1)
     n_ord = composite_order(1, 2)

@@ -1,15 +1,17 @@
 """Finite-group engine over permutation representations.
 
 Permutations are tuples of 0-based images; ``pmul(p, q)`` applies p first,
-then q.  Groups carry their generators plus lazily-computed caches (order,
-element set, conjugacy classes).  Everything is sized for the desk-scale
-groups of this project: element enumeration up to ~2*10^4, orders up to
-10^6 via a stabilizer chain.
+then q, and composes in C through ``operator.itemgetter``.  Groups carry
+their generators plus lazily-computed caches (order, element set, conjugacy
+classes).  Everything is sized for the desk-scale groups of this project:
+element enumeration up to ~2*10^4, orders up to 10^6 via a deterministic
+Schreier-Sims chain that sifts its Schreier generators.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
+from operator import itemgetter
 
 import numpy as np
 
@@ -56,7 +58,9 @@ def identity(degree: int) -> Perm:
 
 def pmul(p: Perm, q: Perm) -> Perm:
     """Product 'apply p, then q'."""
-    return tuple(q[i] for i in p)
+    if len(p) > 1:
+        return itemgetter(*p)(q)
+    return tuple(q[i] for i in p)  # one-argument itemgetter returns a scalar
 
 
 def pinv(p: Perm) -> Perm:
@@ -200,6 +204,7 @@ class PermGroup:
         """List of (representative, class size), deterministic order."""
         if self._classes is None:
             elems = self.elements(cap)
+            conj = [(pinv(g), g) for g in self.generators]
             unseen = set(elems)
             classes = []
             while unseen:
@@ -209,8 +214,8 @@ class PermGroup:
                 while frontier:
                     nxt = []
                     for y in frontier:
-                        for g in self.generators:
-                            z = pmul(pmul(pinv(g), y), g)
+                        for gi, g in conj:
+                            z = pmul(pmul(gi, y), g)
                             if z not in orbit:
                                 orbit.add(z)
                                 nxt.append(z)
@@ -239,11 +244,11 @@ class PermGroup:
         current = self
         size = current.order()
         while size > 1:
-            gens = current.generators
+            gens = [(pinv(a), a) for a in current.generators]
             comms = []
-            for a in gens:
-                for b in gens:
-                    comms.append(pmul(pmul(pinv(a), pinv(b)), pmul(a, b)))
+            for ai, a in gens:
+                for bi, b in gens:
+                    comms.append(pmul(pmul(ai, bi), pmul(a, b)))
             derived = normal_closure(current, comms)
             dsize = derived.group().order()
             if dsize == size:
@@ -253,45 +258,111 @@ class PermGroup:
         return True
 
 
+class _Level:
+    """One level of a stabilizer chain: a base point, the strong generators
+    that fix every earlier base point, and the transversal ``{point: u}`` of
+    the base point's orbit (u sends the base point to that point), with the
+    inverses filled in as sifts need them.  ``tested[k]`` counts the
+    generators that the k-th orbit point has been tested with."""
+
+    __slots__ = ("point", "gens", "trans", "invs", "orbit", "tested")
+
+    def __init__(self, point: int, ident: Perm):
+        self.point = point
+        self.gens = []
+        self.trans = {point: ident}
+        self.invs = {point: ident}
+        self.orbit = [point]
+        self.tested = [0]
+
+    def add_generator(self, g: Perm) -> None:
+        """Extend the orbit in place: old points see only g, new points
+        every generator."""
+        self.gens.append(g)
+        trans, orbit = self.trans, self.orbit
+        start = len(orbit)
+        k = 0
+        while k < len(orbit):
+            pt = orbit[k]
+            for s in (g,) if k < start else self.gens:
+                img = s[pt]
+                if img not in trans:
+                    trans[img] = pmul(trans[pt], s)
+                    orbit.append(img)
+            k += 1
+        self.tested.extend([0] * (len(orbit) - start))
+
+
 def _schreier_sims_order(degree: int, gens, cap: int) -> int:
-    """Order via a plain deterministic Schreier-Sims stabilizer chain."""
-    gens = [g for g in gens if g != identity(degree)]
-    order = 1
-    while gens:
-        base = None
-        for g in gens:
-            for i in range(degree):
-                if g[i] != i:
-                    base = i
-                    break
-            if base is not None:
-                break
-        # orbit of base with transversal
-        transversal = {base: identity(degree)}
-        frontier = [base]
-        while frontier:
-            nxt = []
-            for pt in frontier:
-                rep = transversal[pt]
-                for g in gens:
-                    img = g[pt]
-                    if img not in transversal:
-                        transversal[img] = pmul(rep, g)
-                        nxt.append(img)
-            frontier = nxt
-        order *= len(transversal)
+    """Order via a deterministic Schreier-Sims with sifting (Holt, Eick and
+    O'Brien, *Handbook of Computational Group Theory*, 2005, sec. 4.4.2).
+
+    Each base point is the first point moved by the first generator that
+    fixes the base so far.  Levels are closed from the last to the first:
+    every Schreier generator ``u_p s u_(p^s)^-1`` of level l that is not a
+    tree edge is sifted through the levels below.  A residue that stops at
+    level j joins levels l+1..j (and a new base point, the first point it
+    moves, when j is past the last level); the scan then resumes at level j.
+    Transversals only grow, so a Schreier generator that once sifted to the
+    identity still does, and none is sifted twice.
+
+    The order is the product of the orbit lengths.  That product never
+    exceeds |G|, so ``ResourceError`` is raised as soon as it passes ``cap``
+    and never for a group within it.
+    """
+    ident = identity(degree)
+    chain = []
+
+    def sift(h, start):
+        for j in range(start, len(chain)):
+            level = chain[j]
+            pt = h[level.point]
+            u = level.trans.get(pt)
+            if u is None:
+                return h, j
+            ui = level.invs.get(pt)
+            if ui is None:
+                ui = level.invs[pt] = pinv(u)
+            h = pmul(h, ui)
+        return h, len(chain)
+
+    def add_residue(h, lo, hi):
+        # h fixes the base points before level hi; it joins levels lo..hi
+        if hi == len(chain):
+            chain.append(_Level(next(i for i in range(degree) if h[i] != i), ident))
+        for level in chain[lo:hi + 1]:
+            level.add_generator(h)
+        order = prod(len(level.orbit) for level in chain)
         if order > cap:
             raise ResourceError(f"group order exceeds cap {cap}", partial=order)
-        # Schreier generators for the stabilizer
-        stab = set()
-        for pt, rep in transversal.items():
-            for g in gens:
-                w = pmul(rep, g)
-                s = pmul(w, pinv(transversal[g[pt]]))
-                if s != identity(degree):
-                    stab.add(s)
-        gens = list(stab)
-    return order
+
+    for g in gens:
+        if g != ident:
+            moved = (j for j, level in enumerate(chain) if g[level.point] != level.point)
+            add_residue(g, 0, next(moved, len(chain)))
+
+    i = len(chain) - 1
+    while i >= 0:
+        level = chain[i]
+        gens_i, trans, tested = level.gens, level.trans, level.tested
+        residue = None
+        for k, pt in enumerate(level.orbit):
+            while residue is None and tested[k] < len(gens_i):
+                s = gens_i[tested[k]]
+                tested[k] += 1
+                ups = pmul(trans[pt], s)
+                if ups != trans[s[pt]]:  # not a tree edge
+                    h, j = sift(ups, i)  # the first step divides by u_(p^s)
+                    if h != ident:
+                        residue = h, j
+            if residue is not None:
+                break
+        if residue is None:
+            i -= 1
+        else:
+            add_residue(residue[0], i + 1, residue[1])
+            i = residue[1]
+    return prod(len(level.orbit) for level in chain)
 
 
 class NormalSubgroupHandle:
@@ -545,9 +616,11 @@ def frattini_of_pgroup(g: PermGroup, p: int) -> NormalSubgroupHandle:
         px = ppow(x, p)
         if px != g.ident:
             gens.add(px)
+    elem_invs = [(pinv(y), y) for y in elems]
     for x in g.generators:
-        for y in elems:
-            c = pmul(pmul(pinv(x), pinv(y)), pmul(x, y))
+        xi = pinv(x)
+        for yi, y in elem_invs:
+            c = pmul(pmul(xi, yi), pmul(x, y))
             if c != g.ident:
                 gens.add(c)
     return NormalSubgroupHandle(g, sorted(gens))

@@ -1,8 +1,13 @@
+from math import factorial
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from regmaps.errors import ContractError, ResourceError
 from regmaps.permgrp import (
+    ORDER_CAP,
     NormalSubgroupHandle,
     PermGroup,
     check_order_bound,
@@ -191,3 +196,91 @@ def test_order_and_solubility_match_sympy(group_zoo):
         ref = PermutationGroup([Permutation(list(x)) for x in g.generators])
         assert g.order() == ref.order()
         assert g.is_soluble() == ref.is_solvable
+
+
+def sympy_order(g):
+    return PermutationGroup([Permutation(list(x), size=g.degree) for x in g.generators]).order()
+
+
+def symmetric(n):
+    return PermGroup(n, [from_cycles(n, [tuple(range(n))]), from_cycles(n, [(0, 1)])])
+
+
+def alternating(n):
+    return PermGroup(n, [from_cycles(n, [(i, i + 1, i + 2)]) for i in range(n - 2)])
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_symmetric_and_alternating_orders_match_sympy(n):
+    for g, want in ((symmetric(n), factorial(n)), (alternating(n), factorial(n) // 2)):
+        assert g.order() == sympy_order(g) == want
+
+
+@pytest.mark.parametrize("q", (5, 7, 9, 11, 13))
+def test_pgl2_orders_match_sympy(q):
+    from regmaps.constructors import make_field, make_pgl2
+
+    ctx = make_field(3, 2) if q == 9 else make_field(q, 1)
+    for kind, index in (("psl", 2), ("pgl", 1)):
+        g = make_pgl2(ctx, kind)
+        assert g.order() == sympy_order(g) == q * (q * q - 1) // index
+
+
+def test_wreath_heisenberg_and_split_extension_orders_match_sympy():
+    from regmaps.constructors import (
+        build_heisenberg,
+        build_split_extension,
+        build_wreath_c3,
+        make_dihedral,
+        search_split_actions,
+    )
+
+    he3 = build_heisenberg()
+    for g, want in ((build_wreath_c3(), 81), (he3, 27)):
+        assert g.order() == sympy_order(g) == want
+    d4 = make_dihedral(4)
+    reg, homs = search_split_actions(he3, d4)
+    assert len(homs) == 676
+    for h in homs[::25]:
+        ext = build_split_extension(reg, d4, h)
+        fresh = PermGroup(ext.degree, ext.generators)
+        assert fresh.order() == sympy_order(fresh) == 216
+
+
+def test_order_cap_is_a_lower_bound():
+    s10 = symmetric(10)
+    with pytest.raises(ResourceError) as err:
+        s10.order()
+    assert ORDER_CAP < err.value.partial <= factorial(10)
+    assert s10.order(cap=factorial(10)) == factorial(10)
+
+
+@pytest.mark.parametrize("degree", (0, 1, 2))
+def test_small_degree_products_are_tuples(degree):
+    perms = [tuple(p) for p in ([], [0], [0, 1], [1, 0]) if len(p) == degree]
+    for p in perms:
+        assert pinv(p) == tuple(p.index(i) for i in range(degree))
+        for q in perms:
+            assert pmul(p, q) == tuple(q[i] for i in p)
+
+
+DETERMINISTIC = settings(derandomize=True, deadline=None, max_examples=80, database=None)
+
+
+@DETERMINISTIC
+@given(st.data())
+def test_order_invariant_under_presentation(data):
+    degree = data.draw(st.integers(1, 10))
+    perm = st.permutations(range(degree)).map(tuple)
+    gens = data.draw(st.lists(perm, min_size=1, max_size=3))
+    want = PermGroup(degree, gens).order(cap=factorial(10))
+    assert want == sympy_order(PermGroup(degree, gens))
+    shuffled = data.draw(st.permutations(gens))
+    assert PermGroup(degree, shuffled).order(cap=factorial(10)) == want
+    sigma = data.draw(perm)
+    si = pinv(sigma)
+    conjugated = [pmul(pmul(si, x), sigma) for x in gens]
+    assert PermGroup(degree, conjugated).order(cap=factorial(10)) == want
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(gens), st.sampled_from(gens)), max_size=3))
+    redundant = gens + [pmul(x, y) for x, y in pairs]
+    assert PermGroup(degree, redundant).order(cap=factorial(10)) == want
