@@ -91,7 +91,7 @@ def cayley_coset_table(
         raise ParameterError("label_order must be a permutation of (0, 1, 2)")
     table = element_table(g, cap)
     gens = [table.pos[x] for x in (t.triple.a, t.triple.b, t.triple.c)]
-    actions = tuple(tuple(table.mul[:, j].tolist()) for j in gens)
+    actions = tuple(tuple(table.right(j).tolist()) for j in gens)
     schedule = table.bfs_schedule([gens[lab] for lab in label_order])
     parent = [-1] * order
     label = [-1] * order

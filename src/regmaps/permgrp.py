@@ -3,13 +3,23 @@
 Permutations are tuples of 0-based images; ``pmul(p, q)`` applies p first,
 then q, and composes in C through ``operator.itemgetter``.  Groups carry
 their generators plus lazily-computed caches (order, element set, conjugacy
-classes).  Everything is sized for the desk-scale groups of this project:
-element enumeration up to ~2*10^4, orders up to 10^6 via a deterministic
+classes, element table).  Orders up to 10^6 come from a deterministic
 Schreier-Sims chain that sifts its Schreier generators.
+
+Everything else works in the index space of one ``ElementTable`` per group
+(up to ~2*10^4 elements): an element is its index in the sorted element
+list, a subgroup is a boolean mask over the indices, and conjugacy classes
+and cosets are orbit labels (the least index of each orbit).  Products
+with one fixed element are whole columns, ``right(i)`` and ``left(i)``,
+found by base-point lookups; the n x n multiplication table ``mul`` is
+filled only when a caller reads it (the involution-triple enumerator
+behind the census and ``find_triples``, and the automorphism search).
 """
 
 from __future__ import annotations
 
+from collections import deque
+from functools import cached_property, reduce
 from math import gcd, prod
 from operator import itemgetter
 
@@ -29,7 +39,6 @@ __all__ = [
     "from_cycles",
     "PermGroup",
     "NormalSubgroupHandle",
-    "group_order",
     "element_order",
     "normal_closure",
     "odd_core",
@@ -39,7 +48,6 @@ __all__ = [
     "frattini_of_pgroup",
     "check_order_bound",
     "count_automorphisms",
-    "automorphisms",
     "hom_from_generator_images",
     "ElementTable",
     "element_table",
@@ -197,65 +205,44 @@ class PermGroup:
                 raise ContractError("cached order disagrees with enumeration")
         return self._elements
 
-    def contains(self, x: Perm) -> bool:
-        return x in self.elements()
-
-    def conjugacy_classes(self, cap: int = ELEMENTS_CAP):
-        """List of (representative, class size), deterministic order."""
+    def conjugacy_classes(self):
+        """List of (representative, class size), ordered by representative,
+        which is the least element of its class."""
         if self._classes is None:
-            elems = self.elements(cap)
-            conj = [(pinv(g), g) for g in self.generators]
-            unseen = set(elems)
-            classes = []
-            while unseen:
-                x = min(unseen)
-                orbit = {x}
-                frontier = [x]
-                while frontier:
-                    nxt = []
-                    for y in frontier:
-                        for gi, g in conj:
-                            z = pmul(pmul(gi, y), g)
-                            if z not in orbit:
-                                orbit.add(z)
-                                nxt.append(z)
-                    frontier = nxt
-                classes.append((x, len(orbit)))
-                unseen -= orbit
-            self._classes = classes
+            t = element_table(self)
+            labels = _orbit_labels(t.n, [t.conjugation(i) for i in t.gen_indices])
+            reps, sizes = np.unique(labels, return_counts=True)
+            self._classes = [(t.elems[r], s) for r, s in zip(reps.tolist(), sizes.tolist())]
         return self._classes
 
-    def involutions(self, cap: int = ELEMENTS_CAP):
-        return sorted(x for x in self.elements(cap) if x != self.ident and pmul(x, x) == self.ident)
+    def involutions(self):
+        t = element_table(self)
+        return [t.elems[i] for i in t.involution_indices()]
 
-    def element_orders(self, cap: int = ELEMENTS_CAP):
-        """Multiset {order: count} over the whole group."""
-        counts = {}
-        for x in self.elements(cap):
-            k = porder(x)
-            counts[k] = counts.get(k, 0) + 1
-        return counts
+    def element_orders(self):
+        """Multiset {order: count} over the whole group, orders ascending."""
+        orders, counts = np.unique(element_table(self).order_of, return_counts=True)
+        return dict(zip(orders.tolist(), counts.tolist()))
 
     def subgroup(self, gens) -> "PermGroup":
         return PermGroup(self.degree, gens)
 
-    def is_soluble(self, cap: int = ELEMENTS_CAP) -> bool:
+    def derived_series(self) -> list:
+        """Orders of G, G', G'', ..., ending at the first term that equals
+        its derived subgroup."""
+        t = element_table(self)
+        gens, sizes = t.gen_indices, [t.n]
+        while sizes[-1] > 1:
+            gens, mask = _derived(t, gens)
+            size = int(mask.sum())
+            if size == sizes[-1]:
+                break
+            sizes.append(size)
+        return sizes
+
+    def is_soluble(self) -> bool:
         """Derived series reaches the trivial group."""
-        current = self
-        size = current.order()
-        while size > 1:
-            gens = [(pinv(a), a) for a in current.generators]
-            comms = []
-            for ai, a in gens:
-                for bi, b in gens:
-                    comms.append(pmul(pmul(ai, bi), pmul(a, b)))
-            derived = normal_closure(current, comms)
-            dsize = derived.group().order()
-            if dsize == size:
-                return False
-            current = derived.group()
-            size = dsize
-        return True
+        return self.derived_series()[-1] == 1
 
 
 class _Level:
@@ -366,7 +353,9 @@ def _schreier_sims_order(degree: int, gens, cap: int) -> int:
 
 
 class NormalSubgroupHandle:
-    """Generators of a subgroup normal in an ambient group."""
+    """A subgroup of an ambient group, given by generators and held as a
+    mask over the ambient's element table; ``check_normal`` tests that it
+    is normal."""
 
     def __init__(self, ambient: PermGroup, generators):
         self.ambient = ambient
@@ -378,34 +367,96 @@ class NormalSubgroupHandle:
                 seen.add(g)
                 gens.append(g)
         self.generators = tuple(gens)
-        self._group = None
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        t = element_table(self.ambient)
+        return t.closure(_indices(t, self.generators))
 
     def group(self) -> PermGroup:
-        if self._group is None:
-            self._group = PermGroup(self.ambient.degree, self.generators)
-        return self._group
+        return PermGroup(self.ambient.degree, self.generators, order=self.order())
 
     def order(self) -> int:
-        return self.group().order()
+        return int(self.mask.sum())
 
-    def elements(self, cap: int = ELEMENTS_CAP) -> frozenset:
-        return self.group().elements(cap)
+    def elements(self) -> frozenset:
+        elems = element_table(self.ambient).elems
+        return frozenset(elems[i] for i in np.flatnonzero(self.mask).tolist())
 
     def is_trivial(self) -> bool:
         return not self.generators
 
     def check_normal(self) -> bool:
-        elems = self.elements()
-        for g in self.ambient.generators:
-            gi = pinv(g)
-            for h in self.generators:
-                if pmul(pmul(gi, h), g) not in elems:
-                    return False
-        return True
+        t = element_table(self.ambient)
+        mask, gens = self.mask, _indices(t, self.generators)
+        return all(mask[t.product(t.inv[a], h, a)] for a in t.gen_indices for h in gens)
 
 
-def group_order(g: PermGroup, cap: int = ORDER_CAP) -> int:
-    return g.order(cap)
+def _indices(t: "ElementTable", perms) -> list:
+    try:
+        return [t.pos[tuple(x)] for x in perms]
+    except KeyError:
+        raise ParameterError("element is not in the group") from None
+
+
+def _handle(g: PermGroup, t: "ElementTable", gens, mask) -> NormalSubgroupHandle:
+    """A handle on the subgroup of g with generator indices ``gens`` whose
+    mask is already known."""
+    handle = NormalSubgroupHandle(g, [t.elems[i] for i in gens])
+    handle.mask = mask
+    return handle
+
+
+def _orbit_labels(n: int, maps) -> np.ndarray:
+    """The least index in the orbit of each of 0..n-1 under the group
+    generated by ``maps`` (index permutations of 0..n-1).
+
+    Indices are scanned in ascending order, so the first one met in an
+    orbit is its least; a search from it labels the whole orbit.
+    """
+    cols = [f.tolist() for f in maps]
+    label = [-1] * n
+    for x in range(n):
+        if label[x] >= 0:
+            continue
+        label[x] = x
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for col in cols:
+                z = col[y]
+                if label[z] < 0:
+                    label[z] = x
+                    stack.append(z)
+    return np.array(label)
+
+
+def _normal_closure(t: "ElementTable", ambient, seeds):
+    """Generator indices and mask of the smallest subgroup that contains
+    ``seeds`` and is normalized by the elements ``ambient``.
+
+    A seed or conjugate becomes a generator only when the subgroup so far
+    misses it, so each generator at least doubles the subgroup and there
+    are at most log2(n) of them.  Every generator's conjugates by
+    ``ambient`` are tested, so the result is normalized by them.
+    """
+    gens = []
+    mask = t.closure(gens)
+    todo = deque(seeds)
+    while todo:
+        x = todo.popleft()
+        if not mask[x]:
+            gens.append(x)
+            mask = t.closure(gens)
+            todo.extend(t.product(t.inv[a], x, a) for a in ambient)
+    return gens, mask
+
+
+def _derived(t: "ElementTable", gens):
+    """Generator indices and mask of the derived subgroup of <gens>: the
+    normal closure in <gens> of the generators' commutators."""
+    comms = [t.product(t.inv[a], t.inv[b], a, b) for a in gens for b in gens]
+    return _normal_closure(t, gens, comms)
 
 
 def element_order(g: PermGroup, x: Perm) -> int:
@@ -416,31 +467,8 @@ def element_order(g: PermGroup, x: Perm) -> int:
 
 def normal_closure(g: PermGroup, seeds) -> NormalSubgroupHandle:
     """Smallest normal subgroup of g containing the seeds."""
-    gens = []
-    seen = set()
-    for s in seeds:
-        s = tuple(s)
-        if s != g.ident and s not in seen:
-            seen.add(s)
-            gens.append(s)
-    if not gens:
-        return NormalSubgroupHandle(g, ())
-    while True:
-        sub = PermGroup(g.degree, gens)
-        elems = sub.elements()
-        new = []
-        for a in g.generators:
-            ai = pinv(a)
-            for h in gens:
-                c = pmul(pmul(ai, h), a)
-                if c not in elems:
-                    new.append(c)
-        if not new:
-            return NormalSubgroupHandle(g, gens)
-        for c in new:
-            if c not in seen:
-                seen.add(c)
-                gens.append(c)
+    t = element_table(g)
+    return _handle(g, t, *_normal_closure(t, t.gen_indices, _indices(t, seeds)))
 
 
 def odd_core(g: PermGroup) -> NormalSubgroupHandle:
@@ -450,59 +478,41 @@ def odd_core(g: PermGroup) -> NormalSubgroupHandle:
     closure has odd order (class representatives suffice, since normal
     closure is a class invariant).
     """
+    t = element_table(g)
     seeds = []
     for rep, _size in g.conjugacy_classes():
-        if rep == g.ident:
+        i = t.pos[rep]
+        if i == t.identity_index or t.order_of[i] % 2 == 0:
             continue
-        if porder(rep) % 2 == 0:
-            continue
-        ncl = normal_closure(g, [rep])
-        if ncl.order() % 2 == 1:
-            seeds.append(rep)
-    core = normal_closure(g, seeds)
-    if core.order() % 2 == 0:
+        if _normal_closure(t, t.gen_indices, [i])[1].sum() % 2 == 1:
+            seeds.append(i)
+    gens, mask = _normal_closure(t, t.gen_indices, seeds)
+    if mask.sum() % 2 == 0:
         raise ContractError("odd core came out even")
-    return core
+    return _handle(g, t, gens, mask)
 
 
-def _sylow2(g: PermGroup) -> PermGroup:
-    """A Sylow 2-subgroup, by growing a 2-subgroup inside its normalizer."""
-    target = p_part(g.order(), 2)
+def _sylow2(t: "ElementTable") -> np.ndarray:
+    """Mask of a Sylow 2-subgroup, grown by 2-elements that normalize it."""
+    target = p_part(t.n, 2)
     if target == 1:
-        return PermGroup(g.degree, ())
-    elems = sorted(g.elements())
-    two_elements = [x for x in elems if x != g.ident and _is_2_element(x)]
+        return t.closure(())
+    k = t.order_of
+    two_elements = np.flatnonzero((k > 1) & (k & (k - 1) == 0)).tolist()
     sub_gens = [two_elements[0]]
-    sub = PermGroup(g.degree, sub_gens)
-    sub_elems = sub.elements()
-    while len(sub_elems) < target:
-        grown = False
+    sub = t.closure(sub_gens)
+    while sub.sum() < target:
         for x in two_elements:
-            if x in sub_elems:
+            if sub[x]:
                 continue
-            # x must normalize the current 2-subgroup
-            xi = pinv(x)
-            if any(pmul(pmul(xi, s), x) not in sub_elems for s in sub_gens):
-                continue
-            cand = PermGroup(g.degree, sub_gens + [x])
-            cand_elems = cand.elements()
-            if len(cand_elems) & (len(cand_elems) - 1):
-                continue  # not a power of 2
-            if len(cand_elems) > target:
-                continue
-            sub_gens.append(x)
-            sub = cand
-            sub_elems = cand_elems
-            grown = True
-            break
-        if not grown:
+            # a 2-element that normalizes a 2-subgroup extends it to a 2-subgroup
+            if all(sub[t.product(t.inv[x], s, x)] for s in sub_gens):
+                sub_gens.append(x)
+                sub = t.closure(sub_gens)
+                break
+        else:
             raise ContractError("failed to grow 2-subgroup to Sylow size")
     return sub
-
-
-def _is_2_element(x: Perm) -> bool:
-    k = porder(x)
-    return k & (k - 1) == 0
 
 
 def sylow2_shape(g: PermGroup) -> str:
@@ -512,23 +522,22 @@ def sylow2_shape(g: PermGroup) -> str:
     structural checks.  A 2-group of order 2^k >= 8 is dihedral iff two of
     its involutions multiply to an element of order 2^(k-1).
     """
-    syl = _sylow2(g)
-    size = syl.order()
+    t = element_table(g)
+    syl = _sylow2(t)
+    size = int(syl.sum())
     if size == 1:
         return "trivial"
     if size == 2:
         return "cyclic"
-    elems = syl.elements()
-    max_order = max(porder(x) for x in elems)
+    max_order = int(t.order_of[syl].max())
     if max_order == size:
         return "cyclic"
     if size == 4:
         return "klein" if max_order == 2 else "cyclic"
-    invs = [x for x in elems if porder(x) == 2]
-    for u in invs:
-        for v in invs:
-            if porder(pmul(u, v)) == size // 2:
-                return "dihedral"
+    invs = np.flatnonzero(syl & (t.order_of == 2))
+    for u in invs.tolist():
+        if (t.order_of[t.left(u)[invs]] == size // 2).any():
+            return "dihedral"
     return "other"
 
 
@@ -539,8 +548,8 @@ def is_almost_sylow_cyclic(g: PermGroup) -> bool:
     A Sylow t-subgroup is cyclic iff the group has an element of order
     |G|_t, so the element-order profile decides everything.
     """
-    n = g.order()
-    orders = set(g.element_orders())
+    n = element_table(g).n
+    orders = g.element_orders()
     for t in odd_prime_divisors(n):
         if p_part(n, t) not in orders:
             return False
@@ -552,46 +561,25 @@ def is_almost_sylow_cyclic(g: PermGroup) -> bool:
 
 class QuotientGroup(PermGroup):
     """Faithful action of g on the cosets of a normal subgroup, with the
-    projection g -> quotient available on elements."""
+    projection g -> quotient available on elements.
+
+    The cosets are the orbits of right multiplication by the subgroup's
+    generators, numbered in the order of their least element index.
+    """
 
     def __init__(self, ambient: PermGroup, handle: NormalSubgroupHandle):
-        n_elems = sorted(handle.elements())
-        rep_cache = {}
+        t = self._ambient_table = element_table(ambient)
+        cols = [t.right(i) for i in _indices(t, handle.generators)]
+        self._reps, self._coset_of = np.unique(_orbit_labels(t.n, cols), return_inverse=True)
+        index = len(self._reps)
+        super().__init__(index, [self._perm_of(i) for i in t.gen_indices], order=index)
 
-        def coset_rep(x: Perm) -> Perm:
-            got = rep_cache.get(x)
-            if got is None:
-                got = min(pmul(h, x) for h in n_elems)
-                rep_cache[x] = got
-            return got
-
-        start = coset_rep(ambient.ident)
-        index_of = {start: 0}
-        reps = [start]
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for rep in frontier:
-                for gen in ambient.generators:
-                    img = coset_rep(pmul(rep, gen))
-                    if img not in index_of:
-                        index_of[img] = len(reps)
-                        reps.append(img)
-                        nxt.append(img)
-            frontier = nxt
-        self._ambient = ambient
-        self._coset_rep = coset_rep
-        self._index_of = index_of
-        self._reps = reps
-        gen_perms = [self._perm_of(gen) for gen in ambient.generators]
-        super().__init__(max(1, len(reps)), gen_perms)
-
-    def _perm_of(self, x: Perm) -> Perm:
-        return tuple(self._index_of[self._coset_rep(pmul(rep, x))] for rep in self._reps)
+    def _perm_of(self, i: int) -> Perm:
+        return tuple(self._coset_of[self._ambient_table.right(i)[self._reps]].tolist())
 
     def project(self, x: Perm) -> Perm:
         """Image of an ambient element in the quotient's permutation action."""
-        return self._perm_of(x)
+        return self._perm_of(self._ambient_table.pos[x])
 
 
 def quotient_group(g: PermGroup, n: NormalSubgroupHandle) -> QuotientGroup:
@@ -603,27 +591,17 @@ def quotient_group(g: PermGroup, n: NormalSubgroupHandle) -> QuotientGroup:
 
 
 def frattini_of_pgroup(g: PermGroup, p: int) -> NormalSubgroupHandle:
-    """Frattini subgroup of a p-group: generated by p-th powers and
-    commutators; the quotient is elementary abelian."""
+    """Frattini subgroup of a p-group: generated by the p-th powers and the
+    derived subgroup; the quotient is elementary abelian."""
     if not is_prime(p):
         raise ParameterError(f"needs a prime, got {p}")
-    n = g.order()
+    t = element_table(g)
+    n = t.n
     if p_part(n, p) != n:
         raise ContractError(f"group of order {n} is not a {p}-group")
-    elems = sorted(g.elements())
-    gens = set()
-    for x in elems:
-        px = ppow(x, p)
-        if px != g.ident:
-            gens.add(px)
-    elem_invs = [(pinv(y), y) for y in elems]
-    for x in g.generators:
-        xi = pinv(x)
-        for yi, y in elem_invs:
-            c = pmul(pmul(xi, yi), pmul(x, y))
-            if c != g.ident:
-                gens.add(c)
-    return NormalSubgroupHandle(g, sorted(gens))
+    derived, _ = _derived(t, t.gen_indices)
+    powers = sorted({t.pos[ppow(x, p)] for x in t.elems})
+    return _handle(g, t, *_normal_closure(t, (), derived + powers))
 
 
 def check_order_bound(g: PermGroup, l: NormalSubgroupHandle, p: int) -> bool:
@@ -632,27 +610,24 @@ def check_order_bound(g: PermGroup, l: NormalSubgroupHandle, p: int) -> bool:
     bound |G|_p (vacuously true)."""
     if not is_prime(p):
         raise ParameterError(f"needs a prime, got {p}")
-    gp = p_part(g.order(), p)
+    t = element_table(g)
+    gp = p_part(t.n, p)
     if l.is_trivial():
         bound = gp
     else:
-        lgrp = l.group()
-        lsize = lgrp.order()
+        lsize = l.order()
         if p_part(lsize, p) != lsize:
             raise ContractError("handle is not a p-subgroup")
         if not l.check_normal():
             raise ContractError("handle is not normal")
-        phi = frattini_of_pgroup(lgrp, p)
+        phi = frattini_of_pgroup(l.group(), p)
         j = 0
         quot = lsize // phi.order()
         while quot > 1:
             quot //= p
             j += 1
         bound = gp // p ** (j - 1)
-    for rep, _size in g.conjugacy_classes():
-        if p_part(porder(rep), p) > bound:
-            return False
-    return True
+    return all(p_part(k, p) <= bound for k in g.element_orders())
 
 
 def hom_from_generator_images(degree: int, gens, images):
@@ -722,107 +697,140 @@ def _base_lookups(arr):
 
 
 class ElementTable:
-    """Indexed multiplication table of a (small) group.
+    """The index space of a (small) group.
 
-    Elements are sorted and indexed 0..n-1; ``mul[i, j]`` is the index of
-    elems[i] * elems[j].  All census and automorphism machinery runs in
-    this index space.
+    Elements are sorted and indexed 0..n-1; ``inv[i]`` is the index of the
+    inverse of elems[i] and ``order_of[i]`` its order.  ``right(i)`` and
+    ``left(i)`` give the index of x * elems[i] and of elems[i] * x for every
+    x, and ``mul[i, j]`` is the index of elems[i] * elems[j], filled on
+    first access.  Subgroups, cosets, conjugacy classes, the census and
+    the automorphism search all run in this index space.
 
-    The table is built from a base (see ``_base_lookups``): a product is
-    found from its images of the base points by a chain of array lookups,
-    never by comparing whole permutations.  The element list is built as
-    the closure of the generators; checking every generator column on every
-    point proves it closed under them, hence a group, and a base tells the
-    elements of a group apart, so every lookup is exact.
+    Products are found from their images of a base (see ``_base_lookups``)
+    by a chain of array lookups, never by comparing whole permutations.
+    The build proves the element list equal to the group its generators
+    generate: every generator column is checked on every point (so the
+    list is closed under the generators), and the generator columns reach
+    every element from the identity.  A base tells the elements of a group
+    apart, so every lookup after that is exact.
     """
 
     def __init__(self, g: PermGroup, cap: int = ELEMENTS_CAP):
-        self.group = g
         self.elems = sorted(g.elements(cap))
-        n = len(self.elems)
-        self.n = n
+        n = self.n = len(self.elems)
         self.pos = {e: i for i, e in enumerate(self.elems)}
         try:
             e = self.identity_index = self.pos[g.ident]
-            gen_cols = [self.pos[x] for x in g.generators]
+            self.gen_indices = [self.pos[x] for x in g.generators]
         except KeyError:
             raise ContractError("element list misses the identity or a generator") from None
-        degree = g.degree
-        arr = np.array(self.elems, dtype=np.int32)  # n x degree
-        base, luts = _base_lookups(arr)
-        # images[p, j] = elems[j][p]; a product x_i * y_j sends b to y_j[x_i[b]]
-        images = np.ascontiguousarray(arr.T)
-        base_images = arr[:, base]
-        mul = np.empty((n, n), dtype=np.int32)
-        inv = np.empty(n, dtype=np.int32)
-        rows = max(1, TABLE_BLOCK_CELLS // n)
-        for lo in range(0, n, rows):
-            hi = min(n, lo + rows)
-            code = 0
-            for t, lut in enumerate(luts):
-                code = lut[code * degree + images[base_images[lo:hi, t]]]
-            if np.min(code) < 0:
+        degree = self.degree = g.degree
+        # images[p, j] = elems[j][p]
+        images = self._images = np.array(self.elems, dtype=np.int32).reshape(n, degree).T.copy()
+        self.base, self._luts = _base_lookups(images.T)
+        cols = [self.right(j) for j in self.gen_indices]
+        for gen, col in zip(g.generators, cols):
+            if np.min(col) < 0:
                 raise ContractError("a product is missing from the element list")
-            mul[lo:hi] = code
-            inv[lo:hi] = np.argmax(mul[lo:hi] == e, axis=1)
-        for gen, j in zip(g.generators, gen_cols):
-            if not np.array_equal(arr[mul[:, j]], np.array(gen)[arr]):
+            if not np.array_equal(images[:, col], np.array(gen)[images]):
                 raise ContractError("a generator column disagrees with the permutations")
-        self.mul = mul
-        self.inv = inv
-        # order of x: the least k with x^k = identity, powering through mul
+        if not self._span(cols, [e]).all():
+            raise ContractError("the element list is larger than the group it generates")
+        inverses = np.empty_like(images)
+        inverses[images, np.arange(n)] = np.arange(degree, dtype=np.int32)[:, None]
+        self.inv = self._lookup(inverses[self.base]).astype(np.int32)
+        # order of x: the least k whose x^k fixes every base point
+        base = np.array(self.base, dtype=np.int32)[:, None]
         order_of = np.zeros(n, dtype=np.int32)
-        todo = np.arange(n)
-        power = todo
+        todo, power = np.arange(n), images[self.base]
         for k in range(1, n + 1):
-            hit = power == e
+            hit = (power == base).all(axis=0)
             order_of[todo[hit]] = k
-            todo, power = todo[~hit], power[~hit]
+            todo, power = todo[~hit], power[:, ~hit]
             if not todo.size:
                 break
-            power = mul[power, todo]
+            power = images[power, todo]  # x^(k+1) sends b to x[x^k[b]]
         else:
             raise ContractError("an element has order above the group order")
         self.order_of = order_of
 
+    def _lookup(self, images) -> np.ndarray:
+        """Index of the element with the base-point images ``images[t]``
+        (an array per base point, of any shape), or -1 where none has them."""
+        code = np.zeros(images.shape[1:], dtype=np.intp)
+        for t, lut in enumerate(self._luts):
+            code = lut[code * self.degree + images[t]]
+        return code
+
+    def right(self, i: int) -> np.ndarray:
+        """Index of x * elems[i] for every x; it sends b to elems[i][x[b]]."""
+        return self._lookup(self._images[:, i][self._images[self.base]])
+
+    def left(self, i: int) -> np.ndarray:
+        """Index of elems[i] * x for every x; it sends b to x[elems[i][b]]."""
+        return self._lookup(self._images[self._images[self.base, i]])
+
+    def conjugation(self, i: int) -> np.ndarray:
+        """Index of elems[i]^-1 * x * elems[i] for every x."""
+        images = self._images
+        return self._lookup(images[:, i][images[images[self.base, self.inv[i]]]])
+
+    def product(self, *indices) -> int:
+        """Index of the product of the given elements, left to right."""
+        return self.pos[reduce(pmul, (self.elems[i] for i in indices))]
+
+    @cached_property
+    def mul(self) -> np.ndarray:
+        """The n x n table ``mul[i, j]``, filled in blocks of rows."""
+        images, n = self._images, self.n
+        mul = np.empty((n, n), dtype=np.int32)
+        rows = max(1, TABLE_BLOCK_CELLS // n)
+        for lo in range(0, n, rows):
+            # elems[i] * elems[j] sends b to elems[j][elems[i][b]]
+            mul[lo:lo + rows] = self._lookup(images[images[self.base, lo:lo + rows]])
+        return mul
+
     def involution_indices(self):
         return [i for i in range(self.n) if self.order_of[i] == 2]
 
-    def closure(self, seed_indices):
-        """Indices of the subgroup generated by the given element indices."""
-        mul = self.mul
+    def _span(self, cols, seeds) -> np.ndarray:
+        """Mask of the elements reached from the identity and ``seeds`` by
+        the right multiplications ``cols``."""
         members = np.zeros(self.n, dtype=bool)
         members[self.identity_index] = True
-        frontier = np.array(sorted(set(seed_indices)), dtype=np.int32)
+        frontier = np.unique(np.asarray(seeds, dtype=np.intp))
         members[frontier] = True
-        gens = frontier
-        while frontier.size:
-            prods = mul[np.ix_(frontier, gens)].ravel()
-            prods = np.unique(prods)
-            new = prods[~members[prods]]
+        while frontier.size and cols:
+            prods = np.concatenate([col[frontier] for col in cols])
+            new = np.unique(prods[~members[prods]])
             members[new] = True
             frontier = new
         return members
 
+    def closure(self, seed_indices) -> np.ndarray:
+        """Mask of the subgroup generated by the given element indices."""
+        seeds = sorted(set(seed_indices))
+        return self._span([self.right(i) for i in seeds], seeds)
+
     def bfs_schedule(self, gen_indices):
         """BFS spanning tree (dst, src, gen_slot) of the Cayley graph, each
         frontier element scanning the generators in slot order."""
-        mul = self.mul
-        seen = np.zeros(self.n, dtype=bool)
+        cols = [self.right(j).tolist() for j in gen_indices]
+        seen = [False] * self.n
         seen[self.identity_index] = True
         schedule = []
         frontier = [self.identity_index]
         while frontier:
             nxt = []
             for i in frontier:
-                for slot, gj in enumerate(gen_indices):
-                    d = int(mul[i, gj])
+                for slot, col in enumerate(cols):
+                    d = col[i]
                     if not seen[d]:
                         seen[d] = True
                         schedule.append((d, i, slot))
                         nxt.append(d)
             frontier = nxt
-        if not seen.all():
+        if not all(seen):
             raise ParameterError("tuple does not generate the group")
         return schedule
 
@@ -885,24 +893,6 @@ def element_table(g: PermGroup, cap: int = ELEMENTS_CAP) -> ElementTable:
         cached = ElementTable(g, cap)
         g._table = cached
     return cached
-
-
-def automorphisms(g: PermGroup, triple=None, cap: int = AUT_CAP):
-    """All automorphisms of g, each as a mapping element -> element.
-
-    ``triple`` may name a generating tuple to anchor the image search (its
-    element orders prune candidates); defaults to g's generators.
-    Budgeted at |g| <= cap.
-    """
-    n = g.order()
-    if n > cap:
-        raise ResourceError(f"automorphism search budget is {cap}, group has order {n}")
-    table = element_table(g)
-    gens = tuple(triple) if triple is not None else g.generators
-    gen_indices = [table.pos[x] for x in gens]
-    maps = table.automorphism_index_maps(gen_indices)
-    elems = table.elems
-    return [{elems[i]: elems[int(f[i])] for i in range(table.n)} for f in maps]
 
 
 def count_automorphisms(g: PermGroup, triple, cap: int = AUT_CAP) -> int:

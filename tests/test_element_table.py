@@ -1,10 +1,12 @@
 """ElementTable against the permutation oracles pmul, pinv and porder.
 
 The table is built from base-point lookups; these tests check every
-product (or a seeded sample of them on the larger groups), every inverse
-and every order against the plain tuple arithmetic, on relabelled
-PSL/PGL(2,q), a slice of the group zoo, the trivial group and a regular
-representation.  The negative tests tamper with the element list.
+inverse and every order (before the multiplication table is filled), every
+product (or a seeded sample of them on the larger groups) and a seeded
+sample of right, left and conjugation columns against the plain tuple
+arithmetic, on relabelled PSL/PGL(2,q), a slice of the group zoo, the
+trivial group and a regular representation.  The negative tests tamper
+with the element list.
 """
 
 import random
@@ -18,6 +20,7 @@ from regmaps.permgrp import ElementTable, PermGroup, pinv, pmul, porder
 
 FULL_CHECK_MAX = 400
 SAMPLE_PAIRS = 10 ** 4
+SAMPLE_COLUMNS = 40
 
 
 def _relabelled(g, seed):
@@ -42,18 +45,27 @@ def check_table(g, seed=0):
     assert t.elems == elems and t.n == n
     assert t.pos == {e: i for i, e in enumerate(elems)}
     assert t.identity_index == t.pos[g.ident]
-    assert t.mul.shape == (n, n)
-    for arr in (t.mul, t.inv, t.order_of):
-        assert arr.dtype == np.int32
+    # inverses and orders come from base images, before mul is filled
+    assert [int(x) for x in t.inv] == [t.pos[pinv(e)] for e in elems]
+    assert [int(x) for x in t.order_of] == [porder(e) for e in elems]
+    assert "mul" not in vars(t)
+    rng = random.Random(seed)
     if n <= FULL_CHECK_MAX:
         pairs = [(i, j) for i in range(n) for j in range(n)]
     else:
-        rng = random.Random(seed)
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(SAMPLE_PAIRS)]
+    columns = sorted(rng.sample(range(n), min(n, SAMPLE_COLUMNS)))
+    for c in columns:
+        x = elems[c]
+        xi = pinv(x)
+        assert t.right(c).tolist() == [t.pos[pmul(y, x)] for y in elems], c
+        assert t.left(c).tolist() == [t.pos[pmul(x, y)] for y in elems], c
+        assert t.conjugation(c).tolist() == [t.pos[pmul(pmul(xi, y), x)] for y in elems], c
+    assert t.mul.shape == (n, n)
+    for arr in (t.mul, t.inv, t.order_of):
+        assert arr.dtype == np.int32
     for i, j in pairs:
         assert t.mul[i, j] == t.pos[pmul(elems[i], elems[j])], (i, j)
-    assert [int(x) for x in t.inv] == [t.pos[pinv(e)] for e in elems]
-    assert [int(x) for x in t.order_of] == [porder(e) for e in elems]
 
 
 def test_zoo_slice(group_zoo):
@@ -115,4 +127,14 @@ def test_missing_generator_raises():
     fresh = PermGroup(g.degree, g.generators)
     fresh._elements = frozenset(fresh.elements() - {g.generators[0]})
     with pytest.raises(ContractError):
+        ElementTable(fresh)
+
+
+def test_element_outside_the_generated_group_raises():
+    # PGL(2,7) is closed under right multiplication by one of its
+    # generators, but that generator alone reaches only its cyclic subgroup
+    g = _pgl(7, "pgl")
+    fresh = PermGroup(g.degree, g.generators[:1])
+    fresh._elements = g.elements()
+    with pytest.raises(ContractError, match="larger than the group"):
         ElementTable(fresh)

@@ -119,6 +119,19 @@ def test_structural_lemmas_e9_d4(e9_d4_triple):
     assert rep["sylow_cyclic_away_from_chi"].passed
 
 
+def test_structural_lemmas_leave_mul_unfilled():
+    # the lemmas run in the index space of the element table; the n x n
+    # multiplication table (10.8 MB for this group of order 1680) stays unfilled
+    from regmaps.cli import resolve_group
+
+    g, t = resolve_group("cell:pgl2:7:3:8,5")
+    assert g.order() == 1680 and (t.m, t.n) == (15, 8)
+    rep = verify_structural_lemmas(t)
+    assert rep.all_passed
+    assert rep["sylow2_klein_or_dihedral"].detail == "dihedral"
+    assert "mul" not in vars(g._table)
+
+
 def test_structural_lemmas_negative_control(pgl_groups):
     # PSL2(13) as (2,3,7)* has a 13-excess over the product orders, so a
     # corrupted chi = -3 must trip the "excess prime equals r" check

@@ -10,9 +10,11 @@ from regmaps.permgrp import (
     ORDER_CAP,
     NormalSubgroupHandle,
     PermGroup,
+    _sylow2,
     check_order_bound,
     count_automorphisms,
     element_order,
+    element_table,
     frattini_of_pgroup,
     from_cycles,
     identity,
@@ -193,9 +195,18 @@ def test_odd_core_generator_invariant():
 
 def test_order_and_solubility_match_sympy(group_zoo):
     for g in group_zoo[::25]:
-        ref = PermutationGroup([Permutation(list(x)) for x in g.generators])
+        ref = PermutationGroup([Permutation(list(x), size=g.degree) for x in g.generators])
         assert g.order() == ref.order()
         assert g.is_soluble() == ref.is_solvable
+        assert g.derived_series() == [h.order() for h in ref.derived_series()]
+        classes = g.conjugacy_classes()
+        assert sorted(size for _, size in classes) == sorted(map(len, ref.conjugacy_classes()))
+        for rep, _size in classes:
+            want = ref.normal_closure(Permutation(list(rep), size=g.degree)).order()
+            assert normal_closure(g, [rep]).order() == want
+        syl = ref.sylow_subgroup(2)
+        assert _sylow2(element_table(g)).sum() == syl.order()
+        assert (sylow2_shape(g) in ("trivial", "cyclic")) == syl.is_cyclic
 
 
 def sympy_order(g):
