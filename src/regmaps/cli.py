@@ -302,7 +302,7 @@ def cmd_tables(args):
 
     items = [check(row) for row in minimal_rows()]
     passed = all(it["pass"] for it in items)
-    return _report("tables", {"all": True}, items, passed, t0)
+    return _report("tables", {}, items, passed, t0)
 
 
 def cmd_corollary(args):
@@ -324,7 +324,7 @@ def cmd_corollary(args):
         }
         for r in results
     ]
-    return _report("corollary", {"budget": args.budget}, items, passed, t0)
+    return _report("corollary", {"counts": not args.no_counts}, items, passed, t0)
 
 
 def cmd_cover_rank(args):
@@ -417,11 +417,9 @@ def build_parser():
     p.set_defaults(fn=cmd_family)
 
     p = sub.add_parser("tables", help="check every family-row formula against Euler")
-    p.add_argument("--all", action="store_true")
     p.set_defaults(fn=cmd_tables)
 
     p = sub.add_parser("corollary", help="verify the complete d <= 4 table")
-    p.add_argument("--budget", type=int, default=3000)
     p.add_argument("--no-counts", action="store_true", help="skip census class counts")
     p.set_defaults(fn=cmd_corollary)
 

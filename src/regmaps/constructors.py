@@ -62,6 +62,7 @@ __all__ = [
 FIND_TRIPLES_CAP = 50_000
 CELL_DEGREE_CAP = 1_000_000
 ELL_CAP = 2 ** 40
+SPLIT_KERNEL_CAP = 2000  # order of the kernel V of a split extension V x| D
 
 
 # ---------------------------------------------------------------------------
@@ -660,35 +661,28 @@ def search_module_actions(acting: PermGroup, p: int, k: int):
 # split extensions V x| D for a (possibly nonabelian) small kernel V
 
 
-def regular_form(g: PermGroup, cap: int = 2000) -> PermGroup:
-    """g in its right-regular action (degree |g|), elements sorted."""
-    elems = sorted(g.elements(cap))
-    index = {e: i for i, e in enumerate(elems)}
-    gens = [tuple(index[pmul(x, gen)] for x in elems) for gen in g.generators]
-    reg = PermGroup(len(elems), gens, order=len(elems))
-    return reg
+def regular_form(g: PermGroup) -> PermGroup:
+    """g in its right-regular action: point i is the i-th of g's sorted
+    elements.  |g| is budgeted before anything is enumerated."""
+    if g.order() > SPLIT_KERNEL_CAP:
+        raise ResourceError(f"order {g.order()} exceeds the split budget {SPLIT_KERNEL_CAP}")
+    t = element_table(g)
+    return PermGroup(t.n, [tuple(t.right(j).tolist()) for j in t.gen_indices], order=t.n)
 
 
-def automorphism_perm_group(v: PermGroup, cap: int = 2000):
-    """(regular copy of v, Aut(v) as permutations of v's element indices).
-
-    Works by generator-image search over the element list; intended for the
-    small 3-groups used in the split-extension constructions.
-    """
-    reg = regular_form(v, cap)
-    table = element_table(reg)
-    gen_idx = [table.pos[g] for g in reg.generators]
-    maps = table.automorphism_index_maps(gen_idx)
-    auts = [tuple(int(x) for x in f) for f in maps]
-    return reg, auts
+def automorphism_perm_group(v: PermGroup):
+    """(regular copy of v, Aut(v) as permutations of v's element indices),
+    from the generator-image search on v's own element table."""
+    reg, t = regular_form(v), element_table(v)
+    return reg, [tuple(f.tolist()) for f in t.automorphism_index_maps(t.gen_indices)]
 
 
-def search_split_actions(v: PermGroup, d: PermGroup, cap: int = 2000):
+def search_split_actions(v: PermGroup, d: PermGroup):
     """All homomorphisms d -> Aut(v), as tuples of Aut-permutations (one
     per generator of d).  v is replaced by its regular form internally;
     the matching regular copy is returned alongside.
     """
-    reg, auts = automorphism_perm_group(v, cap)
+    reg, auts = automorphism_perm_group(v)
     return reg, _action_homs(d, auts)
 
 

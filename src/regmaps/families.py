@@ -715,7 +715,8 @@ def verify_corollary_table(census_counts: bool = True):
             for g in candidates:
                 if g.order() != row.order:
                     continue
-                # cheap necessary condition before the quadratic table build
+                # a candidate without elements of orders m and n has no
+                # (2,m,n)* triple; this skips its involution-triple search
                 profile = g.element_orders()
                 if m not in profile or n not in profile:
                     continue

@@ -416,19 +416,22 @@ def involution_triples(g: PermGroup, types=None):
     every type with 2 <= m <= n) and <ab, bc> = G, which forces <a, b, c> = G
     and non-orientability.  Every Aut(g)-orbit of triples meets this set,
     and a triple with a fixed stands for class_size conjugate triples.
+    ord(ax) is read off the ``left`` column of a, ord(bc) off the ``right``
+    columns of the surviving c.
     """
     table = element_table(g)
-    mul, order_of, n_all = table.mul, table.order_of, table.n
+    order_of, n_all = table.order_of, table.n
     invs = np.array(table.involution_indices(), dtype=np.intp)
     for rep, class_size in g.conjugacy_classes():
         if porder(rep) != 2:
             continue
         ia = table.pos[rep]
-        row_a = mul[ia]
+        row_a = table.left(ia)  # a * x for every x
         ord_ax = order_of[row_a[invs]]  # ord(ax) for each involution x
-        cs = invs[ord_ax <= 2]  # (ac)^2 = 1
+        cs = invs[ord_ax <= 2]  # (ac)^2 = 1; a itself is one
         ms = ord_ax[:, None]  # ord(ab), one row per b
-        ns = order_of[mul[np.ix_(invs, cs)]]  # ord(bc), b by c
+        bc = np.stack([table.right(c)[invs] for c in cs.tolist()], axis=1)  # b * c
+        ns = order_of[bc]  # ord(bc), b by c
         if types is None:
             keep = (ms >= 2) & (ms <= ns)
         else:
@@ -437,7 +440,7 @@ def involution_triples(g: PermGroup, types=None):
                 keep |= (ms == m) & (ns == n)
         for i, j in zip(*np.nonzero(keep)):  # row-major: b, then c ascending
             ib, ic = int(invs[i]), int(cs[j])
-            if table.closure([int(row_a[ib]), int(mul[ib, ic])]).sum() == n_all:
+            if table.closure([int(row_a[ib]), int(bc[i, j])]).sum() == n_all:
                 yield ia, ib, ic, int(ms[i, 0]), int(ns[i, j]), class_size
 
 
@@ -451,8 +454,10 @@ def classify_maps_for_group(g: PermGroup, cap: int = CENSUS_CAP, types=None):
     Because Aut(g) acts freely on generating triples, the class count is
     that total / |Aut(g)|; this is cross-checked by explicit
     orbit-representative extraction among the class-representative
-    triples, which every Aut-orbit meets.  The dual copy of a type with
-    m < n (its (n, m) triples) is not listed again.
+    triples, which every Aut-orbit meets: rep and cand share an orbit iff
+    rep -> cand extends to an automorphism (``ElementTable.extend_map``).
+    The dual copy of a type with m < n (its (n, m) triples) is not listed
+    again.
 
     ``types``, if given, restricts the census to those ordered types.
     """
@@ -479,14 +484,14 @@ def classify_maps_for_group(g: PermGroup, cap: int = CENSUS_CAP, types=None):
         return []
 
     first = next(iter(accepted.values()))[0]
-    aut_maps = table.automorphism_index_maps(list(first))
-    n_aut = len(aut_maps)
+    n_aut = len(table.automorphism_index_maps(list(first)))
+    extensions = {}  # rep -> (its BFS schedule, its right columns)
 
-    def same_orbit(t1, t2):
-        for f in aut_maps:
-            if (int(f[t1[0]]), int(f[t1[1]]), int(f[t1[2]])) == t2:
-                return True
-        return False
+    def same_orbit(rep, cand):
+        if rep not in extensions:
+            extensions[rep] = (table.bfs_schedule(rep), [table.right(i) for i in rep])
+        schedule, cols = extensions[rep]
+        return table.extend_map(schedule, cols, [table.right(i) for i in cand]) is not None
 
     elems = table.elems
     out = []

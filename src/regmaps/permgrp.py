@@ -11,9 +11,8 @@ Everything else works in the index space of one ``ElementTable`` per group
 list, a subgroup is a boolean mask over the indices, and conjugacy classes
 and cosets are orbit labels (the least index of each orbit).  Products
 with one fixed element are whole columns, ``right(i)`` and ``left(i)``,
-found by base-point lookups; the n x n multiplication table ``mul`` is
-filled only when a caller reads it (the involution-triple enumerator
-behind the census and ``find_triples``, and the automorphism search).
+found by base-point lookups; these columns are the only products the
+index space has, and no n x n table is ever stored.
 """
 
 from __future__ import annotations
@@ -659,9 +658,6 @@ def hom_from_generator_images(degree: int, gens, images):
     return mapping
 
 
-TABLE_BLOCK_CELLS = 1 << 14  # cells of ``mul`` filled per block; bounds temporaries
-
-
 def _base_lookups(arr):
     """A base for the rows of ``arr`` (n distinct permutations, one per row)
     and one lookup array per base point.
@@ -702,9 +698,10 @@ class ElementTable:
     Elements are sorted and indexed 0..n-1; ``inv[i]`` is the index of the
     inverse of elems[i] and ``order_of[i]`` its order.  ``right(i)`` and
     ``left(i)`` give the index of x * elems[i] and of elems[i] * x for every
-    x, and ``mul[i, j]`` is the index of elems[i] * elems[j], filled on
-    first access.  Subgroups, cosets, conjugacy classes, the census and
-    the automorphism search all run in this index space.
+    x; they are the only way to multiply, so the table holds O(n * degree)
+    entries and never an n x n product table.  Subgroups, cosets,
+    conjugacy classes, the census and the automorphism search all run in
+    this index space.
 
     Products are found from their images of a base (see ``_base_lookups``)
     by a chain of array lookups, never by comparing whole permutations.
@@ -779,17 +776,6 @@ class ElementTable:
         """Index of the product of the given elements, left to right."""
         return self.pos[reduce(pmul, (self.elems[i] for i in indices))]
 
-    @cached_property
-    def mul(self) -> np.ndarray:
-        """The n x n table ``mul[i, j]``, filled in blocks of rows."""
-        images, n = self._images, self.n
-        mul = np.empty((n, n), dtype=np.int32)
-        rows = max(1, TABLE_BLOCK_CELLS // n)
-        for lo in range(0, n, rows):
-            # elems[i] * elems[j] sends b to elems[j][elems[i][b]]
-            mul[lo:lo + rows] = self._lookup(images[images[self.base, lo:lo + rows]])
-        return mul
-
     def involution_indices(self):
         return [i for i in range(self.n) if self.order_of[i] == 2]
 
@@ -834,55 +820,58 @@ class ElementTable:
             raise ParameterError("tuple does not generate the group")
         return schedule
 
+    def extend_map(self, schedule, gen_cols, image_cols):
+        """The automorphism f sending generator s to image s, or None, from
+        ``bfs_schedule`` of the generators and the ``right`` columns of the
+        generators and images: f[x * g_s] = f[x] * img_s along the tree,
+        then checked for every x and s and for being onto: one O(n) pass
+        (Holt, Eick and O'Brien, 2005, sec. 4.6)."""
+        cols = [col.tolist() for col in image_cols]
+        f = [0] * self.n
+        f[self.identity_index] = self.identity_index
+        for dst, src, slot in schedule:
+            f[dst] = cols[slot][f[src]]
+        f = np.array(f, dtype=np.int32)
+        for gen, img in zip(gen_cols, image_cols):
+            if not np.array_equal(f[gen], img[f]):
+                return None
+        hit = np.zeros(self.n, dtype=bool)
+        hit[f] = True
+        return f if hit.all() else None
+
     def automorphism_index_maps(self, gen_indices):
-        """All automorphisms as index arrays f with f[x*y] = f[x]*f[y].
+        """All automorphisms as index arrays f with f[x*y] = f[x]*f[y], in
+        the lexicographic order of their generator images.
 
-        ``gen_indices`` must generate; candidate images are filtered by
-        element orders and pairwise product orders, then checked against
-        the whole multiplication table.
+        ``gen_indices`` must generate.  Candidate images are filtered by
+        element orders and by the orders of their products with the
+        images chosen before (read off ``left`` columns), then extended by
+        ``extend_map``.
         """
-        mul = self.mul
-        order_of = self.order_of
+        order_of, k = self.order_of, len(gen_indices)
         schedule = self.bfs_schedule(gen_indices)
-        k = len(gen_indices)
-        by_order = {}
-        for i in range(self.n):
-            by_order.setdefault(int(order_of[i]), []).append(i)
-        gen_orders = [int(order_of[i]) for i in gen_indices]
-        pair_orders = {}
-        for i in range(k):
-            for j in range(i + 1, k):
-                pair_orders[(i, j)] = int(order_of[mul[gen_indices[i], gen_indices[j]]])
-
-        ref_cols = [mul[:, gj] for gj in gen_indices]
+        gen_cols = [self.right(j) for j in gen_indices]
+        by_order = [np.flatnonzero(order_of == order_of[j]) for j in gen_indices]
+        # pair_orders[i][j] = ord(g_j * g_i) for j < i
+        pair_orders = [[order_of[self.product(gj, gi)] for gj in gen_indices[:i]]
+                       for i, gi in enumerate(gen_indices)]
         found = []
 
-        def check(images):
-            f = np.full(self.n, -1, dtype=np.int32)
-            f[self.identity_index] = self.identity_index
-            for dst, src, slot in schedule:
-                f[dst] = mul[f[src], images[slot]]
-            for slot in range(k):
-                if not np.array_equal(f[ref_cols[slot]], mul[f, images[slot]]):
-                    return
-            if np.unique(f).size == self.n:
-                found.append(f)
-
-        def extend(i, chosen):
+        def extend(i, lefts, rights):
             if i == k:
-                check(chosen)
+                f = self.extend_map(schedule, gen_cols, rights)
+                if f is not None:
+                    found.append(f)
                 return
-            want = gen_orders[i]
-            for cand in by_order.get(want, ()):
-                ok = True
-                for j in range(i):
-                    if int(order_of[mul[chosen[j], cand]]) != pair_orders[(j, i)]:
-                        ok = False
-                        break
-                if ok:
-                    extend(i + 1, chosen + [cand])
+            cands = by_order[i]
+            for left, want in zip(lefts, pair_orders[i]):
+                cands = cands[order_of[left[cands]] == want]
+            for cand in cands.tolist():
+                # a candidate's columns are computed once, where it is chosen
+                more = [self.left(cand)] if i + 1 < k else []
+                extend(i + 1, lefts + more, rights + [self.right(cand)])
 
-        extend(0, [])
+        extend(0, [], [])
         return found
 
 

@@ -7,24 +7,35 @@ import pytest
 
 from regmaps.constructors import build_h2, build_h3
 from regmaps.mapcore import classify_maps_for_group
-from regmaps.permgrp import count_automorphisms, element_table
+from regmaps.permgrp import count_automorphisms, element_table, pmul
 
 
 def brute_force_classes(g):
-    """(m, n) -> Aut-class count, from all triples with 2 <= m <= n."""
+    """(m, n) -> Aut-class count, from all triples with 2 <= m <= n.
+
+    Products of involutions come from pmul on the permutations, not from
+    the table's columns, so the oracle does not share the census's
+    product code."""
     table = element_table(g)
-    mul, order_of = table.mul, table.order_of
+    elems, order_of = table.elems, table.order_of
     invs = np.array(table.involution_indices(), dtype=np.intp)
+    # prod[i, j] = index of invs[i] * invs[j]
+    prod = np.array(
+        [[table.pos[pmul(elems[x], elems[y])] for y in invs.tolist()] for x in invs.tolist()],
+        dtype=np.intp,
+    )
     full = {}  # (ab, bc) -> <ab, bc> = G
     totals = {}
     first = None
-    for ia in invs:
-        cs = invs[order_of[mul[ia, invs]] <= 2]
-        ms = order_of[mul[ia, invs]][:, None]
-        ns = order_of[mul[np.ix_(invs, cs)]]
+    for a in range(len(invs)):
+        ia = invs[a]
+        ord_ax = order_of[prod[a]]
+        cs = np.flatnonzero(ord_ax <= 2)
+        ms = ord_ax[:, None]
+        ns = order_of[prod[:, cs]]
         for i, j in zip(*np.nonzero((ms >= 2) & (ms <= ns))):
-            ib, ic = int(invs[i]), int(cs[j])
-            key = (int(mul[ia, ib]), int(mul[ib, ic]))
+            ib, ic = int(invs[i]), int(invs[cs[j]])
+            key = (int(prod[a, i]), int(prod[i, cs[j]]))
             if key not in full:
                 full[key] = bool(table.closure(list(key)).all())
             if full[key]:

@@ -49,7 +49,7 @@ def test_family_rows(capsys):
 
 
 def test_tables(capsys):
-    code, rep = run_json(capsys, "tables", "--all")
+    code, rep = run_json(capsys, "tables")
     assert code == 0 and rep["pass"] and len(rep["items"]) == 18
 
 

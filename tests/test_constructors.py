@@ -323,6 +323,13 @@ def test_aut_he3():
     assert len(auts) == 432
 
 
+def test_split_kernel_budget_refuses_before_enumerating():
+    s7 = PermGroup(7, [(1, 2, 3, 4, 5, 6, 0), (1, 0, 2, 3, 4, 5, 6)])
+    with pytest.raises(ResourceError, match="split budget"):
+        search_split_actions(s7, make_dihedral(2))
+    assert s7._elements is None
+
+
 def test_split_he3_d4():
     he3 = build_heisenberg()
     d4 = make_dihedral(4)

@@ -1,11 +1,12 @@
 """ElementTable against the permutation oracles pmul, pinv and porder.
 
 The table is built from base-point lookups; these tests check every
-inverse and every order (before the multiplication table is filled), every
-product (or a seeded sample of them on the larger groups) and a seeded
-sample of right, left and conjugation columns against the plain tuple
-arithmetic, on relabelled PSL/PGL(2,q), a slice of the group zoo, the
-trivial group and a regular representation.  The negative tests tamper
+inverse and every order, every product (or a seeded sample of them on the
+larger groups) through whole ``right`` columns, and a seeded sample of
+right, left and conjugation columns against the plain tuple arithmetic,
+on relabelled PSL/PGL(2,q), a slice of the group zoo, the trivial group
+and a regular representation.  ``extend_map`` must rebuild inner
+automorphisms from their generator images.  The negative tests tamper
 with the element list.
 """
 
@@ -14,9 +15,15 @@ import random
 import numpy as np
 import pytest
 
-from regmaps.constructors import build_heisenberg, make_field, make_pgl2, regular_form
+from regmaps.constructors import (
+    build_heisenberg,
+    find_triples,
+    make_field,
+    make_pgl2,
+    regular_form,
+)
 from regmaps.errors import ContractError
-from regmaps.permgrp import ElementTable, PermGroup, pinv, pmul, porder
+from regmaps.permgrp import ElementTable, PermGroup, element_table, pinv, pmul, porder
 
 FULL_CHECK_MAX = 400
 SAMPLE_PAIRS = 10 ** 4
@@ -45,15 +52,20 @@ def check_table(g, seed=0):
     assert t.elems == elems and t.n == n
     assert t.pos == {e: i for i, e in enumerate(elems)}
     assert t.identity_index == t.pos[g.ident]
-    # inverses and orders come from base images, before mul is filled
+    # inverses and orders come from base images
     assert [int(x) for x in t.inv] == [t.pos[pinv(e)] for e in elems]
     assert [int(x) for x in t.order_of] == [porder(e) for e in elems]
-    assert "mul" not in vars(t)
+    for arr in (t.inv, t.order_of):
+        assert arr.dtype == np.int32
     rng = random.Random(seed)
+    # j -> the i whose product elems[i] * elems[j] is checked
     if n <= FULL_CHECK_MAX:
-        pairs = [(i, j) for i in range(n) for j in range(n)]
+        rows_by_column = {j: list(range(n)) for j in range(n)}
     else:
-        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(SAMPLE_PAIRS)]
+        rows_by_column = {}
+        for _ in range(SAMPLE_PAIRS):
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows_by_column.setdefault(j, []).append(i)
     columns = sorted(rng.sample(range(n), min(n, SAMPLE_COLUMNS)))
     for c in columns:
         x = elems[c]
@@ -61,11 +73,10 @@ def check_table(g, seed=0):
         assert t.right(c).tolist() == [t.pos[pmul(y, x)] for y in elems], c
         assert t.left(c).tolist() == [t.pos[pmul(x, y)] for y in elems], c
         assert t.conjugation(c).tolist() == [t.pos[pmul(pmul(xi, y), x)] for y in elems], c
-    assert t.mul.shape == (n, n)
-    for arr in (t.mul, t.inv, t.order_of):
-        assert arr.dtype == np.int32
-    for i, j in pairs:
-        assert t.mul[i, j] == t.pos[pmul(elems[i], elems[j])], (i, j)
+    for j, rows in rows_by_column.items():
+        x = elems[j]
+        got = t.right(j)[rows].tolist()
+        assert got == [t.pos[pmul(elems[i], x)] for i in rows], j
 
 
 def test_zoo_slice(group_zoo):
@@ -83,12 +94,31 @@ def test_trivial_group():
     g = PermGroup(3, [])
     check_table(g)
     t = ElementTable(g)
-    assert t.n == 1 and t.mul.tolist() == [[0]]
+    assert t.n == 1 and t.right(0).tolist() == [0]
 
 
 def test_regular_heisenberg():
     # the regular action is told apart by the image of a single point
     check_table(regular_form(build_heisenberg()))
+
+
+def _triple_indices(t, triple):
+    return [t.pos[x] for x in (triple.a, triple.b, triple.c)]
+
+
+@pytest.mark.parametrize("q, other", [(5, (5, 6)), (7, (3, 8))])
+def test_extend_map_rebuilds_inner_automorphisms(q, other):
+    g = _relabelled(_pgl(q, "pgl"), seed=q)
+    t = element_table(g)
+    gens = _triple_indices(t, find_triples(g, 4, 6, limit=1)[0])
+    schedule, gen_cols = t.bfs_schedule(gens), [t.right(j) for j in gens]
+    for x in random.Random(q).sample(range(t.n), 10):
+        conj = t.conjugation(x)
+        f = t.extend_map(schedule, gen_cols, [t.right(int(conj[j])) for j in gens])
+        assert f is not None and f.tolist() == conj.tolist(), x
+    # a triple of another type has the same element orders but is no image
+    images = _triple_indices(t, find_triples(g, *other, limit=1)[0])
+    assert t.extend_map(schedule, gen_cols, [t.right(i) for i in images]) is None
 
 
 def _tampered(g, k):

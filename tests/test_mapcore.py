@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from regmaps.constructors import build_h1, build_h2, find_triples
@@ -16,6 +17,7 @@ from regmaps.mapcore import (
 from regmaps.permgrp import (
     NormalSubgroupHandle,
     PermGroup,
+    count_automorphisms,
     odd_core,
     pmul,
 )
@@ -119,9 +121,25 @@ def test_structural_lemmas_e9_d4(e9_d4_triple):
     assert rep["sylow_cyclic_away_from_chi"].passed
 
 
+def _largest_table_attribute(g):
+    """Cells held by the largest attribute of g's element table (arrays by
+    size, lists and tuples by the cells of their items, dicts by length)."""
+
+    def cells(value):
+        if isinstance(value, np.ndarray):
+            return value.size
+        if isinstance(value, (list, tuple)):
+            return sum(cells(v) for v in value)
+        if isinstance(value, dict):
+            return len(value)
+        return 1
+
+    return max(cells(v) for v in vars(g._table).values())
+
+
 def test_structural_lemmas_leave_mul_unfilled():
-    # the lemmas run in the index space of the element table; the n x n
-    # multiplication table (10.8 MB for this group of order 1680) stays unfilled
+    # the lemmas run in the index space of the element table, which holds
+    # no n x n product table (10.8 MB for this group of order 1680)
     from regmaps.cli import resolve_group
 
     g, t = resolve_group("cell:pgl2:7:3:8,5")
@@ -129,7 +147,17 @@ def test_structural_lemmas_leave_mul_unfilled():
     rep = verify_structural_lemmas(t)
     assert rep.all_passed
     assert rep["sylow2_klein_or_dihedral"].detail == "dihedral"
-    assert "mul" not in vars(g._table)
+    assert _largest_table_attribute(g) < g.order() ** 2
+
+
+def test_census_and_automorphisms_store_no_square_table(pgl_groups):
+    # the triple enumerator and the automorphism search multiply through
+    # table columns only
+    g = pgl_groups["pgl7"]
+    t = find_triples(g, 3, 8, limit=1)[0]
+    assert classify_maps_for_group(g)
+    assert count_automorphisms(g, (t.a, t.b, t.c)) == 336
+    assert _largest_table_attribute(g) < g.order() ** 2
 
 
 def test_structural_lemmas_negative_control(pgl_groups):
