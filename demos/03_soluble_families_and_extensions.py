@@ -23,7 +23,7 @@ from regmaps.constructors import (
     find_triples,
     make_dihedral,
     search_module_actions,
-    search_split_actions,
+    split_action_classes,
 )
 from regmaps.permgrp import odd_core, sylow2_shape
 
@@ -42,8 +42,6 @@ for t, label in (
 d4 = make_dihedral(4)
 for spec in search_module_actions(d4, 3, 2):
     ext = build_module_extension(d4, spec)
-    if ext.order() != 72:
-        continue
     found = find_triples(ext, 6, 4, limit=1)
     if found:
         t = found[0]
@@ -55,14 +53,13 @@ for spec in search_module_actions(d4, 3, 2):
 
 # The Heisenberg group of order 27 admits D_4-actions whose extensions of
 # order 216 carry both a {4,6} map (chi = -9) and a pair of {6,12} maps
-# (chi = -27).
+# (chi = -27).  Conjugate actions give isomorphic extensions, so one action
+# per Aut(He3)-conjugacy class is tried: 11 of the 676 homomorphisms.
 he3 = build_heisenberg()
-reg, homs = search_split_actions(he3, d4)
+reg, homs = split_action_classes(he3, d4)
 seen = {}
 for hom in homs:
     ext = build_split_extension(reg, d4, hom)
-    if ext.order() != 216:
-        continue
     for mn in ((4, 6), (6, 12)):
         if mn not in seen:
             found = find_triples(ext, *mn, limit=1)

@@ -9,13 +9,15 @@ stretch a map's face size by ell, and the involution-triple search.
 GL_k(p) acts as the permutations it induces on the p^k vectors of F_p^k
 (vector codes, see ``_vec_index``), so module actions and automorphism
 actions are both found by one generator-image search over permutations;
-matrices appear only in ``ModuleExtensionSpec``.
+matrices appear only in ``ModuleExtensionSpec``.  Every extension takes one
+path: search the actions, keep one per conjugacy class (under GL_k(p) or
+Aut(V), one orbit helper), and build with ``build_split_extension``; a
+module extension is the split extension of the translations of F_p^k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import gcd, lcm, prod
 
 from .algebra import is_prime
@@ -52,6 +54,7 @@ __all__ = [
     "regular_form",
     "automorphism_perm_group",
     "search_split_actions",
+    "split_action_classes",
     "build_split_extension",
     "SemidirectSpec",
     "build_semidirect_cell",
@@ -141,6 +144,21 @@ def _is_irreducible(mod, p):
     return True
 
 
+def _vec_index(v, p):
+    code = 0
+    for x in reversed(v):
+        code = code * p + x
+    return code
+
+
+def _vec_of_index(code, k, p):
+    v = []
+    for _ in range(k):
+        v.append(code % p)
+        code //= p
+    return tuple(v)
+
+
 @dataclass(frozen=True)
 class FieldCtx:
     """GF(p^e) with elements as little-endian coefficient tuples of length e."""
@@ -155,21 +173,10 @@ class FieldCtx:
 
     def elements(self):
         """Canonical enumeration: element i has base-p digits of i."""
-        out = []
-        for i in range(self.q):
-            v, digs = i, []
-            for _ in range(self.e):
-                digs.append(v % self.p)
-                v //= self.p
-            out.append(tuple(digs))
-        return out
+        return [_vec_of_index(i, self.e, self.p) for i in range(self.q)]
 
     def from_int(self, i):
-        v, digs = i % self.p ** self.e, []
-        for _ in range(self.e):
-            digs.append(v % self.p)
-            v //= self.p
-        return tuple(digs)
+        return _vec_of_index(i % self.q, self.e, self.p)
 
     @property
     def zero(self):
@@ -188,33 +195,22 @@ class FieldCtx:
     def sub(self, a, b):
         return tuple((x - y) % self.p for x, y in zip(a, b))
 
+    def _pad(self, coeffs):
+        return tuple(coeffs + [0] * (self.e - len(coeffs)))
+
     def mul(self, a, b):
-        prod = _poly_mulmod(list(a), list(b), list(self.modulus), self.p)
-        return tuple(prod + [0] * (self.e - len(prod)))
+        return self._pad(_poly_mulmod(list(a), list(b), list(self.modulus), self.p))
+
+    def _pow(self, a, n):
+        return self._pad(_poly_powmod(list(a), n, list(self.modulus), self.p))
 
     def inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError("field inverse of zero")
-        # a^(q-2)
-        result, base, n = self.one, a, self.q - 2
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
+        return self._pow(a, self.q - 2)
 
     def is_square(self, a):
-        if a == self.zero:
-            return True
-        n = (self.q - 1) // 2
-        result, base = self.one, a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result == self.one
+        return a == self.zero or self._pow(a, (self.q - 1) // 2) == self.one
 
 
 def make_field(p: int, e: int) -> FieldCtx:
@@ -228,10 +224,7 @@ def make_field(p: int, e: int) -> FieldCtx:
     if e == 1:
         return FieldCtx(p, 1, (0, 1))
     for code in range(p ** e):
-        v, digs = code, []
-        for _ in range(e):
-            digs.append(v % p)
-            v //= p
+        digs = _vec_of_index(code, e, p)
         # digs, big-endian first: digs[0] multiplies x^(e-1), ..., digs[e-1] constant
         coeffs = list(reversed(digs)) + [1]  # little-endian with leading 1
         if _is_irreducible(coeffs, p):
@@ -484,21 +477,6 @@ class ModuleExtensionSpec:
                 raise ParameterError(f"matrix entries must be integers in [0, {self.p})")
 
 
-def _vec_index(v, p):
-    code = 0
-    for x in reversed(v):
-        code = code * p + x
-    return code
-
-
-def _vec_of_index(code, k, p):
-    v = []
-    for _ in range(k):
-        v.append(code % p)
-        code //= p
-    return tuple(v)
-
-
 def _mat_perm(m, p):
     """The map v -> v m on the p^k vector codes; a permutation exactly when
     m is invertible."""
@@ -561,80 +539,35 @@ def _primitive_root(p):
 def _action_homs(acting: PermGroup, targets):
     """The generator-image tuples from ``targets`` (permutations of one
     degree) that extend to homomorphisms from ``acting``, in the
-    lexicographic order of ``targets``.  An image's order must divide its
-    generator's order."""
+    lexicographic order of ``targets``.  Before the Cayley walk, an image's
+    order must divide its generator's order and, for i < j, the order of
+    img_i img_j must divide that of g_i g_j (the (rs)^2 relator of a
+    dihedral group)."""
+    gens = acting.generators
     orders = [porder(t) for t in targets]
-    candidates = [
-        [t for t, o in zip(targets, orders) if n % o == 0]
-        for n in map(porder, acting.generators)
-    ]
+    prefixes = [()]
+    for j, g in enumerate(gens):
+        n = porder(g)
+        bounds = [porder(pmul(x, g)) for x in gens[:j]]
+        candidates = [t for t, o in zip(targets, orders) if n % o == 0]
+        prefixes = [
+            pre + (t,)
+            for pre in prefixes
+            for t in candidates
+            if all(b % porder(pmul(x, t)) == 0 for b, x in zip(bounds, pre))
+        ]
     return [
         images
-        for images in product(*candidates)
-        if hom_from_generator_images(acting.degree, acting.generators, images) is not None
+        for images in prefixes
+        if hom_from_generator_images(acting.degree, gens, images) is not None
     ]
 
 
-def build_module_extension(acting, spec: ModuleExtensionSpec) -> PermGroup:
-    """The affine group V x| H on p^k + deg(H) points.
-
-    ``acting`` is a PermGroup or MapTriple whose generators act through
-    spec.matrices; the generator images must satisfy H's relations (checked
-    by extending to a homomorphism).  Generators of the result: the acting
-    generators (matrix action on V-points, original action on H's own
-    domain) plus one translation per basis vector.
-    """
-    if isinstance(acting, MapTriple):
-        h = PermGroup(
-            acting.group.degree,
-            [acting.a, acting.b, acting.c],
-            order=acting.group.order(),
-        )
-    else:
-        h = acting
-    k, p = spec.k, spec.p
-    if k == 0:
-        return h
-    if len(spec.matrices) != len(h.generators):
-        raise ParameterError("need one matrix per generator")
-    nv = p ** k
-    deg = nv + h.degree
-    if deg > CELL_DEGREE_CAP:
-        raise ResourceError(f"extension degree {deg} exceeds {CELL_DEGREE_CAP}")
-    actions = [_mat_perm(m, p) for m in spec.matrices]
-    if any(len(set(x)) != nv for x in actions):
-        raise ContractError("action matrix is singular")
-    if hom_from_generator_images(h.degree, h.generators, actions) is None:
-        raise ContractError("matrices do not satisfy the acting group's relations")
-    gens = [tuple(list(x) + [nv + i for i in gen]) for gen, x in zip(h.generators, actions)]
-    vectors = [_vec_of_index(i, k, p) for i in range(nv)]
-    for b in range(k):
-        e = tuple(1 if i == b else 0 for i in range(k))
-        imgs = [
-            _vec_index(tuple((v[i] + e[i]) % p for i in range(k)), p) for v in vectors
-        ]
-        gens.append(tuple(imgs + list(range(nv, deg))))
-    ext = PermGroup(deg, gens)
-    if ext.order() != nv * h.order():
-        raise ContractError("extension order mismatch")
-    return ext
-
-
-def search_module_actions(acting: PermGroup, p: int, k: int):
-    """All actions of `acting` on F_p^k, up to GL_k(p)-conjugacy.
-
-    GL_k(p) acts as permutations of the vector codes (``gl_group``).  The
-    generator-image tuples that extend to a homomorphism (candidates in the
-    code order of their matrices, pruned by element order) are split into
-    simultaneous-conjugacy orbits, and the first tuple of each orbit becomes
-    one ModuleExtensionSpec.  The trivial action is included.
-    """
-    if k == 0:
-        return [ModuleExtensionSpec(0, p, tuple(() for _ in acting.generators))]
-    gl = gl_group(k, p)
-    elems = sorted(gl.elements(), key=lambda x: sum(x[p ** i] * p ** (i * k) for i in range(k)))
-    homs = _action_homs(acting, elems)
-    conj = [(pinv(g), g) for g in gl.generators]
+def _conjugacy_representatives(homs, conjugators):
+    """The first tuple of each orbit of ``homs`` under simultaneous
+    conjugation by the group ``conjugators`` generate, in the order of
+    ``homs``; an orbit that leaves ``homs`` is a ContractError."""
+    conj = [(pinv(g), g) for g in conjugators]
     hom_set = set(homs)
     seen = set()
     reps = []
@@ -654,6 +587,62 @@ def search_module_actions(acting: PermGroup, p: int, k: int):
                     frontier.append(img)
         seen |= orbit
         reps.append(s)
+    return reps
+
+
+def build_module_extension(acting, spec: ModuleExtensionSpec) -> PermGroup:
+    """The affine group V x| H on p^k + deg(H) points: the split extension
+    (``build_split_extension``) of the translations of V = F_p^k on its
+    vector codes by H.
+
+    ``acting`` is a PermGroup or MapTriple whose generators act through
+    spec.matrices; the generator images must satisfy H's relations (checked
+    by extending to a homomorphism).
+    """
+    if isinstance(acting, MapTriple):
+        h = PermGroup(
+            acting.group.degree,
+            [acting.a, acting.b, acting.c],
+            order=acting.group.order(),
+        )
+    else:
+        h = acting
+    k, p = spec.k, spec.p
+    if k == 0:
+        return h
+    if len(spec.matrices) != len(h.generators):
+        raise ParameterError("need one matrix per generator")
+    nv = p ** k
+    if nv + h.degree > CELL_DEGREE_CAP:
+        raise ResourceError(f"extension degree {nv + h.degree} exceeds {CELL_DEGREE_CAP}")
+    actions = [_mat_perm(m, p) for m in spec.matrices]
+    if any(len(set(x)) != nv for x in actions):
+        raise ContractError("action matrix is singular")
+    if hom_from_generator_images(h.degree, h.generators, actions) is None:
+        raise ContractError("matrices do not satisfy the acting group's relations")
+    vectors = [_vec_of_index(c, k, p) for c in range(nv)]
+    shifts = [
+        [_vec_index(v[:b] + ((v[b] + 1) % p,) + v[b + 1:], p) for v in vectors]
+        for b in range(k)
+    ]
+    return build_split_extension(PermGroup(nv, shifts, order=nv), h, actions)
+
+
+def search_module_actions(acting: PermGroup, p: int, k: int):
+    """All actions of `acting` on F_p^k, up to GL_k(p)-conjugacy.
+
+    GL_k(p) acts as permutations of the vector codes (``gl_group``).  The
+    generator-image tuples that extend to a homomorphism (candidates in the
+    code order of their matrices, pruned by element orders) are split into
+    orbits under simultaneous conjugation by GL_k(p)'s generators, and the
+    first tuple of each orbit becomes one ModuleExtensionSpec.  The trivial
+    action is included.
+    """
+    if k == 0:
+        return [ModuleExtensionSpec(0, p, tuple(() for _ in acting.generators))]
+    gl = gl_group(k, p)
+    elems = sorted(gl.elements(), key=lambda x: sum(x[p ** i] * p ** (i * k) for i in range(k)))
+    reps = _conjugacy_representatives(_action_homs(acting, elems), gl.generators)
     return [ModuleExtensionSpec(k, p, tuple(_perm_mat(x, k, p) for x in s)) for s in reps]
 
 
@@ -686,9 +675,32 @@ def search_split_actions(v: PermGroup, d: PermGroup):
     return reg, _action_homs(d, auts)
 
 
+def split_action_classes(v: PermGroup, d: PermGroup):
+    """Like ``search_split_actions``, but one homomorphism d -> Aut(v) per
+    Aut(v)-conjugacy class, the first of each class in the search order.
+
+    Conjugating by an automorphism alpha of v maps the split extension of
+    phi onto that of alpha^-1 phi alpha, so one per class builds every
+    extension up to isomorphism.  The orbits are walked under a generating
+    set of Aut(v): its maps taken in order, each kept when it raises the
+    order of the group kept so far.
+    """
+    reg, auts = automorphism_perm_group(v)
+    gens, order = [], 1
+    for a in auts:
+        if order == len(auts):
+            break
+        grown = PermGroup(reg.degree, gens + [a]).order()
+        if grown > order:
+            gens.append(a)
+            order = grown
+    return reg, _conjugacy_representatives(_action_homs(d, auts), gens)
+
+
 def build_split_extension(v_regular: PermGroup, d: PermGroup, aut_images) -> PermGroup:
-    """V x| D on |V| + deg(D) points, V in its regular action and D acting
-    through automorphism permutations of V's points."""
+    """V x| D on |V| + deg(D) points, V acting regularly on its |V| points
+    and D acting on them through the permutations ``aut_images``, which
+    must normalize V.  The order |V| |D| is checked."""
     nv = v_regular.degree
     deg = nv + d.degree
     gens = []

@@ -8,7 +8,8 @@ the (4 + r^delta)/(2 r^alpha - 1) shapes), the congruence rows reproduce
 the residue classes governing when the stretched types have prime-power
 characteristic, and the corollary verifier rebuilds the complete d <= 4
 table, constructing every group that is within desk reach and checking
-the rest by exact numerology.
+the rest by exact numerology.  Extension rows only consume the candidates
+that ``constructors`` yields, one per conjugacy class of actions.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .constructors import (
     make_field,
     make_pgl2,
     search_module_actions,
-    search_split_actions,
+    split_action_classes,
 )
 from .permgrp import PermGroup
 
@@ -468,15 +469,15 @@ def search_c6_c7(r: int, alpha_max: int, delta_max: int):
 # integer coprime to cop; the hit set of exponents is an exact union of
 # residue classes.
 _CONG = {
-    # row: (base, add, den, cop, modulus, include, exclude_modulus, exclude)
-    "B3": (7, 8, 9, 3, 9, (1, 7), None, ()),        # exponent is d (ell = (7^(d-1)+8)/9)
-    "B4": (3, 8, 55, 5, 20, (11,), None, ()),
-    "B5": (3, 8, 77, 7, 210, tuple(j for j in range(210) if j % 30 == 21 and j % 210 != 141), None, ()),
+    # row: (base, add, den, cop, modulus, include)
+    "B3": (7, 8, 9, 3, 9, (1, 7)),        # exponent is d (ell = (7^(d-1)+8)/9)
+    "B4": (3, 8, 55, 5, 20, (11,)),
+    "B5": (3, 8, 77, 7, 210, tuple(j for j in range(210) if j % 30 == 21 and j % 210 != 141)),
     # B6: integrality of (3^j+4)/5 forces j = 0 mod 4 (the printed class
     # "4 mod 5" does not even meet its own exclusion class 16 mod 20)
-    "B6": (3, 4, 5, 30, 20, tuple(j for j in range(20) if j % 4 == 0 and j % 20 != 16), None, ()),
-    "B7": (3, 4, 25, 5, 100, tuple(j for j in range(100) if j % 20 == 16 and j % 100 != 36), None, ()),
-    "C7": (5, 4, 9, None, 18, (13,), None, ()),      # ell = 3 mod 6 instead of coprimality
+    "B6": (3, 4, 5, 30, 20, tuple(j for j in range(20) if j % 4 == 0 and j % 20 != 16)),
+    "B7": (3, 4, 25, 5, 100, tuple(j for j in range(100) if j % 20 == 16 and j % 100 != 36)),
+    "C7": (5, 4, 9, None, 18, (13,)),      # ell = 3 mod 6 instead of coprimality
 }
 
 CONGRUENCE_ROWS = tuple(_CONG)
@@ -491,7 +492,7 @@ def verify_congruence_row(row_id: str, window: int = 0):
     """
     if row_id not in _CONG:
         raise ParameterError(f"unknown congruence row {row_id!r}")
-    base, add, den, cop, modulus, include, _xm, _xr = _CONG[row_id]
+    base, add, den, cop, modulus, include = _CONG[row_id]
     width = max(window, 4 * modulus)
     exps = range(1, width + 1)
 
@@ -625,38 +626,32 @@ def _kernel_group(name: str) -> PermGroup:
     raise ParameterError(f"unknown kernel {name!r}")
 
 
-def _split_candidates(kernel_name: str, d_n: int, order: int):
-    v = _kernel_group(kernel_name)
+def _split_candidates(kernel_name: str, d_n: int):
     d = make_dihedral(d_n)
-    reg, homs = search_split_actions(v, d)
-    for hom in homs:
-        ext = build_split_extension(reg, d, hom)
-        if ext.order() == order:
-            yield ext
+    reg, homs = split_action_classes(_kernel_group(kernel_name), d)
+    return (build_split_extension(reg, d, hom) for hom in homs)
 
 
-def _product_split_candidates(order: int):
+def _product_split_candidates():
     """(C3 x He3) : D4 candidates: D4 acts separately on the C3 factor
-    (through a sign) and on He3 (through Aut(He3))."""
-    he3 = build_heisenberg()
+    (through a sign) and on He3 (through Aut(He3)).  Automorphisms of the
+    factors conjugate an action into an isomorphic extension, so one action
+    per class on each factor suffices."""
     d4 = make_dihedral(4)
-    c3 = PermGroup(3, [(1, 2, 0)])
-    reg_he3, homs_he3 = search_split_actions(he3, d4)
-    reg_c3, homs_c3 = search_split_actions(c3, d4)
+    reg_c3, homs_c3 = split_action_classes(PermGroup(3, [(1, 2, 0)]), d4)
+    reg_he3, homs_he3 = split_action_classes(build_heisenberg(), d4)
     nv = 3 + reg_he3.degree
+    vgens = [tuple(list(g) + list(range(3, nv))) for g in reg_c3.generators]
+    vgens += [tuple(list(range(3)) + [3 + g[i] for i in range(reg_he3.degree)])
+              for g in reg_he3.generators]
+    v = PermGroup(nv, vgens, order=81)
     for hc in homs_c3:
         for hh in homs_he3:
-            vgens = [tuple(list(g) + list(range(3, nv))) for g in reg_c3.generators]
-            vgens += [tuple(list(range(3)) + [3 + g[i] for i in range(reg_he3.degree)])
-                      for g in reg_he3.generators]
-            v = PermGroup(nv, vgens, order=81)
             auts = [
                 tuple(list(a3) + [3 + ah[i] for i in range(reg_he3.degree)])
                 for a3, ah in zip(hc, hh)
             ]
-            ext = build_split_extension(v, d4, auts)
-            if ext.order() == order:
-                yield ext
+            yield build_split_extension(v, d4, auts)
 
 
 def verify_corollary_table(census_counts: bool = True):
@@ -665,7 +660,10 @@ def verify_corollary_table(census_counts: bool = True):
     Constructible rows are built (PSL/PGL groups, module extensions, split
     extensions over He3/C3wrC3/C3xHe3) and their type, chi, order and --
     where the census names several maps -- the Aut-class count are checked.
-    The remaining rows are checked by exact numerology and marked so.
+    An extension row tries one candidate per conjugacy class of actions
+    (``search_module_actions``, ``split_action_classes``), built lazily,
+    and stops at the first that carries the row.  The remaining rows are
+    checked by exact numerology and marked so.
     """
     results = []
     built_cache = {}
@@ -700,15 +698,12 @@ def verify_corollary_table(census_counts: bool = True):
             elif row.builder == "modext":
                 d_n, p, k = row.args
                 d = make_dihedral(d_n)
-                candidates = []
-                for sp in search_module_actions(d, p, k):
-                    ext = build_module_extension(d, sp)
-                    if ext.order() == row.order:
-                        candidates.append(ext)
+                specs = search_module_actions(d, p, k)
+                candidates = (build_module_extension(d, sp) for sp in specs)
             elif row.builder == "split":
-                candidates = list(_split_candidates(row.args[0], row.args[1], row.order))
+                candidates = _split_candidates(*row.args)
             elif row.builder == "product_split":
-                candidates = list(_product_split_candidates(row.order))
+                candidates = _product_split_candidates()
             else:
                 raise ParameterError(f"unknown builder {row.builder!r}")
 

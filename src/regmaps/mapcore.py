@@ -226,19 +226,18 @@ class QuotientData:
     n_1: int
 
 
-def quotient_data(t: MapTriple, n: NormalSubgroupHandle) -> QuotientData:
-    g = t.group
-    o = odd_core(g)
-    if o.is_trivial():
-        m_bar, n_bar = t.m, t.n
-    else:
-        qo = quotient_group(g, o)
-        m_bar, n_bar = porder(qo.project(t.ab)), porder(qo.project(t.bc))
+def _quotient_orders(t: MapTriple, n: NormalSubgroupHandle):
+    """(G/N, the order of ab in it, the order of bc in it); G itself when
+    N is trivial."""
     if n.is_trivial():
-        m_star, n_star = t.m, t.n
-    else:
-        qn = quotient_group(g, n)
-        m_star, n_star = porder(qn.project(t.ab)), porder(qn.project(t.bc))
+        return t.group, t.m, t.n
+    q = quotient_group(t.group, n)
+    return q, porder(q.project(t.ab)), porder(q.project(t.bc))
+
+
+def quotient_data(t: MapTriple, n: NormalSubgroupHandle) -> QuotientData:
+    _, m_bar, n_bar = _quotient_orders(t, odd_core(t.group))
+    _, m_star, n_star = _quotient_orders(t, n)
     for name, big, small in (
         ("m_bar", t.m, m_bar),
         ("n_bar", t.n, n_bar),
@@ -334,13 +333,8 @@ def verify_structural_lemmas(t: MapTriple, chi_override: int | None = None) -> S
         f"non-cyclic Sylow at {bad}" if bad else "",
     )
 
-    o = odd_core(g)
-    if o.is_trivial():
-        gbar_order, m_bar, n_bar = order, t.m, t.n
-    else:
-        qo = quotient_group(g, o)
-        gbar_order = qo.order()
-        m_bar, n_bar = porder(qo.project(t.ab)), porder(qo.project(t.bc))
+    gbar, m_bar, n_bar = _quotient_orders(t, odd_core(g))
+    gbar_order = gbar.order()
 
     cond3 = p_part(gbar_order, 2) > 2 * p_part(m_bar, 2) * p_part(n_bar, 2)
     ok3 = (p_part(order, 2) == 4 and t.m % 2 == 1 and t.n % 2 == 1) if cond3 else True
@@ -366,12 +360,10 @@ def verify_structural_lemmas(t: MapTriple, chi_override: int | None = None) -> S
         )
 
     if g.is_soluble():
-        q = g if o.is_trivial() else quotient_group(g, o)
-        qord = q.order()
-        if qord & (qord - 1) == 0:
-            report.add("soluble_quotient", True, True, f"2-group of order {qord}")
-        elif qord == 24:
-            profile = q.element_orders()
+        if gbar_order & (gbar_order - 1) == 0:
+            report.add("soluble_quotient", True, True, f"2-group of order {gbar_order}")
+        elif gbar_order == 24:
+            profile = gbar.element_orders()
             report.add(
                 "soluble_quotient",
                 True,
@@ -379,7 +371,7 @@ def verify_structural_lemmas(t: MapTriple, chi_override: int | None = None) -> S
                 f"order 24, profile {profile}",
             )
         else:
-            report.add("soluble_quotient", True, False, f"|G/O| = {qord}")
+            report.add("soluble_quotient", True, False, f"|G/O| = {gbar_order}")
     else:
         report.add("soluble_quotient", False, True, "group is insoluble")
     return report

@@ -23,10 +23,11 @@ from regmaps.constructors import (
     psl2_membership,
     search_module_actions,
     search_split_actions,
+    split_action_classes,
 )
 from regmaps.errors import ContractError, ParameterError, ResourceError
 from regmaps.mapcore import verify_star_group
-from regmaps.permgrp import PermGroup, normal_closure, pmul, porder
+from regmaps.permgrp import PermGroup, hom_from_generator_images, normal_closure, pmul, pinv, porder
 
 
 # -- fields -----------------------------------------------------------------
@@ -266,6 +267,35 @@ def test_module_actions_vs_brute_force(n, p, k):
     assert len(covered) == len(set(covered)) and set(covered) == homs
 
 
+def _old_module_extension(h, spec):
+    """The module extension as it was assembled by hand: the matrix actions
+    on the vector points beside H's own action, then one translation per
+    basis vector."""
+    k, p = spec.k, spec.p
+    nv = p ** k
+    vecs = [tuple(c // p ** i % p for i in range(k)) for c in range(nv)]
+    code = {v: c for c, v in enumerate(vecs)}
+
+    def act(m):
+        return [
+            code[tuple(sum(v[i] * m[i][j] for i in range(k)) % p for j in range(k))] for v in vecs
+        ]
+
+    gens = [tuple(act(m) + [nv + i for i in g]) for g, m in zip(h.generators, spec.matrices)]
+    for b in range(k):
+        shift = [code[tuple((x + (i == b)) % p for i, x in enumerate(v))] for v in vecs]
+        gens.append(tuple(shift + list(range(nv, nv + h.degree))))
+    return PermGroup(nv + h.degree, gens)
+
+
+@pytest.mark.parametrize("n,p,k", [(4, 3, 2), (2, 3, 2), (10, 3, 2), (1, 3, 3)])
+def test_module_extension_is_the_old_assembly(n, p, k):
+    d = make_dihedral(n)
+    for spec in search_module_actions(d, p, k):
+        ext = build_module_extension(d, spec)
+        assert ext.elements() == _old_module_extension(d, spec).elements()
+
+
 def test_module_spec_validation():
     with pytest.raises(ParameterError):
         ModuleExtensionSpec(1, 4, (((2,),),))
@@ -328,6 +358,67 @@ def test_split_kernel_budget_refuses_before_enumerating():
     with pytest.raises(ResourceError, match="split budget"):
         search_split_actions(s7, make_dihedral(2))
     assert s7._elements is None
+
+
+def _automorphisms(v):
+    """Every automorphism of v as a permutation of its sorted elements:
+    each choice of generator images of the same orders, extended along the
+    Cayley graph, kept when it is well defined and bijective."""
+    elems = sorted(v.elements())
+    pos = {x: i for i, x in enumerate(elems)}
+    choices = [[y for y in elems if porder(y) == porder(g)] for g in v.generators]
+    out = []
+    for images in product(*choices):
+        phi, frontier, consistent = {v.ident: v.ident}, [v.ident], True
+        while frontier and consistent:
+            x = frontier.pop()
+            for g, img in zip(v.generators, images):
+                y, fy = pmul(x, g), pmul(phi[x], img)
+                if y not in phi:
+                    phi[y] = fy
+                    frontier.append(y)
+                elif phi[y] != fy:
+                    consistent = False
+        if consistent and len(set(phi.values())) == len(elems):
+            out.append(tuple(pos[phi[x]] for x in elems))
+    return out
+
+
+_KERNELS = {
+    "he3": build_heisenberg,
+    "wr3": build_wreath_c3,
+    "c3": lambda: PermGroup(3, [(1, 2, 0)]),
+}
+
+
+@pytest.mark.parametrize(
+    "kernel,n,classes",
+    [("he3", 4, 11), ("he3", 2, 10), ("he3", 10, 10), ("wr3", 2, 16), ("c3", 4, 4)],
+)
+def test_split_action_classes_vs_brute_force(kernel, n, classes):
+    v, d = _KERNELS[kernel](), make_dihedral(n)
+    conj = [(pinv(a), a) for a in _automorphisms(v)]
+    _reg, reps = split_action_classes(v, d)
+    covered = []
+    for rep in reps:
+        covered += {tuple(pmul(pmul(ainv, x), a) for x in rep) for ainv, a in conj}
+    # the orbits are disjoint and together hold every homomorphism
+    assert len(reps) == classes
+    assert len(covered) == len(set(covered))
+    assert set(covered) == set(search_split_actions(v, d)[1])
+
+
+def test_split_action_pruning_keeps_every_hom():
+    he3, d4 = build_heisenberg(), make_dihedral(4)
+    _reg, auts = automorphism_perm_group(he3)
+    candidates = [[x for x in auts if porder(g) % porder(x) == 0] for g in d4.generators]
+    unpruned = [
+        images
+        for images in product(*candidates)
+        if hom_from_generator_images(d4.degree, d4.generators, images) is not None
+    ]
+    assert len(unpruned) == 676
+    assert search_split_actions(he3, d4)[1] == unpruned
 
 
 def test_split_he3_d4():
