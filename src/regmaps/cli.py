@@ -164,7 +164,7 @@ def emit(report: dict, fmt: str, stream=None) -> None:
         stream.write(f"pass: {report['pass']}\n")
 
 
-def _report(command, config, items, passed, t0):
+def _report(command, config, items, passed):
     return {
         "schema": 1,
         "version": __version__,
@@ -172,7 +172,6 @@ def _report(command, config, items, passed, t0):
         "config": config,
         "items": items,
         "pass": bool(passed),
-        "seconds": round(time.time() - t0, 3),
     }
 
 
@@ -181,18 +180,16 @@ def _report(command, config, items, passed, t0):
 
 
 def cmd_verify(args):
-    t0 = time.time()
     g, triple = resolve_group(args.group)
     if args.type:
         m, n = map(int, args.type.split(","))
         found = find_triples(g, m, n, limit=4)
-        if not len(found):
+        if not found:
             return _report(
                 "verify",
                 {"group": args.group, "type": args.type},
                 [{"error": f"no (2,{m},{n})*-triple found" , "pass": False}],
                 False,
-                t0,
             )
         triple = found[0]
     if triple is None:
@@ -216,11 +213,10 @@ def cmd_verify(args):
                 }
             )
     passed = all(it.get("pass", True) for it in items)
-    return _report("verify", {"group": args.group, "type": args.type}, items, passed, t0)
+    return _report("verify", {"group": args.group, "type": args.type}, items, passed)
 
 
 def cmd_census(args):
-    t0 = time.time()
     g, _ = resolve_group(args.group)
     classes = classify_maps_for_group(g, cap=args.budget)
     items = []
@@ -243,12 +239,10 @@ def cmd_census(args):
         {"group": args.group, "budget": args.budget, "hyperbolic": args.hyperbolic},
         items,
         True,
-        t0,
     )
 
 
 def cmd_family(args):
-    t0 = time.time()
     row = args.row.upper()
     items = []
     passed = True
@@ -285,13 +279,10 @@ def cmd_family(args):
         {"row": row, "max": args.max, "r": args.r, "d": args.d},
         items,
         passed,
-        t0,
     )
 
 
 def cmd_tables(args):
-    t0 = time.time()
-
     def check(row):
         try:
             neg = row_chi(row)
@@ -302,11 +293,10 @@ def cmd_tables(args):
 
     items = [check(row) for row in minimal_rows()]
     passed = all(it["pass"] for it in items)
-    return _report("tables", {}, items, passed, t0)
+    return _report("tables", {}, items, passed)
 
 
 def cmd_corollary(args):
-    t0 = time.time()
     results = verify_corollary_table(census_counts=not args.no_counts)
     passed = all(r["ok"] for r in results)
     items = [
@@ -324,22 +314,20 @@ def cmd_corollary(args):
         }
         for r in results
     ]
-    return _report("corollary", {"counts": not args.no_counts}, items, passed, t0)
+    return _report("corollary", {"counts": not args.no_counts}, items, passed)
 
 
 def cmd_cover_rank(args):
-    t0 = time.time()
     g, triple = resolve_group(args.group)
     m, n = map(int, args.type.split(","))
     if triple is None or (triple.m, triple.n) != (m, n):
         found = find_triples(g, m, n, limit=2)
-        if not len(found):
+        if not found:
             return _report(
                 "cover-rank",
                 {"group": args.group, "type": args.type, "r": args.r},
                 [{"error": "no such triple", "pass": False}],
                 False,
-                t0,
             )
         triple = found[0]
     pres = kernel_presentation(branched_target(triple, args.r))
@@ -355,12 +343,11 @@ def cmd_cover_rank(args):
         }
     ]
     return _report(
-        "cover-rank", {"group": args.group, "type": args.type, "r": args.r}, items, ok, t0
+        "cover-rank", {"group": args.group, "type": args.type, "r": args.r}, items, ok
     )
 
 
 def cmd_snf(args):
-    t0 = time.time()
     with open(args.matrix) as fh:
         m = IntMatrix.from_text(fh.read())
     res = smith_normal_form(m)
@@ -374,14 +361,13 @@ def cmd_snf(args):
             "pass": True,
         }
     ]
-    return _report("snf", {"matrix": args.matrix}, items, True, t0)
+    return _report("snf", {"matrix": args.matrix}, items, True)
 
 
 def cmd_scan_pgl(args):
-    t0 = time.time()
     hits = scan_pgl_cases(args.bound)
     items = [{"q": q, "m": mn[0], "n": mn[1], "r": r, "d": d} for q, mn, r, d in hits]
-    return _report("scan-pgl", {"bound": args.bound}, items, True, t0)
+    return _report("scan-pgl", {"bound": args.bound}, items, True)
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +428,7 @@ def build_parser():
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    t0 = time.time()
     try:
         report = args.fn(args)
     except RegmapsError as exc:
@@ -450,6 +437,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report["seconds"] = round(time.time() - t0, 3)
     emit(report, args.format)
     return 0 if report["pass"] else 1
 

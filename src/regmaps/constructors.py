@@ -59,7 +59,6 @@ __all__ = [
     "SemidirectSpec",
     "build_semidirect_cell",
     "find_triples",
-    "TripleSearch",
 ]
 
 FIND_TRIPLES_CAP = 50_000
@@ -215,17 +214,19 @@ class FieldCtx:
 
 def make_field(p: int, e: int) -> FieldCtx:
     """GF(p^e) with the lexicographically least monic irreducible modulus
-    (coefficients compared from the x^(e-1) coefficient down to the
-    constant term)."""
+    (coefficients compared from the constant term up to the x^(e-1)
+    coefficient, so make_field(5, 2) has modulus x^2 + x + 1)."""
     if not is_prime(p) or p == 2 or p > 97:
         raise ParameterError(f"need an odd prime p <= 97, got {p}")
     if not 1 <= e <= 4:
         raise ParameterError(f"need 1 <= e <= 4, got {e}")
     if e == 1:
         return FieldCtx(p, 1, (0, 1))
-    for code in range(p ** e):
+    # the constant term is the top digit of code: codes below p^(e-1) have
+    # constant term 0 and are divisible by x
+    for code in range(p ** (e - 1), p ** e):
         digs = _vec_of_index(code, e, p)
-        # digs, big-endian first: digs[0] multiplies x^(e-1), ..., digs[e-1] constant
+        # digs[0] multiplies x^(e-1), ..., digs[e-1] is the constant term
         coeffs = list(reversed(digs)) + [1]  # little-endian with leading 1
         if _is_irreducible(coeffs, p):
             return FieldCtx(p, e, tuple(coeffs))
@@ -827,38 +828,23 @@ def build_semidirect_cell(spec: SemidirectSpec) -> MapTriple:
 # involution-triple search
 
 
-@dataclass
-class TripleSearch:
-    """Result of find_triples: the triples plus an exhaustiveness flag."""
-
-    triples: list
-    exhaustive: bool
-
-    def __iter__(self):
-        return iter(self.triples)
-
-    def __len__(self):
-        return len(self.triples)
-
-    def __getitem__(self, i):
-        return self.triples[i]
-
-
-def find_triples(g: PermGroup, m: int, n: int, limit: int = 16, cap: int = FIND_TRIPLES_CAP) -> TripleSearch:
+def find_triples(g: PermGroup, m: int, n: int, limit: int = 16) -> list:
     """Up to ``limit`` verified (2,m,n)*-triples in g.
 
     The triples come from mapcore.involution_triples: a ranges over
     involution conjugacy-class representatives (sufficient for existence
-    up to conjugacy), then b and c in ascending order.  An empty result
-    with exhaustive=True is a definitive nonexistence certificate.
+    up to conjugacy), then b and c in ascending order.  Fewer than
+    ``limit`` triples means the search was exhaustive, so an empty list is
+    a definitive nonexistence certificate.  Groups of order above
+    FIND_TRIPLES_CAP are refused before any enumeration.
     """
     order = g.order()
-    if order > cap:
-        raise ResourceError(f"find_triples budget is {cap}, group has order {order}")
+    if order > FIND_TRIPLES_CAP:
+        raise ResourceError(f"find_triples budget is {FIND_TRIPLES_CAP}, group has order {order}")
     elems = element_table(g).elems
     out = []
     for ia, ib, ic, *_ in involution_triples(g, {(m, n)}):
         out.append(verify_star_group(g, elems[ia], elems[ib], elems[ic]))
         if len(out) >= limit:
-            return TripleSearch(out, False)
-    return TripleSearch(out, True)
+            break
+    return out

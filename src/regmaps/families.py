@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, lcm
+from typing import Callable, NamedTuple
 
 import sympy
 
@@ -81,16 +82,14 @@ class FamilyRow:
         return _ROW_EVALUATORS[self.id].order(self.params)
 
 
-class _Row:
-    def __init__(self, type_pair, order, neg_chi, validate=None):
-        self.type_pair = type_pair
-        self.order = order
-        self.neg_chi = neg_chi
-        self._validate = validate
+class _Row(NamedTuple):
+    """Closed forms of one family row, each a function of the parameters;
+    ``validate`` raises ParameterError on parameters outside the row."""
 
-    def validate(self, p):
-        if self._validate:
-            self._validate(p)
+    type_pair: Callable
+    order: Callable
+    neg_chi: Callable
+    validate: Callable
 
 
 def _need(p, *names):
@@ -362,7 +361,7 @@ def search_c1_c2(max_i: int):
     return out
 
 
-def search_c3(r: int, d: int, j_max: int | None = None):
+def search_c3(r: int, d: int):
     """All factorizations r^d + 1 = (j-1)(k-1) with j, k odd coprime,
     3 <= j <= k."""
     if not is_prime(r) or r % 4 != 3:
@@ -379,8 +378,6 @@ def search_c3(r: int, d: int, j_max: int | None = None):
         if j < 3 or j % 2 == 0 or k % 2 == 0:
             continue
         if gcd(j, k) != 1:
-            continue
-        if j_max is not None and j > j_max:
             continue
         out.append((j, k))
     return out
@@ -573,6 +570,10 @@ def scan_pgl_cases(q_bound: int):
 
 @dataclass(frozen=True)
 class CorollaryRow:
+    """One row of the d <= 4 table.  ``candidates`` returns the groups that
+    may carry the row, built lazily; it is None for a row checked by
+    numerology only."""
+
     family: str
     group_label: str
     mn: tuple
@@ -580,56 +581,28 @@ class CorollaryRow:
     order: int
     census: str | None
     n_classes: int | None  # expected class count where the census names several maps
-    builder: str | None    # None: numerology only
-    args: tuple = ()
+    candidates: Callable | None
 
 
-COROLLARY_ROWS = (
-    CorollaryRow("A1", "PSL(2,5)", (5, 5), 3, 60, "N5.3", 1, "psl", (5,)),
-    CorollaryRow("A3", "PSL(2,13)", (3, 13), 49, 1092, "N51.1", 1, "psl", (13,)),
-    CorollaryRow("A4", "PSL(2,13)", (3, 7), 13, 1092, "N15.1", 1, "psl", (13,)),
-    CorollaryRow("A4", "E_13^3 . PSL(2,13)", (3, 7), 13 ** 4, 13 ** 3 * 1092, None, None, None),
-    CorollaryRow("B6", "PGL(2,5)", (4, 5), 3, 120, "N5.1", 1, "pgl", (5,)),
-    CorollaryRow("B1", "PGL(2,5)", (4, 6), 5, 120, "N7.1", 1, "pgl", (5,)),
-    CorollaryRow("B3", "PGL(2,7)", (3, 8), 7, 336, "N9.1,2", 2, "pgl", (7,)),
-    CorollaryRow("B1", "E_5^3 . PGL(2,5)", (4, 6), 5 ** 4, 5 ** 3 * 120, None, None, None),
-    CorollaryRow("B3", "E_7^3 . PGL(2,7)", (3, 8), 7 ** 4, 7 ** 3 * 336, None, None, None),
-    CorollaryRow("C1", "E_3^2 : D4", (4, 6), 3, 72, "N5.2", 1, "modext", (4, 3, 2)),
-    CorollaryRow("C1,2,4", "E_3^2 : D2", (6, 6), 3, 36, "N5.4", 1, "modext", (2, 3, 2)),
-    CorollaryRow("C1", "He3 : D4", (4, 6), 9, 216, "N11.1", 1, "split", ("he3", 4)),
-    CorollaryRow("C1,2,4", "He3 : D2", (6, 6), 9, 108, "N11.2", 1, "split", ("he3", 2)),
-    CorollaryRow("C6", "E_3^3 . (D2 : D3)", (3, 12), 27, 648, "N29.1", None, None),
-    CorollaryRow("C1,2,4", "(C3 wr C3) : D2", (6, 6), 27, 324, "N29.2", 1, "split", ("wr3", 2)),
-    CorollaryRow("C1,2", "E_3^3 : D4", (6, 12), 27, 216, "N29.3", 1, "modext", (4, 3, 3)),
-    CorollaryRow("C2", "He3 : D4", (6, 12), 27, 216, "N29.4,5", 2, "split", ("he3", 4)),
-    CorollaryRow("C1,2,4", "E_3^2 : D10", (6, 30), 27, 180, "N29.6", 1, "modext", (10, 3, 2)),
-    CorollaryRow("C1", "(E_3^2 . He3) : D4", (4, 6), 81, 1944, "N83.1", None, None),
-    CorollaryRow("C1,2,4", "(E_3^2 . He3) : D2", (6, 6), 81, 972, "N83.2", None, None),
-    CorollaryRow("C1,2", "(C3 x He3) : D4", (6, 12), 81, 648, "N83.3", 1, "product_split", ()),
-    CorollaryRow("C1,2,4", "He3 : D10", (6, 30), 81, 540, "N83.4", 1, "split", ("he3", 10)),
-)
+def _pgl2(q: int, kind: str):
+    return lambda: [make_pgl2(make_field(q, 1), kind)]
 
 
-def _numerology_ok(row: CorollaryRow) -> bool:
-    m, n = row.mn
-    if -euler_characteristic(row.order, m, n) != row.neg_chi:
-        return False
-    # the same identity solved for the order
-    return row.order * (m * n - 2 * m - 2 * n) == 4 * m * n * row.neg_chi
+def _modext(d_n: int, p: int, k: int):
+    def candidates():
+        d = make_dihedral(d_n)
+        return (build_module_extension(d, sp) for sp in search_module_actions(d, p, k))
+
+    return candidates
 
 
-def _kernel_group(name: str) -> PermGroup:
-    if name == "he3":
-        return build_heisenberg()
-    if name == "wr3":
-        return build_wreath_c3()
-    raise ParameterError(f"unknown kernel {name!r}")
+def _split(build_kernel, d_n: int):
+    def candidates():
+        d = make_dihedral(d_n)
+        reg, homs = split_action_classes(build_kernel(), d)
+        return (build_split_extension(reg, d, hom) for hom in homs)
 
-
-def _split_candidates(kernel_name: str, d_n: int):
-    d = make_dihedral(d_n)
-    reg, homs = split_action_classes(_kernel_group(kernel_name), d)
-    return (build_split_extension(reg, d, hom) for hom in homs)
+    return candidates
 
 
 def _product_split_candidates():
@@ -654,19 +627,54 @@ def _product_split_candidates():
             yield build_split_extension(v, d4, auts)
 
 
+COROLLARY_ROWS = (
+    CorollaryRow("A1", "PSL(2,5)", (5, 5), 3, 60, "N5.3", 1, _pgl2(5, "psl")),
+    CorollaryRow("A3", "PSL(2,13)", (3, 13), 49, 1092, "N51.1", 1, _pgl2(13, "psl")),
+    CorollaryRow("A4", "PSL(2,13)", (3, 7), 13, 1092, "N15.1", 1, _pgl2(13, "psl")),
+    CorollaryRow("A4", "E_13^3 . PSL(2,13)", (3, 7), 13 ** 4, 13 ** 3 * 1092, None, None, None),
+    CorollaryRow("B6", "PGL(2,5)", (4, 5), 3, 120, "N5.1", 1, _pgl2(5, "pgl")),
+    CorollaryRow("B1", "PGL(2,5)", (4, 6), 5, 120, "N7.1", 1, _pgl2(5, "pgl")),
+    CorollaryRow("B3", "PGL(2,7)", (3, 8), 7, 336, "N9.1,2", 2, _pgl2(7, "pgl")),
+    CorollaryRow("B1", "E_5^3 . PGL(2,5)", (4, 6), 5 ** 4, 5 ** 3 * 120, None, None, None),
+    CorollaryRow("B3", "E_7^3 . PGL(2,7)", (3, 8), 7 ** 4, 7 ** 3 * 336, None, None, None),
+    CorollaryRow("C1", "E_3^2 : D4", (4, 6), 3, 72, "N5.2", 1, _modext(4, 3, 2)),
+    CorollaryRow("C1,2,4", "E_3^2 : D2", (6, 6), 3, 36, "N5.4", 1, _modext(2, 3, 2)),
+    CorollaryRow("C1", "He3 : D4", (4, 6), 9, 216, "N11.1", 1, _split(build_heisenberg, 4)),
+    CorollaryRow("C1,2,4", "He3 : D2", (6, 6), 9, 108, "N11.2", 1, _split(build_heisenberg, 2)),
+    CorollaryRow("C6", "E_3^3 . (D2 : D3)", (3, 12), 27, 648, "N29.1", None, None),
+    CorollaryRow("C1,2,4", "(C3 wr C3) : D2", (6, 6), 27, 324, "N29.2", 1, _split(build_wreath_c3, 2)),
+    CorollaryRow("C1,2", "E_3^3 : D4", (6, 12), 27, 216, "N29.3", 1, _modext(4, 3, 3)),
+    CorollaryRow("C2", "He3 : D4", (6, 12), 27, 216, "N29.4,5", 2, _split(build_heisenberg, 4)),
+    CorollaryRow("C1,2,4", "E_3^2 : D10", (6, 30), 27, 180, "N29.6", 1, _modext(10, 3, 2)),
+    CorollaryRow("C1", "(E_3^2 . He3) : D4", (4, 6), 81, 1944, "N83.1", None, None),
+    CorollaryRow("C1,2,4", "(E_3^2 . He3) : D2", (6, 6), 81, 972, "N83.2", None, None),
+    CorollaryRow("C1,2", "(C3 x He3) : D4", (6, 12), 81, 648, "N83.3", 1, _product_split_candidates),
+    CorollaryRow("C1,2,4", "He3 : D10", (6, 30), 81, 540, "N83.4", 1, _split(build_heisenberg, 10)),
+)
+
+
+def _numerology_ok(row: CorollaryRow) -> bool:
+    m, n = row.mn
+    if -euler_characteristic(row.order, m, n) != row.neg_chi:
+        return False
+    # the same identity solved for the order
+    return row.order * (m * n - 2 * m - 2 * n) == 4 * m * n * row.neg_chi
+
+
 def verify_corollary_table(census_counts: bool = True):
     """Verify all 22 rows of the d <= 4 table.
 
-    Constructible rows are built (PSL/PGL groups, module extensions, split
-    extensions over He3/C3wrC3/C3xHe3) and their type, chi, order and --
-    where the census names several maps -- the Aut-class count are checked.
-    An extension row tries one candidate per conjugacy class of actions
-    (``search_module_actions``, ``split_action_classes``), built lazily,
-    and stops at the first that carries the row.  The remaining rows are
-    checked by exact numerology and marked so.
+    A row with ``candidates`` is constructed: the groups it yields (a
+    PSL/PGL group, or module and split extensions over E_3^k, He3, C3 wr C3
+    and C3 x He3) are tried in turn, and the first whose order, type, chi
+    and -- where the census names several maps, unless ``census_counts``
+    is false -- Aut-class count match carries the row.  An extension row
+    yields one candidate per conjugacy class of actions
+    (``search_module_actions``, ``split_action_classes``), built lazily.
+    A library error fails the row; any other exception propagates.  Rows
+    without candidates are checked by exact numerology and marked so.
     """
     results = []
-    built_cache = {}
     for row in COROLLARY_ROWS:
         entry = {
             "family": row.family,
@@ -680,7 +688,7 @@ def verify_corollary_table(census_counts: bool = True):
             entry.update(evidence="numerology", ok=False, detail="Euler identity failed")
             results.append(entry)
             continue
-        if row.builder is None:
+        if row.candidates is None:
             entry.update(evidence="numerology", ok=True)
             results.append(entry)
             continue
@@ -688,26 +696,7 @@ def verify_corollary_table(census_counts: bool = True):
         ok = False
         detail = ""
         try:
-            if row.builder in ("psl", "pgl"):
-                key = (row.builder, row.args[0])
-                g = built_cache.get(key)
-                if g is None:
-                    g = make_pgl2(make_field(row.args[0], 1), row.builder)
-                    built_cache[key] = g
-                candidates = [g]
-            elif row.builder == "modext":
-                d_n, p, k = row.args
-                d = make_dihedral(d_n)
-                specs = search_module_actions(d, p, k)
-                candidates = (build_module_extension(d, sp) for sp in specs)
-            elif row.builder == "split":
-                candidates = _split_candidates(*row.args)
-            elif row.builder == "product_split":
-                candidates = _product_split_candidates()
-            else:
-                raise ParameterError(f"unknown builder {row.builder!r}")
-
-            for g in candidates:
+            for g in row.candidates():
                 if g.order() != row.order:
                     continue
                 # a candidate without elements of orders m and n has no
@@ -716,7 +705,7 @@ def verify_corollary_table(census_counts: bool = True):
                 if m not in profile or n not in profile:
                     continue
                 found = find_triples(g, m, n, limit=2)
-                if not len(found):
+                if not found:
                     continue
                 t = found[0]
                 if -t.chi != row.neg_chi:

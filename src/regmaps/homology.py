@@ -75,21 +75,20 @@ class CosetTable:
     tree_edge: frozenset  # {(parent, label)} of tree edges, the eliminated gens
 
 
-def cayley_coset_table(
-    t: TriangleTarget, cap: int = COSET_CAP, label_order=(0, 1, 2)
-) -> CosetTable:
-    """The coset table of K in D: the Cayley graph of G.
+def cayley_coset_table(t: TriangleTarget, label_order=(0, 1, 2)) -> CosetTable:
+    """The coset table of K in D: the Cayley graph of G, for |G| at most
+    COSET_CAP.
 
     ``label_order`` sets the BFS edge scan order (default A < B < C); any
     order gives the same homology, which the tests exercise.
     """
     g = t.triple.group
     order = g.order()
-    if order > cap:
-        raise ResourceError(f"coset table budget is {cap}, |G| = {order}")
+    if order > COSET_CAP:
+        raise ResourceError(f"coset table budget is {COSET_CAP}, |G| = {order}")
     if sorted(label_order) != [0, 1, 2]:
         raise ParameterError("label_order must be a permutation of (0, 1, 2)")
-    table = element_table(g, cap)
+    table = element_table(g)
     gens = [table.pos[x] for x in (t.triple.a, t.triple.b, t.triple.c)]
     actions = tuple(tuple(table.right(j).tolist()) for j in gens)
     schedule = table.bfs_schedule([gens[lab] for lab in label_order])
@@ -115,7 +114,6 @@ class KernelPresentation:
     genus_g: int
     branch_u: int
     delta_type: tuple
-    deduped: bool
 
 
 def reidemeister_schreier(
@@ -201,14 +199,15 @@ def reidemeister_schreier(
         genus_g=2 - chi,
         branch_u=u,
         delta_type=delta_type,
-        deduped=dedupe,
     )
 
 
-def kernel_presentation(t: TriangleTarget, dedupe: bool = True, cap: int = COSET_CAP) -> KernelPresentation:
-    """Coset table plus rewriting in one step."""
-    table = cayley_coset_table(t, cap)
-    return reidemeister_schreier(table, t.delta_type, dedupe)
+def kernel_presentation(t: TriangleTarget) -> KernelPresentation:
+    """Coset table plus rewriting in one step, with each relator cycle
+    emitted once; ``reidemeister_schreier`` also gives the undeduplicated
+    matrix."""
+    table = cayley_coset_table(t)
+    return reidemeister_schreier(table, t.delta_type)
 
 
 def kernel_abelianization(pres: KernelPresentation) -> SnfResult:
@@ -241,10 +240,10 @@ def branched_rank(base: MapTriple, r: int, pres: KernelPresentation):
     return expected, computed, computed == expected
 
 
-def branched_rank_check(base: MapTriple, r: int, cap: int = COSET_CAP):
+def branched_rank_check(base: MapTriple, r: int):
     """Build the branched target's kernel presentation and check it with
     ``branched_rank``; returns (expected, computed, ok)."""
-    pres = kernel_presentation(branched_target(base, r), cap=cap)
+    pres = kernel_presentation(branched_target(base, r))
     return branched_rank(base, r, pres)
 
 

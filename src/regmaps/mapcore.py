@@ -137,7 +137,7 @@ class MapCertificate:
         """Vertices plus faces (the branch-point count of an r-fold cover)."""
         return self.vertices + self.faces
 
-    def to_dict(self, order: int | None = None, census_label: str | None = None):
+    def to_dict(self, order: int | None = None):
         out = {
             "m": self.m,
             "n": self.n,
@@ -151,8 +151,6 @@ class MapCertificate:
             out["order"] = order
         if self.chi_prime_power is not None:
             out["r"], out["d"] = self.chi_prime_power
-        if census_label is not None:
-            out["census_label"] = census_label
         if self.degenerate:
             out["degenerate"] = True
         return out
@@ -298,7 +296,7 @@ class StructuralReport:
         }
 
 
-def verify_structural_lemmas(t: MapTriple, chi_override: int | None = None) -> StructuralReport:
+def verify_structural_lemmas(t: MapTriple) -> StructuralReport:
     """Check the odd-characteristic structure facts on a concrete triple.
 
     (i)   the Sylow 2-subgroup is Klein or dihedral;
@@ -307,10 +305,10 @@ def verify_structural_lemmas(t: MapTriple, chi_override: int | None = None) -> S
     (iv)  if chi = -r^d, any odd t with |G/O|_t > |m_bar|_t |n_bar|_t is r;
     (v)   if G is soluble, G/O is a 2-group or has S4's order profile.
 
-    ``chi_override`` lets a caller feed a corrupted chi as a negative
-    control; it affects checks (ii) and (iv) only.
+    Checks (ii) and (iv) read ``t.chi``; a negative control passes a copy
+    of ``t`` with a corrupted chi (``dataclasses.replace``).
     """
-    chi = t.chi if chi_override is None else chi_override
+    chi = t.chi
     if chi % 2 == 0:
         raise ContractError("structural lemmas apply to odd characteristic only")
     g = t.group

@@ -712,8 +712,8 @@ class ElementTable:
     apart, so every lookup after that is exact.
     """
 
-    def __init__(self, g: PermGroup, cap: int = ELEMENTS_CAP):
-        self.elems = sorted(g.elements(cap))
+    def __init__(self, g: PermGroup):
+        self.elems = sorted(g.elements())
         n = self.n = len(self.elems)
         self.pos = {e: i for i, e in enumerate(self.elems)}
         try:
@@ -875,21 +875,21 @@ class ElementTable:
         return found
 
 
-def element_table(g: PermGroup, cap: int = ELEMENTS_CAP) -> ElementTable:
+def element_table(g: PermGroup) -> ElementTable:
     """Cached ElementTable for g."""
     cached = getattr(g, "_table", None)
     if cached is None:
-        cached = ElementTable(g, cap)
+        cached = ElementTable(g)
         g._table = cached
     return cached
 
 
-def count_automorphisms(g: PermGroup, triple, cap: int = AUT_CAP) -> int:
+def count_automorphisms(g: PermGroup, triple) -> int:
     """|Aut(g)|, counted as the number of generator-image tuples that extend
-    to an automorphism."""
+    to an automorphism; groups of order above AUT_CAP are refused first."""
     n = g.order()
-    if n > cap:
-        raise ResourceError(f"automorphism search budget is {cap}, group has order {n}")
+    if n > AUT_CAP:
+        raise ResourceError(f"automorphism search budget is {AUT_CAP}, group has order {n}")
     table = element_table(g)
     gen_indices = [table.pos[x] for x in tuple(triple)]
     return len(table.automorphism_index_maps(gen_indices))

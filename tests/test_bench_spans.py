@@ -1,22 +1,31 @@
-"""The functions and methods the benchmark's tracer wraps must exist.
+"""The benchmark's tracer and jobs must keep working against the program.
 
-``bench/spans.py`` wraps them by name; a rename or removal would otherwise
-show only in a traced benchmark run."""
+``bench/spans.py`` wraps functions and methods by name, and
+``bench/workloads.py`` calls them with keyword arguments; a rename or a
+removed parameter would otherwise show only in a benchmark run."""
 
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 from regmaps import algebra, constructors, homology, mapcore, permgrp
 from regmaps.constructors import find_triples, make_field, make_pgl2
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("spans")
 
 
 def test_instrument_and_restore():
@@ -41,3 +50,10 @@ def test_matrix_size_reads_the_relation_matrix():
     nnz = sum(1 for row in m.to_rows() for x in row if x)
     assert nnz > 0
     assert _load_spans()._matrix_size((), pres) == (m.rows * m.cols, nnz)
+
+
+@pytest.mark.parametrize("workload", ["census", "verify", "extensions", "homology"])
+def test_workload_jobs_pass(workload):
+    workloads = _load("workloads")
+    results = workloads.run_jobs(workloads.build(workload, "0/0"))
+    assert results and [r for r in results if not r["ok"]] == []

@@ -1,6 +1,9 @@
+import dataclasses
+import re
 from itertools import product
 
 import pytest
+from sympy import Poly, Symbol, primerange
 
 from regmaps.algebra import IntMatrix, det_bareiss
 from regmaps.constructors import (
@@ -26,8 +29,17 @@ from regmaps.constructors import (
     split_action_classes,
 )
 from regmaps.errors import ContractError, ParameterError, ResourceError
+from regmaps.homology import TriangleTarget, kernel_presentation
 from regmaps.mapcore import verify_star_group
-from regmaps.permgrp import PermGroup, hom_from_generator_images, normal_closure, pmul, pinv, porder
+from regmaps.permgrp import (
+    PermGroup,
+    count_automorphisms,
+    hom_from_generator_images,
+    normal_closure,
+    pmul,
+    pinv,
+    porder,
+)
 
 
 # -- fields -----------------------------------------------------------------
@@ -52,6 +64,30 @@ def test_make_field_gf9():
             y = f9.mul(y, x)
         assert y == f9.one
         assert f9.mul(x, f9.inv(x)) == f9.one
+
+
+def _code_poly(code, p, e):
+    """The monic modulus make_field reads from ``code``, little-endian: the
+    top base-p digit is the constant term, the lowest the x^(e-1)
+    coefficient."""
+    digits = [code // p ** i % p for i in range(e)]
+    return digits[::-1] + [1]
+
+
+@pytest.mark.parametrize("p", list(primerange(3, 98)))
+def test_make_field_modulus_is_the_first_irreducible_code(p):
+    # sympy is the oracle; codes below p^(e-1) have constant term 0, and
+    # for p <= 5 the scan starts at code 0 to show that skipping them is safe
+    x = Symbol("x")
+
+    def irreducible(coeffs):
+        return Poly(coeffs[::-1], x, modulus=p).is_irreducible
+
+    for e in (2, 3, 4):
+        modulus = list(make_field(p, e).modulus)
+        codes = range(0 if p <= 5 else p ** (e - 1), p ** e)
+        first = next(c for c in codes if irreducible(_code_poly(c, p, e)))
+        assert _code_poly(first, p, e) == modulus
 
 
 def test_make_field_squares():
@@ -360,6 +396,39 @@ def test_split_kernel_budget_refuses_before_enumerating():
     assert s7._elements is None
 
 
+def _aut_pgl13():
+    g = make_pgl2(make_field(13, 1), "pgl")
+    return g, lambda: count_automorphisms(g, g.generators)
+
+
+def _find_triples_s9():
+    s9 = PermGroup(9, [(1, 2, 3, 4, 5, 6, 7, 8, 0), (1, 0, 2, 3, 4, 5, 6, 7, 8)])
+    return s9, lambda: find_triples(s9, 3, 4)
+
+
+def _kernel_pgl13():
+    t = find_triples(make_pgl2(make_field(13, 1), "pgl"), 13, 14, limit=1)[0]
+    fresh = PermGroup(t.group.degree, t.group.generators)
+    target = TriangleTarget(dataclasses.replace(t, group=fresh), (2, 13, 14))
+    return fresh, lambda: kernel_presentation(target)
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        (_aut_pgl13, "automorphism search budget is 1500, group has order 2184"),
+        (_find_triples_s9, "find_triples budget is 50000, group has order 362880"),
+        (_kernel_pgl13, "coset table budget is 2000, |G| = 2184"),
+    ],
+    ids=["aut", "find_triples", "coset_table"],
+)
+def test_fixed_budgets_refuse_before_enumerating(case, message):
+    g, call = case()
+    with pytest.raises(ResourceError, match=re.escape(message)):
+        call()
+    assert g._elements is None
+
+
 def _automorphisms(v):
     """Every automorphism of v as a permutation of its sorted elements:
     each choice of generator images of the same orders, extended along the
@@ -520,12 +589,12 @@ def test_find_triples(pgl_groups):
     r45 = find_triples(pgl_groups["pgl5"], 4, 5)
     assert len(r45) and r45[0].chi == -3
     r73 = find_triples(pgl_groups["psl7"], 7, 3)
-    assert len(r73) == 0 and r73.exhaustive
+    assert r73 == []  # fewer than limit: the search was exhaustive
 
 
 def test_find_triples_limit(pgl_groups):
     res = find_triples(pgl_groups["pgl5"], 4, 6, limit=1)
-    assert len(res) == 1 and not res.exhaustive
+    assert len(res) == 1
 
 
 def test_cell_projection_recovers_base(pgl_groups):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -164,7 +166,7 @@ def test_structural_lemmas_negative_control(pgl_groups):
     # PSL2(13) as (2,3,7)* has a 13-excess over the product orders, so a
     # corrupted chi = -3 must trip the "excess prime equals r" check
     t = find_triples(pgl_groups["psl13"], 3, 7)[0]
-    rep = verify_structural_lemmas(t, chi_override=-3)
+    rep = verify_structural_lemmas(dataclasses.replace(t, chi=-3))
     assert not rep["odd_prime_excess_is_r"].passed
     assert not rep.all_passed
 
