@@ -17,4 +17,4 @@ cli           command-line verifier
 __version__ = "0.1.0"
 
 from .errors import ContractError, ParameterError, RegmapsError, ResourceError  # noqa: F401
-from . import algebra, permgrp, mapcore, constructors, homology, families, cli  # noqa: F401,E402
+from . import algebra, permgrp, mapcore, constructors, homology, families  # noqa: F401,E402

@@ -59,14 +59,14 @@ DESCRIPTOR_HELP = (
 
 def _ints(text: str, desc: str, count: int, sep: str = ","):
     """The ``count`` integers of ``text`` split at ``sep``; anything else is
-    a ``ParameterError`` naming the descriptor."""
+    a ``ParameterError`` naming ``desc`` (a group descriptor or an option)."""
     fields = text.split(sep)
     if len(fields) == count:
         try:
             return [int(f) for f in fields]
         except ValueError:
             pass
-    raise ParameterError(f"malformed group descriptor {desc!r}; {DESCRIPTOR_HELP}")
+    raise ParameterError(f"malformed {desc!r}; {DESCRIPTOR_HELP}")
 
 
 def resolve_group(desc: str):
@@ -182,7 +182,7 @@ def _report(command, config, items, passed):
 def cmd_verify(args):
     g, triple = resolve_group(args.group)
     if args.type:
-        m, n = map(int, args.type.split(","))
+        m, n = _ints(args.type, f"--type {args.type}", 2)
         found = find_triples(g, m, n, limit=4)
         if not found:
             return _report(
@@ -297,7 +297,7 @@ def cmd_tables(args):
 
 
 def cmd_corollary(args):
-    results = verify_corollary_table(census_counts=not args.no_counts)
+    results = verify_corollary_table()
     passed = all(r["ok"] for r in results)
     items = [
         {
@@ -314,12 +314,12 @@ def cmd_corollary(args):
         }
         for r in results
     ]
-    return _report("corollary", {"counts": not args.no_counts}, items, passed)
+    return _report("corollary", {}, items, passed)
 
 
 def cmd_cover_rank(args):
     g, triple = resolve_group(args.group)
-    m, n = map(int, args.type.split(","))
+    m, n = _ints(args.type, f"--type {args.type}", 2)
     if triple is None or (triple.m, triple.n) != (m, n):
         found = find_triples(g, m, n, limit=2)
         if not found:
@@ -406,7 +406,6 @@ def build_parser():
     p.set_defaults(fn=cmd_tables)
 
     p = sub.add_parser("corollary", help="verify the complete d <= 4 table")
-    p.add_argument("--no-counts", action="store_true", help="skip census class counts")
     p.set_defaults(fn=cmd_corollary)
 
     p = sub.add_parser("cover-rank", help="branched-cover kernel rank check")

@@ -661,16 +661,16 @@ def _numerology_ok(row: CorollaryRow) -> bool:
     return row.order * (m * n - 2 * m - 2 * n) == 4 * m * n * row.neg_chi
 
 
-def verify_corollary_table(census_counts: bool = True):
+def verify_corollary_table():
     """Verify all 22 rows of the d <= 4 table.
 
     A row with ``candidates`` is constructed: the groups it yields (a
     PSL/PGL group, or module and split extensions over E_3^k, He3, C3 wr C3
     and C3 x He3) are tried in turn, and the first whose order, type, chi
-    and -- where the census names several maps, unless ``census_counts``
-    is false -- Aut-class count match carries the row.  An extension row
-    yields one candidate per conjugacy class of actions
-    (``search_module_actions``, ``split_action_classes``), built lazily.
+    and -- where the census names several maps -- Aut-class count match
+    carries the row.  An extension row yields one candidate per conjugacy
+    class of actions (``search_module_actions``, ``split_action_classes``),
+    built lazily.
     A library error fails the row; any other exception propagates.  Rows
     without candidates are checked by exact numerology and marked so.
     """
@@ -711,7 +711,7 @@ def verify_corollary_table(census_counts: bool = True):
                 if -t.chi != row.neg_chi:
                     detail = f"chi = {t.chi}"
                     continue
-                if census_counts and row.n_classes is not None:
+                if row.n_classes is not None:
                     classes = classify_maps_for_group(g, types={(m, n)})
                     got = classes[0].duality_classes_of_type if classes else 0
                     if got != row.n_classes:

@@ -6,7 +6,8 @@ and <ab, bc> = G.  This module verifies candidate triples, computes the
 Euler characteristic and flag counts, checks the structural constraints
 that odd characteristic imposes, and provides the involution-triple
 enumerator behind both the triple search and the census up to Aut(G)
-used as a ground-truth oracle on small groups.
+used as a ground-truth oracle on small groups.  The census reads its
+Aut(G)-orbits, and self-duality, off the list of automorphisms of G.
 """
 
 from __future__ import annotations
@@ -441,48 +442,33 @@ def classify_maps_for_group(g: PermGroup, cap: int = CENSUS_CAP, types=None):
     every triple with 2 <= ord(ab) <= ord(bc) that passes verify_star_group
     (degenerate quotient types like (2, l) included) is conjugate to one of
     them, so a type (m, n) has sum |class(a)| * #triples(a) triples in all.
-    Because Aut(g) acts freely on generating triples, the class count is
-    that total / |Aut(g)|; this is cross-checked by explicit
-    orbit-representative extraction among the class-representative
-    triples, which every Aut-orbit meets: rep and cand share an orbit iff
-    rep -> cand extends to an automorphism (``ElementTable.extend_map``).
-    The dual copy of a type with m < n (its (n, m) triples) is not listed
-    again.
+    Aut(g) acts freely on generating triples, so the class count is that
+    total / |Aut(g)|.  The classes are read off the list of automorphisms
+    (``ElementTable.automorphism_index_maps``): the class-representative
+    triples are walked in enumerator order, each one not yet covered
+    becomes a representative, and its orbit {(f[a], f[b], f[c])} covers
+    every triple it meets; the orbit must have |Aut(g)| triples and the
+    orbits met must number total / |Aut(g)|.  A representative is self-dual
+    when (c, b, a) lies in its orbit.  The dual copy of a type with m < n
+    (its (n, m) triples) is not listed again.
 
     ``types``, if given, restricts the census to those ordered types.
     """
     order = g.order()
     if order > cap:
         raise ResourceError(f"census budget is {cap}, group has order {order}")
-    cache = getattr(g, "_census_cache", None)
-    if cache is None:
-        cache = g._census_cache = {}
-    key = frozenset(types) if types is not None else None
-    if None in cache:
-        full = cache[None]
-        return full if key is None else [c for c in full if (c.m, c.n) in key]
-    if key is not None and key in cache:
-        return cache[key]
     table = element_table(g)
     totals = {}  # (m, n) -> number of triples of that type
     accepted = {}  # (m, n) -> list of class-representative (ia, ib, ic)
-    for ia, ib, ic, m, n, class_size in involution_triples(g, key):
+    for ia, ib, ic, m, n, class_size in involution_triples(g, types):
         totals[(m, n)] = totals.get((m, n), 0) + class_size
         accepted.setdefault((m, n), []).append((ia, ib, ic))
     if not accepted:
-        cache[key] = []
         return []
 
     first = next(iter(accepted.values()))[0]
-    n_aut = len(table.automorphism_index_maps(list(first)))
-    extensions = {}  # rep -> (its BFS schedule, its right columns)
-
-    def same_orbit(rep, cand):
-        if rep not in extensions:
-            extensions[rep] = (table.bfs_schedule(rep), [table.right(i) for i in rep])
-        schedule, cols = extensions[rep]
-        return table.extend_map(schedule, cols, [table.right(i) for i in cand]) is not None
-
+    auts = table.automorphism_index_maps(list(first))
+    n_aut = len(auts)
     elems = table.elems
     out = []
     for (m, n), triples in sorted(accepted.items()):
@@ -492,17 +478,20 @@ def classify_maps_for_group(g: PermGroup, cap: int = CENSUS_CAP, types=None):
                 f"type ({m},{n}): {total} triples not divisible by |Aut| = {n_aut}"
             )
         k = total // n_aut
-        # pick k pairwise non-equivalent representatives
-        reps = [triples[0]]
-        if k > 1:
-            for cand in triples[1:]:
-                if len(reps) == k:
-                    break
-                if not any(same_orbit(rep, cand) for rep in reps):
-                    reps.append(cand)
-            if len(reps) != k:
-                raise ContractError(f"type ({m},{n}): found {len(reps)} of {k} classes")
-        self_duality = [same_orbit(rep, (rep[2], rep[1], rep[0])) for rep in reps]
+        reps, self_duality, covered = [], [], set()
+        for ia, ib, ic in triples:
+            if (ia, ib, ic) in covered:
+                continue
+            orbit = {(int(f[ia]), int(f[ib]), int(f[ic])) for f in auts}
+            if len(orbit) != n_aut:
+                raise ContractError(
+                    f"type ({m},{n}): orbit of {len(orbit)} triples, |Aut| = {n_aut}"
+                )
+            covered |= orbit
+            reps.append((ia, ib, ic))
+            self_duality.append((ic, ib, ia) in orbit)
+        if len(reps) != k:
+            raise ContractError(f"type ({m},{n}): found {len(reps)} of {k} classes")
         if m == n:
             n_self = sum(self_duality)
             if (k - n_self) % 2:
@@ -526,5 +515,4 @@ def classify_maps_for_group(g: PermGroup, cap: int = CENSUS_CAP, types=None):
                     hyperbolic=t.chi < 0,
                 )
             )
-    cache[key] = out
     return out

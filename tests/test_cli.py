@@ -1,6 +1,10 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +131,39 @@ def test_malformed_descriptor_exits_2(tmp_path, capsys, desc):
     assert main(["census", desc]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "group descriptors:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "pgl2:7", "--type", "3,8,9"],
+        ["verify", "pgl2:7", "--type", "x"],
+        ["cover-rank", "--group", "pgl2:7", "--type", "3", "--r", "3"],
+    ],
+)
+def test_malformed_type_exits_2(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--type" in err
+
+
+def test_module_entry_point_runs_without_warning():
+    # importing the package must not import regmaps.cli before `-m` runs it
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "regmaps.cli", "tables"],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip().endswith("pass: True")
 
 
 def test_snf_file_non_integer(tmp_path, capsys):
