@@ -10,6 +10,9 @@ characteristic, and the corollary verifier rebuilds the complete d <= 4
 table, constructing every group that is within desk reach and checking
 the rest by exact numerology.  Extension rows only consume the candidates
 that ``constructors`` yields, one per conjugacy class of actions.
+
+sympy is imported only inside ``_divisors``, the one helper that the C3 and
+C4 searches call, so importing this module loads numpy but not sympy.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import Callable, NamedTuple
-
-import sympy
 
 from .algebra import as_prime_power, is_prime, p_part
 from .errors import ContractError, ParameterError, ResourceError
@@ -340,6 +341,14 @@ def minimal_rows():
 # Diophantine searches
 
 
+def _divisors(n: int):
+    """All positive divisors of n, ascending.  sympy is imported here, on
+    the first call, and nowhere else in the package."""
+    import sympy
+
+    return sympy.divisors(n)
+
+
 def search_c1_c2(max_i: int):
     """The two dihedral-quotient shapes: C1 has ell = 3 + 3^i with type
     {6, ell}; C2 has ell = 1 + 3^i with type {6, 3 ell}.  -chi = 3^(i-1)|N|.
@@ -363,14 +372,16 @@ def search_c1_c2(max_i: int):
 
 def search_c3(r: int, d: int):
     """All factorizations r^d + 1 = (j-1)(k-1) with j, k odd coprime,
-    3 <= j <= k."""
+    3 <= j <= k.  Factors r^d + 1 with sympy, loaded on the first call."""
     if not is_prime(r) or r % 4 != 3:
         raise ParameterError("need a prime r = 3 mod 4")
+    if d < 1:
+        raise ParameterError("need d >= 1")
     if d % 2 == 0:
         raise ParameterError("need odd d")
     target = r ** d + 1
     out = []
-    for u in sympy.divisors(target):
+    for u in _divisors(target):
         v = target // u
         if u > v:
             break
@@ -387,18 +398,19 @@ def search_c4(r: int, i_max: int, alpha_max: int = 3):
     """Solutions of (j r^alpha - 1)(k r^beta - 1) = r^(i+beta) + 1 with
     j, k odd, coprime, alpha >= max(beta, 1).
 
-    Enumerates divisor pairs of r^(i+beta) + 1; each solution is annotated
-    with the parity fact i + beta odd and the (divisibility form of the)
-    bound |N| >= r^(alpha+1).
+    Enumerates divisor pairs of r^(i+beta) + 1, factored with sympy loaded
+    on the first call; each solution is annotated with the parity fact
+    i + beta odd and the (divisibility form of the) bound |N| >= r^(alpha+1).
     """
     if not is_prime(r) or r % 4 != 3:
         raise ParameterError("need a prime r = 3 mod 4")
+    if i_max < 0 or alpha_max < 0:
+        raise ParameterError("need i_max >= 0 and alpha_max >= 0")
     out = []
     for beta in range(0, alpha_max + 1):
         for i in range(1, i_max + 1):
             target = r ** (i + beta) + 1
-            divs = sympy.divisors(target)
-            for u in divs:
+            for u in _divisors(target):
                 v = target // u
                 for alpha in range(max(beta, 1), alpha_max + 1):
                     ra = r ** alpha
@@ -436,6 +448,8 @@ def search_c6_c7(r: int, alpha_max: int, delta_max: int):
         raise ParameterError("need an odd prime")
     if not (r == 3 or r % 6 == 5):
         raise ParameterError("need r = 3 or r = 5 mod 6")
+    if alpha_max < 0 or delta_max < 0:
+        raise ParameterError("need alpha_max >= 0 and delta_max >= 0")
     out = []
     for alpha in range(0, alpha_max + 1):
         den = 2 * r ** alpha - 1

@@ -166,6 +166,37 @@ def test_module_entry_point_runs_without_warning():
     assert proc.stdout.strip().endswith("pass: True")
 
 
+def test_cli_starts_without_sympy():
+    # sympy is loaded only by the C3/C4 divisor searches
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import sys\n"
+        "import regmaps, regmaps.cli\n"
+        "assert 'sympy' not in sys.modules, 'import'\n"
+        "assert regmaps.cli.main(['census', 'psl2:5']) == 0\n"
+        "assert 'sympy' not in sys.modules, 'census'\n"
+        "assert regmaps.families.search_c3(7, 1) == [(3, 5)]\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_family_c3_negative_d_exits_2(capsys):
+    assert main(["family", "--row", "C3", "--r", "7", "--d", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_snf_file_non_integer(tmp_path, capsys):
     f = tmp_path / "m.txt"
     f.write_text("1 2\n1 x\n")

@@ -1,3 +1,5 @@
+from math import gcd, isqrt
+
 import pytest
 
 from regmaps import families
@@ -73,6 +75,63 @@ def test_search_c3():
         assert j % 2 == 1 and k % 2 == 1
         # (j-1)(k-1) = 0 mod 4 is forced by both factors being even
         assert (j - 1) * (k - 1) % 4 == 0
+
+
+def _divisors_by_trial_division(n):
+    small = [u for u in range(1, isqrt(n) + 1) if n % u == 0]
+    return small + [n // u for u in reversed(small) if u * u != n]
+
+
+@pytest.mark.parametrize("r", [3, 7, 11, 19, 23, 31])
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_search_c3_finds_every_factorization(r, d):
+    # every (j-1)(k-1) = r^d + 1 with j, k odd coprime and 3 <= j <= k,
+    # with the divisors found by trial division
+    n = r ** d + 1
+    want = []
+    for u in _divisors_by_trial_division(n):
+        j, k = u + 1, n // u + 1
+        if 3 <= j <= k and j % 2 == 1 and k % 2 == 1 and gcd(j, k) == 1:
+            want.append((j, k))
+    assert search_c3(r, d) == want
+
+
+@pytest.mark.parametrize("r", [3, 7, 11])
+def test_search_c4_finds_every_solution(r):
+    # every (j r^alpha - 1)(k r^beta - 1) = r^(i+beta) + 1 with j, k odd
+    # coprime, jk > 1 and alpha >= max(beta, 1), in the search's order
+    i_max, alpha_max = 5, 2
+    want = []
+    for beta in range(alpha_max + 1):
+        for i in range(1, i_max + 1):
+            n = r ** (i + beta) + 1
+            for u in _divisors_by_trial_division(n):
+                for alpha in range(max(beta, 1), alpha_max + 1):
+                    j, jrem = divmod(u + 1, r ** alpha)
+                    k, krem = divmod(n // u + 1, r ** beta)
+                    if jrem or krem or j % 2 == 0 or k % 2 == 0:
+                        continue
+                    if gcd(j, k) == 1 and j * k > 1:
+                        want.append((i, alpha, beta, j, k))
+    got = [(s["i"], s["alpha"], s["beta"], s["j"], s["k"])
+           for s in search_c4(r, i_max, alpha_max)]
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "search, args",
+    [
+        (search_c3, (7, -1)),
+        (search_c3, (7, 0)),
+        (search_c4, (3, -1, 2)),
+        (search_c4, (3, 5, -1)),
+        (search_c6_c7, (3, -1, 8)),
+        (search_c6_c7, (3, 2, -1)),
+    ],
+)
+def test_searches_refuse_negative_bounds(search, args):
+    with pytest.raises(ParameterError):
+        search(*args)
 
 
 def test_search_c4():
