@@ -30,7 +30,7 @@ from .constructors import (
     make_pgl2,
     psl2_membership,
 )
-from .errors import ParameterError, RegmapsError
+from .errors import ContractError, ParameterError, RegmapsError
 from .families import (
     CONGRUENCE_ROWS,
     minimal_rows,
@@ -122,7 +122,7 @@ def _resolve_cell(base_desc: str, ell: int, desc: str):
                 return build_semidirect_cell(
                     SemidirectSpec(base=t, h0_elements=h0, ell=ell)
                 )
-            except RegmapsError:
+            except ContractError:  # this triple's membership pattern is unusable
                 continue
         raise ParameterError(
             f"no (2,{m},{n})*-triple of pgl2:{q} has a usable index-2 membership pattern"

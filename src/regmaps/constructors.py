@@ -12,7 +12,8 @@ actions are both found by one generator-image search over permutations;
 matrices appear only in ``ModuleExtensionSpec``.  Every extension takes one
 path: search the actions, keep one per conjugacy class (under GL_k(p) or
 Aut(V), one orbit helper), and build with ``build_split_extension``; a
-module extension is the split extension of the translations of F_p^k.
+module extension is the split extension of the translations of F_p^k.  An
+extension's order is proved from its generators, not computed by Schreier-Sims.
 """
 
 from __future__ import annotations
@@ -597,8 +598,8 @@ def build_module_extension(acting, spec: ModuleExtensionSpec) -> PermGroup:
     vector codes by H.
 
     ``acting`` is a PermGroup or MapTriple whose generators act through
-    spec.matrices; the generator images must satisfy H's relations (checked
-    by extending to a homomorphism).
+    spec.matrices; the generator images must satisfy H's relations, which
+    ``build_split_extension`` checks.
     """
     if isinstance(acting, MapTriple):
         h = PermGroup(
@@ -619,8 +620,6 @@ def build_module_extension(acting, spec: ModuleExtensionSpec) -> PermGroup:
     actions = [_mat_perm(m, p) for m in spec.matrices]
     if any(len(set(x)) != nv for x in actions):
         raise ContractError("action matrix is singular")
-    if hom_from_generator_images(h.degree, h.generators, actions) is None:
-        raise ContractError("matrices do not satisfy the acting group's relations")
     vectors = [_vec_of_index(c, k, p) for c in range(nv)]
     shifts = [
         [_vec_index(v[:b] + ((v[b] + 1) % p,) + v[b + 1:], p) for v in vectors]
@@ -699,19 +698,31 @@ def split_action_classes(v: PermGroup, d: PermGroup):
 
 
 def build_split_extension(v_regular: PermGroup, d: PermGroup, aut_images) -> PermGroup:
-    """V x| D on |V| + deg(D) points, V acting regularly on its |V| points
-    and D acting on them through the permutations ``aut_images``, which
-    must normalize V.  The order |V| |D| is checked."""
+    """V x| D on deg(V) + deg(D) points: V acts (faithfully) on its first
+    deg(V) points, and the i-th generator of D acts on them through the
+    permutation ``aut_images[i]``; these images must normalize V.
+
+    The order |V| |D| is proved, not computed.  N, the V-generators fixing
+    the D points, has |N| = |V| (V's enumerated elements).  The D-generators
+    (aut_i, d_i) generate the graph H of the homomorphism d_i -> aut_i
+    (checked on D's Cayley graph), so |H| = |D| and only the identity of H
+    fixes the D points, so H meets N trivially.  Every aut_i^-1 v aut_i is
+    in V, so N is normal in <N, H> = NH, of order |N| |H|.
+    """
     nv = v_regular.degree
     deg = nv + d.degree
-    gens = []
-    for vgen in v_regular.generators:
-        gens.append(tuple(list(vgen) + list(range(nv, deg))))
+    gens = [tuple(list(g) + list(range(nv, deg))) for g in v_regular.generators]
     for dgen, aut in zip(d.generators, aut_images):
-        gens.append(tuple(list(aut) + [nv + dgen[i] for i in range(d.degree)]))
-    ext = PermGroup(deg, gens)
-    if ext.order() != v_regular.order() * d.order():
-        raise ContractError("split extension order mismatch")
+        gens.append(tuple(list(aut) + [nv + i for i in dgen]))
+    ext = PermGroup(deg, gens)  # rejects an image that is no permutation of V's points
+    hom = hom_from_generator_images(d.degree, d.generators, aut_images)
+    if hom is None:
+        raise ContractError("action images do not satisfy the acting group's relations")
+    v_elems = v_regular.elements()
+    if any(pmul(pmul(pinv(aut), g), aut) not in v_elems
+           for aut in aut_images for g in v_regular.generators):
+        raise ContractError("action images do not normalize V")
+    ext.cached_order = len(v_elems) * len(hom)
     return ext
 
 

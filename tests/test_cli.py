@@ -93,6 +93,20 @@ def test_cell_descriptor(capsys):
     assert (rep["items"][0]["m"], rep["items"][0]["n"]) == (2, 12)
 
 
+@pytest.mark.parametrize(
+    "ell,message",
+    [
+        ("0", "ell must be odd and positive, got 0"),
+        ("7", "ell = 7 not coprime to |H*| = 336"),
+        ("1000003", "cell degree 1000011 exceeds 1000000"),
+    ],
+)
+def test_cell_descriptor_reports_its_own_error(capsys, ell, message):
+    # a bad ell is not a per-triple membership refusal: its error must surface
+    assert main(["verify", f"cell:pgl2:7:3:8,{ell}", "--no-lemmas"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_reports_deterministic(capsys):
     _c1, rep1 = run_json(capsys, "census", "pgl2:5")
     _c2, rep2 = run_json(capsys, "census", "pgl2:5")

@@ -28,7 +28,9 @@ from regmaps.constructors import (
     search_split_actions,
     split_action_classes,
 )
+from regmaps import permgrp
 from regmaps.errors import ContractError, ParameterError, ResourceError
+from regmaps.families import _product_split_candidates
 from regmaps.homology import TriangleTarget, kernel_presentation
 from regmaps.mapcore import verify_star_group
 from regmaps.permgrp import (
@@ -508,6 +510,65 @@ def test_split_he3_d4():
         if seen == {(4, 6), (6, 12)}:
             break
     assert (4, 6) in seen and (6, 12) in seen
+
+
+def _certified_extensions():
+    """Every extension whose certified order the oracle test checks."""
+    he3, wreath = build_heisenberg(), build_wreath_c3()
+    for kernel, n in ((he3, 4), (he3, 2), (wreath, 2)):
+        d = make_dihedral(n)
+        reg, homs = search_split_actions(kernel, d)
+        yield from (build_split_extension(reg, d, hom) for hom in homs)
+    yield from _product_split_candidates()
+    for n, p, k in ((4, 3, 2), (2, 3, 2), (10, 3, 2), (4, 3, 3), (1, 3, 3)):
+        d = make_dihedral(n)
+        yield from (build_module_extension(d, spec) for spec in search_module_actions(d, p, k))
+
+
+def test_certified_split_orders_match_schreier_sims():
+    count = 0
+    for ext in _certified_extensions():
+        assert ext.cached_order is not None  # proved at build time
+        assert ext.order() == PermGroup(ext.degree, ext.generators).order()
+        count += 1
+    assert count == 676 + 460 + 244 + 44 + 59
+
+
+def test_split_extension_rejects_a_broken_certificate():
+    he3, d4 = build_heisenberg(), make_dihedral(4)
+    reg, homs = search_split_actions(he3, d4)
+    hom = homs[1]
+    # a transposition satisfies D4's relations (as the image of both
+    # generators) but fixes 25 of He3's 27 points, so it cannot normalize it
+    swap = (1, 0) + tuple(range(2, reg.degree))
+    assert hom_from_generator_images(d4.degree, d4.generators, (swap, swap)) is not None
+    with pytest.raises(ContractError, match="normalize"):
+        build_split_extension(reg, d4, (swap, swap))
+    # an image of order 3 for an involution breaks D4's relations
+    three = reg.generators[0]
+    assert porder(three) == 3
+    with pytest.raises(ContractError, match="relations"):
+        build_split_extension(reg, d4, (hom[0], three))
+    with pytest.raises(ParameterError):
+        build_split_extension(reg, d4, hom[:1])
+    wrong = PermGroup(reg.degree, reg.generators, order=26)
+    with pytest.raises(ContractError):
+        build_split_extension(wrong, d4, hom)
+
+
+def test_split_extensions_skip_schreier_sims(monkeypatch):
+    he3, d4 = build_heisenberg(), make_dihedral(4)
+    reg, homs = search_split_actions(he3, d4)
+    calls = []
+    sifted = permgrp._schreier_sims_order
+
+    def counted(*args):
+        calls.append(args)
+        return sifted(*args)
+
+    monkeypatch.setattr(permgrp, "_schreier_sims_order", counted)
+    orders = {build_split_extension(reg, d4, hom).order() for hom in homs}
+    assert (len(homs), orders, len(calls)) == (676, {216}, 0)
 
 
 # -- semidirect cells ----------------------------------------------------------

@@ -255,7 +255,7 @@ def test_wreath_heisenberg_and_split_extension_orders_match_sympy():
     for h in homs[::25]:
         ext = build_split_extension(reg, d4, h)
         fresh = PermGroup(ext.degree, ext.generators)
-        assert fresh.order() == sympy_order(fresh) == 216
+        assert ext.order() == fresh.order() == sympy_order(fresh) == 216
 
 
 def test_order_cap_is_a_lower_bound():
