@@ -49,7 +49,7 @@ from .mapcore import (
     map_counts,
     verify_structural_lemmas,
 )
-from .permgrp import cycles, pmul
+from .permgrp import cycles
 
 DESCRIPTOR_HELP = (
     "group descriptors: pgl2:q | psl2:q | h1:L | h2:j,k | h3:L | he3 | wr3 | "
@@ -115,9 +115,9 @@ def _resolve_cell(base_desc: str, ell: int, desc: str):
         q, m, n = _ints(base_desc[5:], desc, 3, sep=":")
         pp = PrimePower.of(q)
         ctx = make_field(pp.p, pp.e)
-        g = make_pgl2(ctx, "pgl")
+        triples = find_triples(make_pgl2(ctx, "pgl"), m, n, limit=64)
         h0 = psl2_membership(ctx)
-        for t in find_triples(g, m, n, limit=64):
+        for t in triples:
             try:
                 return build_semidirect_cell(
                     SemidirectSpec(base=t, h0_elements=h0, ell=ell)
@@ -129,15 +129,8 @@ def _resolve_cell(base_desc: str, ell: int, desc: str):
         )
     if base_desc.startswith("h1:"):
         t = build_h1(*_ints(base_desc[3:], desc, 1))
-        rot = t.bc
-        h0 = set()
-        cur = t.group.ident
-        for _ in range(t.n):
-            h0.add(cur)
-            cur = pmul(cur, rot)
-        return build_semidirect_cell(
-            SemidirectSpec(base=t, h0_elements=frozenset(h0), ell=ell)
-        )
+        h0 = t.group.subgroup([t.bc]).elements()
+        return build_semidirect_cell(SemidirectSpec(base=t, h0_elements=h0, ell=ell))
     raise ParameterError(f"cell base must be pgl2:q:m:n or h1:L; {DESCRIPTOR_HELP}")
 
 

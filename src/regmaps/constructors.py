@@ -27,6 +27,7 @@ from .mapcore import MapTriple, euler_characteristic, involution_triples, verify
 from .permgrp import (
     ELEMENTS_CAP,
     PermGroup,
+    _orbit_labels,
     element_table,
     hom_from_generator_images,
     identity,
@@ -62,7 +63,6 @@ __all__ = [
     "find_triples",
 ]
 
-FIND_TRIPLES_CAP = 50_000
 CELL_DEGREE_CAP = 1_000_000
 ELL_CAP = 2 ** 40
 SPLIT_KERNEL_CAP = 2000  # order of the kernel V of a split extension V x| D
@@ -244,9 +244,6 @@ class ProjectiveLine:
     def size(self) -> int:
         return self.ctx.q + 1
 
-    def points(self):
-        return ["inf"] + self.ctx.elements()
-
     def moebius_perm(self, a, b, c, d):
         """Permutation of the q+1 points induced by x -> (ax+b)/(cx+d)."""
         F = self.ctx
@@ -296,11 +293,10 @@ def make_pgl2(ctx: FieldCtx, kind: str) -> PermGroup:
 def psl2_membership(ctx: FieldCtx):
     """The element set of PSL2(q) inside PGL2(q) (same projective action).
 
-    Usable as the index-2 subgroup test for twisted products; intended for
-    the small q where those are built.
+    Usable as the index-2 subgroup test for twisted products, within the
+    element budget ELEMENTS_CAP.
     """
-    psl = make_pgl2(ctx, "psl")
-    return psl.elements(cap=max(20000, ctx.q * (ctx.q ** 2 - 1)))
+    return make_pgl2(ctx, "psl").elements()
 
 
 # ---------------------------------------------------------------------------
@@ -324,25 +320,15 @@ def make_dihedral(n: int) -> PermGroup:
 def build_h1(ell: int) -> MapTriple:
     """The dihedral family: D_ell as a (2,2,ell)*-triple, ell even.
 
-    With y the rotation of order ell and b a reflection: a = y^(ell/2)
-    (central), c = b y.  The extra relator a (bc)^(ell/2) holds.
+    With y, b the generators of ``make_dihedral(ell)`` (y of order ell):
+    a = y^(ell/2) (central), c = b y.  The extra relator a (bc)^(ell/2) holds.
     """
     if ell < 2 or ell % 2:
         raise ParameterError(f"need even ell >= 2, got {ell}")
-    n = ell
-    if n == 2:
-        # D_2 = V4 on 4 points: a, b, c are the three involutions
-        u, v = (1, 0, 2, 3), (0, 1, 3, 2)
-        g = PermGroup(4, [u, v])
-        return verify_star_group(g, u, v, pmul(u, v))
-    rot = tuple((i + 1) % n for i in range(n))
-    ref = tuple((-i) % n for i in range(n))
-    g = PermGroup(n, [rot, ref])
-    y = rot
-    b = ref
+    g = make_dihedral(ell)
+    y, b = g.generators
     a = ppow(y, ell // 2)
-    c = pmul(b, y)
-    t = verify_star_group(g, a, b, c)
+    t = verify_star_group(g, a, b, pmul(b, y))
     # the defining relator a (bc)^(ell/2)
     if pmul(a, ppow(t.bc, ell // 2)) != g.ident:
         raise ContractError("H1 relator failed")
@@ -568,28 +554,18 @@ def _action_homs(acting: PermGroup, targets):
 def _conjugacy_representatives(homs, conjugators):
     """The first tuple of each orbit of ``homs`` under simultaneous
     conjugation by the group ``conjugators`` generate, in the order of
-    ``homs``; an orbit that leaves ``homs`` is a ContractError."""
-    conj = [(pinv(g), g) for g in conjugators]
-    hom_set = set(homs)
-    seen = set()
-    reps = []
-    for s in homs:
-        if s in seen:
-            continue
-        orbit = {s}
-        frontier = [s]
-        while frontier:
-            cur = frontier.pop()
-            for ginv, g in conj:
-                img = tuple(pmul(pmul(ginv, x), g) for x in cur)
-                if img not in orbit:
-                    if img not in hom_set:
-                        raise ContractError("conjugate action escaped the search set")
-                    orbit.add(img)
-                    frontier.append(img)
-        seen |= orbit
-        reps.append(s)
-    return reps
+    ``homs``: those whose index ``_orbit_labels`` labels with itself.  A
+    conjugate outside ``homs`` is a ContractError."""
+    index = {s: i for i, s in enumerate(homs)}
+    maps = []
+    for g in conjugators:
+        ginv = pinv(g)
+        try:
+            maps.append([index[tuple(pmul(pmul(ginv, x), g) for x in s)] for s in homs])
+        except KeyError:
+            raise ContractError("conjugate action escaped the search set") from None
+    labels = _orbit_labels(len(homs), maps).tolist()
+    return [s for i, s in enumerate(homs) if labels[i] == i]
 
 
 def build_module_extension(acting, spec: ModuleExtensionSpec) -> PermGroup:
@@ -734,7 +710,10 @@ def build_split_extension(v_regular: PermGroup, d: PermGroup, aut_images) -> Per
 class SemidirectSpec:
     """Data for G = C_ell x| H*: a base star-triple, the index-2 subgroup
     H0 (elements centralizing C_ell; everything outside inverts it), and
-    ell, odd and coprime to |H*|."""
+    ell, odd and coprime to |H*|.  H0 is read only through the signs of a,
+    b and c, which must extend to a homomorphism onto C2: one lies outside
+    H0, and the graph group of the signs (each of a, b, c acting on 2 new
+    points too, by a swap when it is outside H0) has order |H*|."""
 
     base: MapTriple
     h0_elements: frozenset
@@ -745,11 +724,17 @@ class SemidirectSpec:
             raise ParameterError(f"ell must be odd and positive, got {self.ell}")
         if self.ell > ELL_CAP:
             raise ParameterError(f"ell exceeds cap 2^40")
-        base_order = self.base.group.order()
+        base_order, deg = self.base.group.order(), self.base.group.degree
         if gcd(self.ell, base_order) != 1:
             raise ParameterError(f"ell = {self.ell} not coprime to |H*| = {base_order}")
-        if 2 * len(self.h0_elements) != base_order:
-            raise ParameterError("h0 is not an index-2 subset")
+        triple = (self.base.a, self.base.b, self.base.c)
+        signs = [x in self.h0_elements for x in triple]
+        if all(signs):
+            raise ParameterError("h0 contains a, b and c, so it is not of index 2")
+        swaps = {True: (deg, deg + 1), False: (deg + 1, deg)}
+        graph = PermGroup(deg + 2, [x + swaps[s] for x, s in zip(triple, signs)])
+        if graph.order() != base_order:
+            raise ParameterError("the signs of a, b, c on h0 do not extend to a homomorphism onto C2")
 
 
 def build_semidirect_cell(spec: SemidirectSpec) -> MapTriple:
@@ -847,11 +832,12 @@ def find_triples(g: PermGroup, m: int, n: int, limit: int = 16) -> list:
     up to conjugacy), then b and c in ascending order.  Fewer than
     ``limit`` triples means the search was exhaustive, so an empty list is
     a definitive nonexistence certificate.  Groups of order above
-    FIND_TRIPLES_CAP are refused before any enumeration.
+    ELEMENTS_CAP, the element table's budget, are refused before any
+    enumeration.
     """
     order = g.order()
-    if order > FIND_TRIPLES_CAP:
-        raise ResourceError(f"find_triples budget is {FIND_TRIPLES_CAP}, group has order {order}")
+    if order > ELEMENTS_CAP:
+        raise ResourceError(f"find_triples budget is {ELEMENTS_CAP}, group has order {order}")
     elems = element_table(g).elems
     out = []
     for ia, ib, ic, *_ in involution_triples(g, {(m, n)}):

@@ -282,20 +282,6 @@ class StructuralReport:
                 return c
         raise KeyError(name)
 
-    def to_dict(self):
-        return {
-            "all_passed": self.all_passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "applicable": c.applicable,
-                    "passed": c.passed,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-        }
-
 
 def verify_structural_lemmas(t: MapTriple) -> StructuralReport:
     """Check the odd-characteristic structure facts on a concrete triple.

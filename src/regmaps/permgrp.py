@@ -178,7 +178,7 @@ class PermGroup:
                 self.cached_order = _schreier_sims_order(self.degree, self.generators, cap)
         return self.cached_order
 
-    def elements(self, cap: int = ELEMENTS_CAP) -> frozenset:
+    def elements(self) -> frozenset:
         """All group elements by breadth-first closure (budgeted)."""
         if self._elements is None:
             elems = {self.ident}
@@ -189,9 +189,9 @@ class PermGroup:
                     for g in self.generators:
                         y = pmul(x, g)
                         if y not in elems:
-                            if len(elems) >= cap:
+                            if len(elems) >= ELEMENTS_CAP:
                                 raise ResourceError(
-                                    f"element enumeration exceeded cap {cap}",
+                                    f"element enumeration exceeded cap {ELEMENTS_CAP}",
                                     partial=len(elems),
                                 )
                             elems.add(y)
@@ -209,7 +209,7 @@ class PermGroup:
         which is the least element of its class."""
         if self._classes is None:
             t = element_table(self)
-            labels = _orbit_labels(t.n, [t.conjugation(i) for i in t.gen_indices])
+            labels = _orbit_labels(t.n, [t.conjugation(i).tolist() for i in t.gen_indices])
             reps, sizes = np.unique(labels, return_counts=True)
             self._classes = [(t.elems[r], s) for r, s in zip(reps.tolist(), sizes.tolist())]
         return self._classes
@@ -358,14 +358,7 @@ class NormalSubgroupHandle:
 
     def __init__(self, ambient: PermGroup, generators):
         self.ambient = ambient
-        gens = []
-        seen = set()
-        for g in generators:
-            g = tuple(g)
-            if g != ambient.ident and g not in seen:
-                seen.add(g)
-                gens.append(g)
-        self.generators = tuple(gens)
+        self.generators = ambient.subgroup(generators).generators
 
     @cached_property
     def mask(self) -> np.ndarray:
@@ -408,12 +401,11 @@ def _handle(g: PermGroup, t: "ElementTable", gens, mask) -> NormalSubgroupHandle
 
 def _orbit_labels(n: int, maps) -> np.ndarray:
     """The least index in the orbit of each of 0..n-1 under the group
-    generated by ``maps`` (index permutations of 0..n-1).
+    generated by ``maps`` (index permutations of 0..n-1, as lists).
 
     Indices are scanned in ascending order, so the first one met in an
     orbit is its least; a search from it labels the whole orbit.
     """
-    cols = [f.tolist() for f in maps]
     label = [-1] * n
     for x in range(n):
         if label[x] >= 0:
@@ -422,7 +414,7 @@ def _orbit_labels(n: int, maps) -> np.ndarray:
         stack = [x]
         while stack:
             y = stack.pop()
-            for col in cols:
+            for col in maps:
                 z = col[y]
                 if label[z] < 0:
                     label[z] = x
@@ -568,7 +560,7 @@ class QuotientGroup(PermGroup):
 
     def __init__(self, ambient: PermGroup, handle: NormalSubgroupHandle):
         t = self._ambient_table = element_table(ambient)
-        cols = [t.right(i) for i in _indices(t, handle.generators)]
+        cols = [t.right(i).tolist() for i in _indices(t, handle.generators)]
         self._reps, self._coset_of = np.unique(_orbit_labels(t.n, cols), return_inverse=True)
         index = len(self._reps)
         super().__init__(index, [self._perm_of(i) for i in t.gen_indices], order=index)

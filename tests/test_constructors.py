@@ -152,6 +152,27 @@ def test_build_h1(ell, order, chi):
     assert t.group.order() == order and (t.m, t.n) == (2, ell) and t.chi == chi
 
 
+# the triples build_h1 gave when it laid out D_ell by hand
+H1_TRIPLES = {
+    2: ((1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2)),
+    4: ((2, 3, 0, 1), (0, 3, 2, 1), (1, 0, 3, 2)),
+    30: (
+        (15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29,
+         0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14),
+        (0, 29, 28, 27, 26, 25, 24, 23, 22, 21, 20, 19, 18, 17, 16,
+         15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1),
+        (1, 0, 29, 28, 27, 26, 25, 24, 23, 22, 21, 20, 19, 18, 17,
+         16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("ell", sorted(H1_TRIPLES))
+def test_build_h1_triples_are_pinned(ell):
+    t = build_h1(ell)
+    assert (t.a, t.b, t.c) == H1_TRIPLES[ell]
+
+
 def test_build_h1_rejects_odd():
     with pytest.raises(ParameterError):
         build_h1(3)
@@ -408,6 +429,12 @@ def _find_triples_s9():
     return s9, lambda: find_triples(s9, 3, 4)
 
 
+def _find_triples_pgl31():
+    # |PGL(2,31)| = 29760 is within the group-order budget but not the element budget
+    g = make_pgl2(make_field(31, 1), "pgl")
+    return g, lambda: find_triples(g, 3, 8)
+
+
 def _kernel_pgl13():
     t = find_triples(make_pgl2(make_field(13, 1), "pgl"), 13, 14, limit=1)[0]
     fresh = PermGroup(t.group.degree, t.group.generators)
@@ -419,16 +446,23 @@ def _kernel_pgl13():
     "case, message",
     [
         (_aut_pgl13, "automorphism search budget is 1500, group has order 2184"),
-        (_find_triples_s9, "find_triples budget is 50000, group has order 362880"),
+        (_find_triples_s9, "find_triples budget is 20000, group has order 362880"),
+        (_find_triples_pgl31, "find_triples budget is 20000, group has order 29760"),
         (_kernel_pgl13, "coset table budget is 2000, |G| = 2184"),
     ],
-    ids=["aut", "find_triples", "coset_table"],
+    ids=["aut", "find_triples", "find_triples_pgl31", "coset_table"],
 )
 def test_fixed_budgets_refuse_before_enumerating(case, message):
     g, call = case()
     with pytest.raises(ResourceError, match=re.escape(message)):
         call()
     assert g._elements is None
+
+
+def test_psl2_membership_keeps_the_element_budget():
+    # |PSL(2,81)| = 265680
+    with pytest.raises(ResourceError, match="element enumeration exceeded cap 20000"):
+        psl2_membership(make_field(3, 4))
 
 
 def _automorphisms(v):
@@ -597,6 +631,7 @@ def test_cell_over_dihedral_matches_h1():
     assert cell.group.order() == 24
     # generic re-verification on the small degree
     fresh = PermGroup(cell.group.degree, [cell.a, cell.b, cell.c])
+    assert fresh.order() == 24  # Schreier-Sims, not the cached order
     t = verify_star_group(fresh, cell.a, cell.b, cell.c)
     assert (t.m, t.n, t.chi) == (2, 12, 1)
 
@@ -611,6 +646,7 @@ def test_cell_b3(pgl_groups):
     cell = build_semidirect_cell(SemidirectSpec(base=base, h0_elements=pslset, ell=5))
     assert (cell.m, cell.n) == (15, 8) and cell.group.order() == 1680
     fresh = PermGroup(cell.group.degree, [cell.a, cell.b, cell.c])
+    assert fresh.order() == 1680  # Schreier-Sims, not the cached order
     t = verify_star_group(fresh, cell.a, cell.b, cell.c)
     assert (t.m, t.n) == (15, 8) and t.chi == cell.chi
 
@@ -639,6 +675,26 @@ def test_cell_spec_validation(pgl_groups):
         SemidirectSpec(base=h1, h0_elements=h0, ell=4)  # even
     with pytest.raises(ParameterError):
         SemidirectSpec(base=h1, h0_elements=h0, ell=3 * 8)  # not coprime/odd
+
+
+@pytest.mark.parametrize("outside", [(), ("a", "b")], ids=["all_inside", "forged_signs"])
+def test_cell_spec_rejects_an_h0_that_is_no_subgroup(pgl_groups, outside):
+    # a base triple with true PSL signs (in, in, out), and an h0 of the
+    # right size, 168, that puts a, b or none of a, b, c outside it
+    pgl7 = pgl_groups["pgl7"]
+    pslset = psl2_membership(make_field(7, 1))
+    base = next(
+        t
+        for t in find_triples(pgl7, 3, 8, limit=64)
+        if t.a in pslset and t.b in pslset and t.c not in pslset
+    )
+    named = {"a": base.a, "b": base.b, "c": base.c}
+    kept = {x for name, x in named.items() if name not in outside}
+    others = sorted(set(pgl7.elements()) - set(named.values()))
+    forged = frozenset(kept | set(others[: 168 - len(kept)]))
+    assert len(forged) == 168
+    with pytest.raises(ParameterError):
+        SemidirectSpec(base=base, h0_elements=forged, ell=5)
 
 
 # -- find_triples ---------------------------------------------------------------
@@ -670,6 +726,7 @@ def test_cell_projection_recovers_base(pgl_groups):
         if t.a not in pslset and t.b not in pslset
     )
     cell = build_semidirect_cell(SemidirectSpec(base=base, h0_elements=pslset, ell=5))
+    assert PermGroup(cell.group.degree, [cell.a, cell.b, cell.c]).order() == cell.group.order()
     z_part = ppow(cell.ab, base.m)
     handle = NormalSubgroupHandle(cell.group, [z_part])
     assert handle.order() == 5 and handle.check_normal()

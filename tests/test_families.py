@@ -1,3 +1,4 @@
+import signal
 from math import gcd, isqrt
 
 import pytest
@@ -56,6 +57,30 @@ def test_row_validation():
         FamilyRow("B3", {"N": 1, "s": 0, "ell": 3})  # ell not coprime to |PGL2(7)|
     with pytest.raises(ParameterError):
         FamilyRow("Z9")
+
+
+@pytest.mark.parametrize("r", [0, 1])
+@pytest.mark.parametrize(
+    "row, params",
+    [
+        ("B5", {"p": 7, "s": 1, "N": 3, "ell": 1}),
+        ("B6", {"p": 5, "ell": 1}),
+        ("B7", {"p": 5, "s": 1, "N": 3, "ell": 1}),
+    ],
+    ids=["B5", "B6", "B7"],
+)
+def test_b_rows_refuse_r_below_2_without_hanging(row, params, r):
+    def give_up(*_):
+        raise TimeoutError(f"{row} validation ran for 5 s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ParameterError):
+            FamilyRow(row, {**params, "r": r})
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_search_c1_c2():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from regmaps.errors import ContractError, ResourceError
+from regmaps.errors import ContractError, ParameterError, ResourceError
 from regmaps.permgrp import (
     ORDER_CAP,
     NormalSubgroupHandle,
@@ -138,6 +138,15 @@ def test_quotient_direct_product(pgl_groups):
     assert g.order() == 840
     handle = NormalSubgroupHandle(g, [c7])
     assert quotient_group(g, handle).order() == 120
+
+
+def test_normal_subgroup_handle_generators():
+    s3 = PermGroup(3, [(1, 0, 2), (0, 2, 1)])
+    handle = NormalSubgroupHandle(s3, [(0, 1, 2), (1, 2, 0), [1, 2, 0], (0, 1, 2)])
+    assert handle.generators == ((1, 2, 0),)  # identity and duplicate dropped
+    assert handle.order() == 3
+    with pytest.raises(ParameterError):
+        NormalSubgroupHandle(s3, [(0, 0, 1)])
 
 
 def test_frattini():
