@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 
+import numpy as np
+
 from .algebra import is_prime
 from .errors import ContractError, ParameterError, ResourceError
 from .mapcore import MapTriple, euler_characteristic, involution_triples, verify_star_group
@@ -66,6 +68,9 @@ __all__ = [
 CELL_DEGREE_CAP = 1_000_000
 ELL_CAP = 2 ** 40
 SPLIT_KERNEL_CAP = 2000  # order of the kernel V of a split extension V x| D
+# ell of build_h1: verify_star_group's Schreier-Sims chain on ell points
+# holds about ell^2 entries (60 MB peak RSS at ell = 2000)
+H1_CAP = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +309,17 @@ def psl2_membership(ctx: FieldCtx):
 
 
 def make_dihedral(n: int) -> PermGroup:
-    """D_n of order 2n as a permutation group; D_2 is the Klein group on 4
-    points, D_1 is C_2."""
+    """D_n of order 2n as a permutation group, its order given, not
+    computed; D_2 is the Klein group on 4 points, D_1 is C_2."""
     if n < 1:
         raise ParameterError("need n >= 1")
     if n == 1:
-        return PermGroup(2, [(1, 0)])
+        return PermGroup(2, [(1, 0)], order=2)
     if n == 2:
-        return PermGroup(4, [(1, 0, 2, 3), (0, 1, 3, 2)])
+        return PermGroup(4, [(1, 0, 2, 3), (0, 1, 3, 2)], order=4)
     rot = tuple((i + 1) % n for i in range(n))
     ref = tuple((-i) % n for i in range(n))
-    return PermGroup(n, [rot, ref])
+    return PermGroup(n, [rot, ref], order=2 * n)
 
 
 def build_h1(ell: int) -> MapTriple:
@@ -325,6 +330,8 @@ def build_h1(ell: int) -> MapTriple:
     """
     if ell < 2 or ell % 2:
         raise ParameterError(f"need even ell >= 2, got {ell}")
+    if ell > H1_CAP:
+        raise ResourceError(f"build_h1 budget is ell <= {H1_CAP}, got {ell}")
     g = make_dihedral(ell)
     y, b = g.generators
     a = ppow(y, ell // 2)
@@ -637,9 +644,17 @@ def regular_form(g: PermGroup) -> PermGroup:
 
 def automorphism_perm_group(v: PermGroup):
     """(regular copy of v, Aut(v) as permutations of v's element indices),
-    from the generator-image search on v's own element table."""
+    in the lexicographic order of the generator images.
+
+    Each class-anchored automorphism f of v's own element table
+    (``ElementTable.automorphism_index_maps``) is followed by every inner
+    automorphism x -> y^-1 x y (the ``conjugation`` columns); maps equal
+    on the generators are one map, so duplicates are dropped."""
     reg, t = regular_form(v), element_table(v)
-    return reg, [tuple(f.tolist()) for f in t.automorphism_index_maps(t.gen_indices)]
+    inner = np.array([t.conjugation(y) for y in range(t.n)], dtype=np.int32)
+    maps = np.concatenate([inner[:, f] for f in t.automorphism_index_maps(t.gen_indices)])
+    _, first = np.unique(maps[:, t.gen_indices], axis=0, return_index=True)
+    return reg, [tuple(f) for f in maps[first].tolist()]
 
 
 def search_split_actions(v: PermGroup, d: PermGroup):

@@ -7,7 +7,9 @@ Euler characteristic and flag counts, checks the structural constraints
 that odd characteristic imposes, and provides the involution-triple
 enumerator behind both the triple search and the census up to Aut(G)
 used as a ground-truth oracle on small groups.  The census reads its
-Aut(G)-orbits, and self-duality, off the list of automorphisms of G.
+Aut(G)-orbits, and self-duality, off the automorphisms that send a to its
+class representative, each followed by every inner automorphism; Aut(G)
+itself is never listed.
 """
 
 from __future__ import annotations
@@ -429,14 +431,18 @@ def classify_maps_for_group(g: PermGroup, cap: int = CENSUS_CAP, types=None):
     (degenerate quotient types like (2, l) included) is conjugate to one of
     them, so a type (m, n) has sum |class(a)| * #triples(a) triples in all.
     Aut(g) acts freely on generating triples, so the class count is that
-    total / |Aut(g)|.  The classes are read off the list of automorphisms
-    (``ElementTable.automorphism_index_maps``): the class-representative
-    triples are walked in enumerator order, each one not yet covered
-    becomes a representative, and its orbit {(f[a], f[b], f[c])} covers
-    every triple it meets; the orbit must have |Aut(g)| triples and the
-    orbits met must number total / |Aut(g)|.  A representative is self-dual
-    when (c, b, a) lies in its orbit.  The dual copy of a type with m < n
-    (its (n, m) triples) is not listed again.
+    total / |Aut(g)|.  The automorphisms are never listed: with the
+    class-anchored maps f of ``ElementTable.automorphism_index_maps`` (a
+    sent to the least element of its class), every automorphism is an f
+    followed by an inner one, and |Aut(g)| is the sum of |class(f[a])|.
+    The class-representative triples are walked in enumerator order; each
+    one not yet covered becomes a representative T, and its orbit is the
+    union, over the f whose image f(T) is not yet in it, of the conjugates
+    of f(T) (``ElementTable.conjugates``).  The orbit must have |Aut(g)|
+    triples and the orbits met must number total / |Aut(g)|.  A
+    representative is self-dual when (c, b, a) lies in its orbit.  The
+    dual copy of a type with m < n (its (n, m) triples) is not listed
+    again.
 
     ``types``, if given, restricts the census to those ordered types.
     """
@@ -454,7 +460,7 @@ def classify_maps_for_group(g: PermGroup, cap: int = CENSUS_CAP, types=None):
 
     first = next(iter(accepted.values()))[0]
     auts = table.automorphism_index_maps(list(first))
-    n_aut = len(auts)
+    n_aut = table.automorphism_count(auts, first[0])
     elems = table.elems
     out = []
     for (m, n), triples in sorted(accepted.items()):
@@ -468,7 +474,11 @@ def classify_maps_for_group(g: PermGroup, cap: int = CENSUS_CAP, types=None):
         for ia, ib, ic in triples:
             if (ia, ib, ic) in covered:
                 continue
-            orbit = {(int(f[ia]), int(f[ib]), int(f[ic])) for f in auts}
+            orbit = set()
+            for f in auts:
+                image = (int(f[ia]), int(f[ib]), int(f[ic]))
+                if image not in orbit:
+                    orbit.update(zip(*(table.conjugates(x).tolist() for x in image)))
             if len(orbit) != n_aut:
                 raise ContractError(
                     f"type ({m},{n}): orbit of {len(orbit)} triples, |Aut| = {n_aut}"

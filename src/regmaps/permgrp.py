@@ -209,8 +209,7 @@ class PermGroup:
         which is the least element of its class."""
         if self._classes is None:
             t = element_table(self)
-            labels = _orbit_labels(t.n, [t.conjugation(i).tolist() for i in t.gen_indices])
-            reps, sizes = np.unique(labels, return_counts=True)
+            reps, sizes = np.unique(t.class_labels(), return_counts=True)
             self._classes = [(t.elems[r], s) for r, s in zip(reps.tolist(), sizes.tolist())]
         return self._classes
 
@@ -742,6 +741,7 @@ class ElementTable:
         else:
             raise ContractError("an element has order above the group order")
         self.order_of = order_of
+        self._class_labels = None
 
     def _lookup(self, images) -> np.ndarray:
         """Index of the element with the base-point images ``images[t]``
@@ -763,6 +763,19 @@ class ElementTable:
         """Index of elems[i]^-1 * x * elems[i] for every x."""
         images = self._images
         return self._lookup(images[:, i][images[images[self.base, self.inv[i]]]])
+
+    def conjugates(self, i: int) -> np.ndarray:
+        """Index of y^-1 * elems[i] * y for every y; it sends b to
+        y[elems[i][y^-1[b]]]."""
+        images = self._images
+        return self._lookup(images[images[:, i][images[self.base][:, self.inv]], np.arange(self.n)])
+
+    def class_labels(self) -> np.ndarray:
+        """The least index in the conjugacy class of each element (cached)."""
+        if self._class_labels is None:
+            cols = [self.conjugation(i).tolist() for i in self.gen_indices]
+            self._class_labels = _orbit_labels(self.n, cols)
+        return self._class_labels
 
     def product(self, *indices) -> int:
         """Index of the product of the given elements, left to right."""
@@ -832,18 +845,27 @@ class ElementTable:
         return f if hit.all() else None
 
     def automorphism_index_maps(self, gen_indices):
-        """All automorphisms as index arrays f with f[x*y] = f[x]*f[y], in
-        the lexicographic order of their generator images.
+        """The automorphisms that send the first generator g1 to the least
+        element of its conjugacy class, as index arrays f with
+        f[x*y] = f[x]*f[y], in the lexicographic order of their generator
+        images.
 
-        ``gen_indices`` must generate.  Candidate images are filtered by
-        element orders and by the orders of their products with the
-        images chosen before (read off ``left`` columns), then extended by
-        ``extend_map``.
+        Every automorphism is c_y . f for one returned f and some y, where
+        c_y(x) = y^-1 x y, so |Aut| = sum over f of |class(f[g1])| and Aut
+        is the returned list up to inner conjugation (Holt, Eick and
+        O'Brien, 2005, sec. 4.6).  ``gen_indices`` must generate.  The
+        first image runs over the class representatives of ord(g1); every
+        image is filtered by its order and by the orders of its products
+        with the images chosen before (read off ``left`` columns), then
+        the tuple is extended by ``extend_map``.
         """
         order_of, k = self.order_of, len(gen_indices)
         schedule = self.bfs_schedule(gen_indices)
         gen_cols = [self.right(j) for j in gen_indices]
         by_order = [np.flatnonzero(order_of == order_of[j]) for j in gen_indices]
+        if k:
+            reps = by_order[0]
+            by_order[0] = reps[self.class_labels()[reps] == reps]
         # pair_orders[i][j] = ord(g_j * g_i) for j < i
         pair_orders = [[order_of[self.product(gj, gi)] for gj in gen_indices[:i]]
                        for i, gi in enumerate(gen_indices)]
@@ -866,6 +888,12 @@ class ElementTable:
         extend(0, [], [])
         return found
 
+    def automorphism_count(self, anchored, g1: int) -> int:
+        """|Aut| from the maps of ``automorphism_index_maps`` whose first
+        generator is g1: the sum of the class sizes of their images of g1."""
+        sizes = np.bincount(self.class_labels(), minlength=self.n)
+        return int(sum(sizes[f[g1]] for f in anchored))
+
 
 def element_table(g: PermGroup) -> ElementTable:
     """Cached ElementTable for g."""
@@ -877,11 +905,13 @@ def element_table(g: PermGroup) -> ElementTable:
 
 
 def count_automorphisms(g: PermGroup, triple) -> int:
-    """|Aut(g)|, counted as the number of generator-image tuples that extend
-    to an automorphism; groups of order above AUT_CAP are refused first."""
+    """|Aut(g)|, the sum of |class(f[g1])| over the class-anchored
+    automorphisms f of ``ElementTable.automorphism_index_maps``, g1 the
+    first element of the generating ``triple``; groups of order above
+    AUT_CAP are refused first."""
     n = g.order()
     if n > AUT_CAP:
         raise ResourceError(f"automorphism search budget is {AUT_CAP}, group has order {n}")
     table = element_table(g)
     gen_indices = [table.pos[x] for x in tuple(triple)]
-    return len(table.automorphism_index_maps(gen_indices))
+    return table.automorphism_count(table.automorphism_index_maps(gen_indices), gen_indices[0])

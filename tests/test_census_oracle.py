@@ -12,18 +12,21 @@ from regmaps.constructors import (
     build_heisenberg,
     build_split_extension,
     make_dihedral,
+    make_field,
+    make_pgl2,
     split_action_classes,
 )
 from regmaps.mapcore import classify_maps_for_group
-from regmaps.permgrp import count_automorphisms, element_table, pmul
+from regmaps.permgrp import element_table, hom_from_generator_images, pmul
 
 
 def brute_force_classes(g):
     """(m, n) -> Aut-class count, from all triples with 2 <= m <= n.
 
     Products of involutions come from pmul on the permutations, not from
-    the table's columns, so the oracle does not share the census's
-    product code."""
+    the table's columns, and |Aut| from ``hom_from_generator_images``, which
+    walks permutations, so the oracle shares neither the census's product
+    code nor its automorphism search."""
     table = element_table(g)
     elems, order_of = table.elems, table.order_of
     invs = np.array(table.involution_indices(), dtype=np.intp)
@@ -33,7 +36,7 @@ def brute_force_classes(g):
         dtype=np.intp,
     )
     full = {}  # (ab, bc) -> <ab, bc> = G
-    totals = {}
+    by_type = {}  # (m, n) -> every generating triple of that type
     first = None
     for a in range(len(invs)):
         ia = invs[a]
@@ -48,12 +51,14 @@ def brute_force_classes(g):
                 full[key] = bool(table.closure(list(key)).all())
             if full[key]:
                 mn = (int(ms[i, 0]), int(ns[i, j]))
-                totals[mn] = totals.get(mn, 0) + 1
-                first = first or (int(ia), ib, ic)
-    elems = table.elems
-    n_aut = count_automorphisms(g, [elems[i] for i in first])
-    assert all(total % n_aut == 0 for total in totals.values())
-    return {mn: total // n_aut for mn, total in totals.items()}
+                by_type.setdefault(mn, []).append(tuple(elems[x] for x in (ia, ib, ic)))
+                first = first or (mn, by_type[mn][0])
+    # |Aut|: the triples of first's type onto which first extends to a
+    # homomorphism, each an automorphism since it generates
+    mn, src = first
+    n_aut = sum(hom_from_generator_images(g.degree, src, dst) is not None for dst in by_type[mn])
+    assert all(len(triples) % n_aut == 0 for triples in by_type.values())
+    return {mn: len(triples) // n_aut for mn, triples in by_type.items()}
 
 
 def _group(name, pgl_groups):
@@ -119,3 +124,30 @@ def test_census_types_restriction_matches_full_census(name, pgl_groups):
         assert classify_maps_for_group(g, types={mn}) == [c for c in full if (c.m, c.n) == mn]
     some = {(c.m, c.n) for c in full[::2]}
     assert classify_maps_for_group(g, types=some) == [c for c in full if (c.m, c.n) in some]
+
+
+# PSL(2,17) per type: (m, n) -> (chi, classes, duality classes, self-dual
+# classes), as the census that read classes off the full automorphism list
+# gave them
+PSL2_17 = {
+    (3, 9): (-68, 1, 1, 0),
+    (3, 17): (-132, 1, 1, 0),
+    (4, 9): (-170, 1, 1, 0),
+    (4, 17): (-234, 1, 1, 0),
+    (8, 9): (-323, 4, 4, 0),
+    (8, 17): (-387, 2, 2, 0),
+    (9, 9): (-340, 3, 2, 1),
+    (9, 17): (-404, 3, 3, 0),
+    (17, 17): (-468, 1, 1, 1),
+}
+
+
+def test_psl2_17_census_is_pinned():
+    census = classify_maps_for_group(make_pgl2(make_field(17, 1), "psl"), cap=20000)
+    got = {}
+    for c in census:
+        row = got.setdefault((c.m, c.n), [c.chi, c.classes_of_type, c.duality_classes_of_type, 0])
+        assert row[:3] == [c.chi, c.classes_of_type, c.duality_classes_of_type]
+        row[3] += c.self_dual
+    assert {mn: tuple(row) for mn, row in got.items()} == PSL2_17
+    assert len(census) == sum(k for _chi, k, _kd, _sd in PSL2_17.values())

@@ -7,6 +7,7 @@ from sympy import Poly, Symbol, primerange
 
 from regmaps.algebra import IntMatrix, det_bareiss
 from regmaps.constructors import (
+    H1_CAP,
     SemidirectSpec,
     ModuleExtensionSpec,
     automorphism_perm_group,
@@ -28,7 +29,7 @@ from regmaps.constructors import (
     search_split_actions,
     split_action_classes,
 )
-from regmaps import permgrp
+from regmaps import constructors, permgrp
 from regmaps.errors import ContractError, ParameterError, ResourceError
 from regmaps.families import _product_split_candidates
 from regmaps.homology import TriangleTarget, kernel_presentation
@@ -176,6 +177,24 @@ def test_build_h1_triples_are_pinned(ell):
 def test_build_h1_rejects_odd():
     with pytest.raises(ParameterError):
         build_h1(3)
+
+
+def test_make_dihedral_order_matches_schreier_sims():
+    for n in range(1, 13):
+        d = make_dihedral(n)
+        assert d.cached_order == 2 * n == PermGroup(d.degree, d.generators).order()
+
+
+def test_build_h1_refuses_above_its_budget_before_building(monkeypatch):
+    assert build_h1(H1_CAP).group.order() == 2 * H1_CAP
+
+    def build(*args):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr(constructors, "make_dihedral", build)
+    monkeypatch.setattr(permgrp, "_schreier_sims_order", build)
+    with pytest.raises(ResourceError, match=re.escape(f"build_h1 budget is ell <= {H1_CAP}, got 20000")):
+        build_h1(20000)
 
 
 def test_build_h2():
@@ -466,25 +485,17 @@ def test_psl2_membership_keeps_the_element_budget():
 
 
 def _automorphisms(v):
-    """Every automorphism of v as a permutation of its sorted elements:
-    each choice of generator images of the same orders, extended along the
-    Cayley graph, kept when it is well defined and bijective."""
+    """Every automorphism of v as a permutation of its sorted elements, in
+    the lexicographic order of the generator images: each choice of images
+    of the same orders that ``hom_from_generator_images`` extends, kept
+    when it is bijective."""
     elems = sorted(v.elements())
     pos = {x: i for i, x in enumerate(elems)}
     choices = [[y for y in elems if porder(y) == porder(g)] for g in v.generators]
     out = []
     for images in product(*choices):
-        phi, frontier, consistent = {v.ident: v.ident}, [v.ident], True
-        while frontier and consistent:
-            x = frontier.pop()
-            for g, img in zip(v.generators, images):
-                y, fy = pmul(x, g), pmul(phi[x], img)
-                if y not in phi:
-                    phi[y] = fy
-                    frontier.append(y)
-                elif phi[y] != fy:
-                    consistent = False
-        if consistent and len(set(phi.values())) == len(elems):
+        phi = hom_from_generator_images(v.degree, v.generators, images)
+        if phi is not None and len(set(phi.values())) == len(elems):
             out.append(tuple(pos[phi[x]] for x in elems))
     return out
 
@@ -493,7 +504,18 @@ _KERNELS = {
     "he3": build_heisenberg,
     "wr3": build_wreath_c3,
     "c3": lambda: PermGroup(3, [(1, 2, 0)]),
+    "d4": lambda: make_dihedral(4),
 }
+
+
+@pytest.mark.parametrize("kernel", ["he3", "wr3", "d4", "c3"])
+def test_automorphism_perm_group_vs_brute_force(kernel):
+    # the class-anchored search followed by every inner automorphism gives
+    # the whole of Aut(v), in the order of the full generator-image search
+    v = _KERNELS[kernel]()
+    _reg, auts = automorphism_perm_group(v)
+    assert auts == _automorphisms(v)
+    assert count_automorphisms(v, v.generators) == len(auts)
 
 
 @pytest.mark.parametrize(

@@ -3,11 +3,13 @@
 The table is built from base-point lookups; these tests check every
 inverse and every order, every product (or a seeded sample of them on the
 larger groups) through whole ``right`` columns, and a seeded sample of
-right, left and conjugation columns against the plain tuple arithmetic,
-on relabelled PSL/PGL(2,q), a slice of the group zoo, the trivial group
-and a regular representation.  ``extend_map`` must rebuild inner
-automorphisms from their generator images.  The negative tests tamper
-with the element list.
+right, left, conjugation and conjugates columns against the plain tuple
+arithmetic (and class labels against the least conjugate), on relabelled
+PSL/PGL(2,q), a slice of the group zoo, the trivial group and a regular
+representation.  ``extend_map`` must rebuild inner automorphisms from
+their generator images, and the automorphism search must anchor the first
+generator at a class representative.  The negative tests tamper with the
+element list.
 """
 
 import random
@@ -73,6 +75,9 @@ def check_table(g, seed=0):
         assert t.right(c).tolist() == [t.pos[pmul(y, x)] for y in elems], c
         assert t.left(c).tolist() == [t.pos[pmul(x, y)] for y in elems], c
         assert t.conjugation(c).tolist() == [t.pos[pmul(pmul(xi, y), x)] for y in elems], c
+        conjugates = t.conjugates(c).tolist()
+        assert conjugates == [t.pos[pmul(pmul(pinv(y), x), y)] for y in elems], c
+        assert t.class_labels()[c] == min(conjugates), c
     for j, rows in rows_by_column.items():
         x = elems[j]
         got = t.right(j)[rows].tolist()
@@ -119,6 +124,18 @@ def test_extend_map_rebuilds_inner_automorphisms(q, other):
     # a triple of another type has the same element orders but is no image
     images = _triple_indices(t, find_triples(g, *other, limit=1)[0])
     assert t.extend_map(schedule, gen_cols, [t.right(i) for i in images]) is None
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_automorphism_index_maps_anchor_the_first_generator(q):
+    g = _relabelled(_pgl(q, "pgl"), seed=q)
+    t = element_table(g)
+    gens = _triple_indices(t, find_triples(g, 4, 6, limit=1)[0])
+    auts = t.automorphism_index_maps(gens)
+    assert auts
+    for f in auts:
+        image = int(f[gens[0]])
+        assert image == min(t.conjugates(image).tolist())
 
 
 def _tampered(g, k):
