@@ -211,7 +211,7 @@ def cmd_verify(args):
 
 def cmd_census(args):
     g, _ = resolve_group(args.group)
-    classes = classify_maps_for_group(g, cap=args.budget)
+    classes = classify_maps_for_group(g)
     items = []
     for c in classes:
         if args.hyperbolic and not c.hyperbolic:
@@ -229,7 +229,7 @@ def cmd_census(args):
         )
     return _report(
         "census",
-        {"group": args.group, "budget": args.budget, "hyperbolic": args.hyperbolic},
+        {"group": args.group, "hyperbolic": args.hyperbolic},
         items,
         True,
     )
@@ -383,7 +383,6 @@ def build_parser():
 
     p = sub.add_parser("census", help="exhaustive involution-triple census")
     p.add_argument("group")
-    p.add_argument("--budget", type=int, default=2000)
     p.add_argument("--hyperbolic", action="store_true", help="only chi < 0 classes")
     p.set_defaults(fn=cmd_census)
 

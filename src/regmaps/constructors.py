@@ -27,7 +27,6 @@ from .algebra import is_prime
 from .errors import ContractError, ParameterError, ResourceError
 from .mapcore import MapTriple, euler_characteristic, involution_triples, verify_star_group
 from .permgrp import (
-    ELEMENTS_CAP,
     PermGroup,
     _orbit_labels,
     element_table,
@@ -298,8 +297,8 @@ def make_pgl2(ctx: FieldCtx, kind: str) -> PermGroup:
 def psl2_membership(ctx: FieldCtx):
     """The element set of PSL2(q) inside PGL2(q) (same projective action).
 
-    Usable as the index-2 subgroup test for twisted products, within the
-    element budget ELEMENTS_CAP.
+    Usable as the index-2 subgroup test for twisted products.  A PSL2(q)
+    of order above ELEMENTS_CAP is refused before it is enumerated.
     """
     return make_pgl2(ctx, "psl").elements()
 
@@ -459,17 +458,23 @@ class ModuleExtensionSpec:
     matrices: tuple
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ParameterError(f"need a prime p, got {self.p}")
-        if self.k < 0:
-            raise ParameterError(f"need k >= 0, got {self.k}")
-        if self.k > CELL_DEGREE_CAP.bit_length() or self.p ** self.k > CELL_DEGREE_CAP:
-            raise ResourceError(f"F_{self.p}^{self.k} has more than {CELL_DEGREE_CAP} points")
+        _check_vector_space(self.k, self.p)
         for m in self.matrices:
             if len(m) != self.k or any(len(r) != self.k for r in m):
                 raise ParameterError("matrix shape mismatch")
             if any(not isinstance(x, int) or not 0 <= x < self.p for r in m for x in r):
                 raise ParameterError(f"matrix entries must be integers in [0, {self.p})")
+
+
+def _check_vector_space(k, p):
+    """Refuse F_p^k unless p is prime, k >= 0 and it has at most
+    CELL_DEGREE_CAP points."""
+    if not is_prime(p):
+        raise ParameterError(f"need a prime p, got {p}")
+    if k < 0:
+        raise ParameterError(f"need k >= 0, got {k}")
+    if k > CELL_DEGREE_CAP.bit_length() or p ** k > CELL_DEGREE_CAP:
+        raise ResourceError(f"F_{p}^{k} has more than {CELL_DEGREE_CAP} points")
 
 
 def _mat_perm(m, p):
@@ -488,16 +493,18 @@ def _perm_mat(x, k, p):
 
 
 def gl_group(k: int, p: int) -> PermGroup:
-    """GL_k(p) as the permutation group it induces on the p^k vector codes,
-    budgeted by |GL_k(p)| <= ELEMENTS_CAP before anything is enumerated."""
-    if not is_prime(p) or k < 1:
-        raise ParameterError(f"need a prime p and k >= 1, got p = {p}, k = {k}")
+    """GL_k(p) as the permutation group it induces on the p^k vector codes.
+
+    The order is the formula prod(p^k - p^i), and it cross-checks the
+    generators: they are enumerated at once and must give exactly that
+    many elements.  An order above ELEMENTS_CAP is refused before any
+    element is enumerated."""
+    if k < 1:
+        raise ParameterError(f"need k >= 1, got {k}")
+    _check_vector_space(k, p)
     order = prod(p ** k - p ** i for i in range(k))
-    if order > ELEMENTS_CAP:
-        raise ResourceError(f"|GL_{k}({p})| = {order} exceeds the element budget {ELEMENTS_CAP}")
-    gl = PermGroup(p ** k, [_mat_perm(m, p) for m in _gl_generators(k, p)])
-    if gl.order() != order:
-        raise ContractError(f"GL_{k}({p}) generators give order {gl.order()}, not {order}")
+    gl = PermGroup(p ** k, [_mat_perm(m, p) for m in _gl_generators(k, p)], order=order)
+    gl.elements()
     return gl
 
 
@@ -846,13 +853,10 @@ def find_triples(g: PermGroup, m: int, n: int, limit: int = 16) -> list:
     involution conjugacy-class representatives (sufficient for existence
     up to conjugacy), then b and c in ascending order.  Fewer than
     ``limit`` triples means the search was exhaustive, so an empty list is
-    a definitive nonexistence certificate.  Groups of order above
-    ELEMENTS_CAP, the element table's budget, are refused before any
-    enumeration.
+    a definitive nonexistence certificate.  A group of order above
+    ELEMENTS_CAP, the element table's budget, is refused before its
+    elements are enumerated.
     """
-    order = g.order()
-    if order > ELEMENTS_CAP:
-        raise ResourceError(f"find_triples budget is {ELEMENTS_CAP}, group has order {order}")
     elems = element_table(g).elems
     out = []
     for ia, ib, ic, *_ in involution_triples(g, {(m, n)}):

@@ -21,7 +21,7 @@ from math import lcm
 import numpy as np
 
 from .algebra import as_prime_power, odd_prime_divisors, p_part
-from .errors import ContractError, ParameterError, ResourceError
+from .errors import ContractError, ParameterError
 from .permgrp import (
     NormalSubgroupHandle,
     Perm,
@@ -50,10 +50,7 @@ __all__ = [
     "verify_structural_lemmas",
     "involution_triples",
     "classify_maps_for_group",
-    "CENSUS_CAP",
 ]
-
-CENSUS_CAP = 2000
 
 
 class MapError(ContractError):
@@ -388,12 +385,12 @@ def involution_triples(g: PermGroup, types=None):
     """(2,m,n)*-triples on g whose a is an involution class representative.
 
     Yields (ia, ib, ic, m, n, class_size) with indices into element_table(g):
-    a runs over the involution class representatives of
-    g.conjugacy_classes(), b over the involutions in ascending index order,
-    c in ascending index order over the involutions with (ac)^2 = 1.  A
-    candidate is kept when (ord(ab), ord(bc)) is in ``types`` (None means
-    every type with 2 <= m <= n) and <ab, bc> = G, which forces <a, b, c> = G
-    and non-orientability.  Every Aut(g)-orbit of triples meets this set,
+    a runs over the involution class representatives (the least index of
+    each class, from ``class_labels``), b over the involutions in ascending
+    index order, c in ascending index order over the involutions with
+    (ac)^2 = 1.  A candidate is kept when (ord(ab), ord(bc)) is in
+    ``types`` (None means every type with 2 <= m <= n) and <ab, bc> = G,
+    which forces <a, b, c> = G and non-orientability.  Every Aut(g)-orbit of triples meets this set,
     and a triple with a fixed stands for class_size conjugate triples.
     ord(ax) is read off the ``left`` column of a, ord(bc) off the ``right``
     columns of the surviving c.
@@ -401,10 +398,10 @@ def involution_triples(g: PermGroup, types=None):
     table = element_table(g)
     order_of, n_all = table.order_of, table.n
     invs = np.array(table.involution_indices(), dtype=np.intp)
-    for rep, class_size in g.conjugacy_classes():
-        if porder(rep) != 2:
+    reps, sizes = np.unique(table.class_labels(), return_counts=True)
+    for ia, class_size in zip(reps.tolist(), sizes.tolist()):
+        if order_of[ia] != 2:
             continue
-        ia = table.pos[rep]
         row_a = table.left(ia)  # a * x for every x
         ord_ax = order_of[row_a[invs]]  # ord(ax) for each involution x
         cs = invs[ord_ax <= 2]  # (ac)^2 = 1; a itself is one
@@ -423,7 +420,7 @@ def involution_triples(g: PermGroup, types=None):
                 yield ia, ib, ic, int(ms[i, 0]), int(ns[i, j]), class_size
 
 
-def classify_maps_for_group(g: PermGroup, cap: int = CENSUS_CAP, types=None):
+def classify_maps_for_group(g: PermGroup, types=None):
     """Census of (2,m,n)*-triples on g, up to Aut(g).
 
     Runs involution_triples over the involution class representatives a:
@@ -444,11 +441,10 @@ def classify_maps_for_group(g: PermGroup, cap: int = CENSUS_CAP, types=None):
     dual copy of a type with m < n (its (n, m) triples) is not listed
     again.
 
-    ``types``, if given, restricts the census to those ordered types.
+    ``types``, if given, restricts the census to those ordered types.  The
+    element table carries the only budget: a group of order above
+    ELEMENTS_CAP is refused before its elements are enumerated.
     """
-    order = g.order()
-    if order > cap:
-        raise ResourceError(f"census budget is {cap}, group has order {order}")
     table = element_table(g)
     totals = {}  # (m, n) -> number of triples of that type
     accepted = {}  # (m, n) -> list of class-representative (ia, ib, ic)

@@ -56,7 +56,6 @@ Perm = tuple
 
 ORDER_CAP = 10 ** 6
 ELEMENTS_CAP = 20000
-AUT_CAP = 1500
 
 
 def identity(degree: int) -> Perm:
@@ -170,17 +169,24 @@ class PermGroup:
     def ident(self) -> Perm:
         return identity(self.degree)
 
-    def order(self, cap: int = ORDER_CAP) -> int:
+    def order(self) -> int:
+        """|G|: the cached order, or a Schreier-Sims chain under ORDER_CAP."""
         if self.cached_order is None:
-            if self._elements is not None:
-                self.cached_order = len(self._elements)
-            else:
-                self.cached_order = _schreier_sims_order(self.degree, self.generators, cap)
+            self.cached_order = _schreier_sims_order(self.degree, self.generators, ORDER_CAP)
         return self.cached_order
 
     def elements(self) -> frozenset:
-        """All group elements by breadth-first closure (budgeted)."""
+        """All group elements by breadth-first closure.
+
+        The order is read first, and a group of order above ELEMENTS_CAP
+        is refused with ``ResourceError`` before any element is
+        enumerated.  The closure must then find exactly that many
+        elements; it stops with ``ContractError`` as soon as it finds one
+        more, so a wrong ``order=`` cannot make it run on."""
         if self._elements is None:
+            order = self.order()
+            if order > ELEMENTS_CAP:
+                raise ResourceError(f"element budget is {ELEMENTS_CAP}, group has order {order}")
             elems = {self.ident}
             frontier = [self.ident]
             while frontier:
@@ -189,19 +195,14 @@ class PermGroup:
                     for g in self.generators:
                         y = pmul(x, g)
                         if y not in elems:
-                            if len(elems) >= ELEMENTS_CAP:
-                                raise ResourceError(
-                                    f"element enumeration exceeded cap {ELEMENTS_CAP}",
-                                    partial=len(elems),
-                                )
+                            if len(elems) == order:
+                                raise ContractError(f"the generators give more than {order} elements")
                             elems.add(y)
                             nxt.append(y)
                 frontier = nxt
-            self._elements = frozenset(elems)
-            if self.cached_order is None:
-                self.cached_order = len(self._elements)
-            elif self.cached_order != len(self._elements):
+            if len(elems) != order:
                 raise ContractError("cached order disagrees with enumeration")
+            self._elements = frozenset(elems)
         return self._elements
 
     def conjugacy_classes(self):
@@ -470,8 +471,7 @@ def odd_core(g: PermGroup) -> NormalSubgroupHandle:
     """
     t = element_table(g)
     seeds = []
-    for rep, _size in g.conjugacy_classes():
-        i = t.pos[rep]
+    for i in np.unique(t.class_labels()).tolist():
         if i == t.identity_index or t.order_of[i] % 2 == 0:
             continue
         if _normal_closure(t, t.gen_indices, [i])[1].sum() % 2 == 1:
@@ -650,18 +650,20 @@ def hom_from_generator_images(degree: int, gens, images):
 
 
 def _base_lookups(arr):
-    """A base for the rows of ``arr`` (n distinct permutations, one per row)
-    and one lookup array per base point.
+    """A base for the rows of ``arr`` (n distinct permutations, one per row,
+    in ascending order) and one lookup array per base point.
 
     Points are taken in domain order whenever their images split more
     elements apart, until all n are apart.  After base point t, element i has
-    the code ``c_t[i]``: the least element index that agrees with it on base
-    points 0..t.  ``luts[t][c_{t-1} * degree + image]`` is that code, or -1 if
-    no element agrees (``c_{-1}`` is 0).  Codes are below n, so no lookup
-    array is longer than ``(n + 1) * degree``, and the last codes are the
-    element indices themselves.  Each array ends in ``degree`` extra -1
-    entries: a miss (-1) makes the next key negative, which lands there and
-    stays -1.
+    the code ``c_t[i]``: the rank of its images of base points 0..t among
+    those of all elements.  ``luts[t][c_{t-1} * degree + image]`` is that
+    code, or -1 if no element has these images (``c_{-1}`` is 0).  Ranks
+    follow the order of the rows, because a point left out of the base
+    never splits rows that agree on the base points before it; so the last
+    codes are the element indices themselves.  Each array has
+    ``(k + 1) * degree`` entries, k the number of codes before it: its last
+    ``degree`` entries are -1, where a miss (-1) makes the next key
+    negative, and the lookup stays -1.
     """
     n, degree = arr.shape
     code = np.zeros(n, dtype=np.intp)
@@ -671,13 +673,12 @@ def _base_lookups(arr):
         if distinct == n:
             break
         keys = code * degree + arr[:, point]
-        uniq, first = np.unique(keys, return_index=True)
+        uniq, code_next = np.unique(keys, return_inverse=True)
         if uniq.size == distinct:
             continue
-        lut = np.full((int(code.max()) + 2) * degree, -1, dtype=np.intp)
-        lut[uniq] = first
-        code = lut[keys]
-        distinct = uniq.size
+        lut = np.full((distinct + 1) * degree, -1, dtype=np.intp)
+        lut[uniq] = np.arange(uniq.size)
+        code, distinct = code_next, uniq.size
         base.append(point)
         luts.append(lut)
     return base, luts
@@ -907,11 +908,9 @@ def element_table(g: PermGroup) -> ElementTable:
 def count_automorphisms(g: PermGroup, triple) -> int:
     """|Aut(g)|, the sum of |class(f[g1])| over the class-anchored
     automorphisms f of ``ElementTable.automorphism_index_maps``, g1 the
-    first element of the generating ``triple``; groups of order above
-    AUT_CAP are refused first."""
-    n = g.order()
-    if n > AUT_CAP:
-        raise ResourceError(f"automorphism search budget is {AUT_CAP}, group has order {n}")
+    first element of the generating ``triple``.  The element table carries
+    the only budget: a group of order above ELEMENTS_CAP is refused before
+    its elements are enumerated."""
     table = element_table(g)
     gen_indices = [table.pos[x] for x in tuple(triple)]
     return table.automorphism_count(table.automorphism_index_maps(gen_indices), gen_indices[0])

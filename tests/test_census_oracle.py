@@ -143,7 +143,7 @@ PSL2_17 = {
 
 
 def test_psl2_17_census_is_pinned():
-    census = classify_maps_for_group(make_pgl2(make_field(17, 1), "psl"), cap=20000)
+    census = classify_maps_for_group(make_pgl2(make_field(17, 1), "psl"))
     got = {}
     for c in census:
         row = got.setdefault((c.m, c.n), [c.chi, c.classes_of_type, c.duality_classes_of_type, 0])

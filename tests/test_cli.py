@@ -4,11 +4,14 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from regmaps.cli import build_parser, main
+from regmaps.cli import build_parser, main, resolve_group
+from regmaps.errors import ResourceError
+from regmaps.mapcore import verify_structural_lemmas
 
 
 def run_cli(capsys, *argv):
@@ -104,6 +107,19 @@ def test_cell_descriptor(capsys):
 def test_cell_descriptor_reports_its_own_error(capsys, ell, message):
     # a bad ell is not a per-triple membership refusal: its error must surface
     assert main(["verify", f"cell:pgl2:7:3:8,{ell}", "--no-lemmas"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cell_over_the_element_budget_is_refused(capsys):
+    # |C_100001 x| PGL(2,7)| = 33600336 on 100009 points: the structural
+    # lemmas need its element table, which is refused before enumeration
+    message = "element budget is 20000, group has order 33600336"
+    _g, t = resolve_group("cell:pgl2:7:3:8,100001")
+    with pytest.raises(ResourceError, match=message):
+        verify_structural_lemmas(t)
+    start = time.perf_counter()
+    assert main(["verify", "cell:pgl2:7:3:8,100001"]) == 2
+    assert time.perf_counter() - start < 5
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

@@ -33,10 +33,11 @@ from regmaps import constructors, permgrp
 from regmaps.errors import ContractError, ParameterError, ResourceError
 from regmaps.families import _product_split_candidates
 from regmaps.homology import TriangleTarget, kernel_presentation
-from regmaps.mapcore import verify_star_group
+from regmaps.mapcore import classify_maps_for_group, verify_star_group
 from regmaps.permgrp import (
     PermGroup,
     count_automorphisms,
+    element_table,
     hom_from_generator_images,
     normal_closure,
     pmul,
@@ -438,20 +439,17 @@ def test_split_kernel_budget_refuses_before_enumerating():
     assert s7._elements is None
 
 
-def _aut_pgl13():
-    g = make_pgl2(make_field(13, 1), "pgl")
-    return g, lambda: count_automorphisms(g, g.generators)
+def _on_pgl31(call):
+    def case():
+        # |PGL(2,31)| = 29760 is within the group-order budget but not the element budget
+        g = make_pgl2(make_field(31, 1), "pgl")
+        return g, lambda: call(g)
+    return case
 
 
 def _find_triples_s9():
     s9 = PermGroup(9, [(1, 2, 3, 4, 5, 6, 7, 8, 0), (1, 0, 2, 3, 4, 5, 6, 7, 8)])
     return s9, lambda: find_triples(s9, 3, 4)
-
-
-def _find_triples_pgl31():
-    # |PGL(2,31)| = 29760 is within the group-order budget but not the element budget
-    g = make_pgl2(make_field(31, 1), "pgl")
-    return g, lambda: find_triples(g, 3, 8)
 
 
 def _kernel_pgl13():
@@ -461,15 +459,20 @@ def _kernel_pgl13():
     return fresh, lambda: kernel_presentation(target)
 
 
+PGL31_REFUSAL = "element budget is 20000, group has order 29760"
+
+
 @pytest.mark.parametrize(
     "case, message",
     [
-        (_aut_pgl13, "automorphism search budget is 1500, group has order 2184"),
-        (_find_triples_s9, "find_triples budget is 20000, group has order 362880"),
-        (_find_triples_pgl31, "find_triples budget is 20000, group has order 29760"),
+        (_on_pgl31(lambda g: count_automorphisms(g, g.generators)), PGL31_REFUSAL),
+        (_find_triples_s9, "element budget is 20000, group has order 362880"),
+        (_on_pgl31(lambda g: find_triples(g, 3, 8)), PGL31_REFUSAL),
         (_kernel_pgl13, "coset table budget is 2000, |G| = 2184"),
+        (_on_pgl31(element_table), PGL31_REFUSAL),
+        (_on_pgl31(classify_maps_for_group), PGL31_REFUSAL),
     ],
-    ids=["aut", "find_triples", "find_triples_pgl31", "coset_table"],
+    ids=["aut", "find_triples", "find_triples_pgl31", "coset_table", "element_table", "census"],
 )
 def test_fixed_budgets_refuse_before_enumerating(case, message):
     g, call = case()
@@ -478,10 +481,23 @@ def test_fixed_budgets_refuse_before_enumerating(case, message):
     assert g._elements is None
 
 
-def test_psl2_membership_keeps_the_element_budget():
+def test_psl2_membership_keeps_the_element_budget(monkeypatch):
+    made, real = [], constructors.make_pgl2
+
+    def recording(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(constructors, "make_pgl2", recording)
     # |PSL(2,81)| = 265680
-    with pytest.raises(ResourceError, match="element enumeration exceeded cap 20000"):
+    with pytest.raises(ResourceError, match="element budget is 20000, group has order 265680"):
         psl2_membership(make_field(3, 4))
+    assert made[0]._elements is None
+
+
+def test_count_automorphisms_above_the_old_cap():
+    g = make_pgl2(make_field(13, 1), "pgl")  # order 2184; PGL(2,p) is its own Aut
+    assert count_automorphisms(g, g.generators) == 2184
 
 
 def _automorphisms(v):

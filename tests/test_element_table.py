@@ -4,7 +4,8 @@ The table is built from base-point lookups; these tests check every
 inverse and every order, every product (or a seeded sample of them on the
 larger groups) through whole ``right`` columns, and a seeded sample of
 right, left, conjugation and conjugates columns against the plain tuple
-arithmetic (and class labels against the least conjugate), on relabelled
+arithmetic (and class labels against the least conjugate), and bound
+every base-point lookup array by the codes it maps from, on relabelled
 PSL/PGL(2,q), a slice of the group zoo, the trivial group and a regular
 representation.  ``extend_map`` must rebuild inner automorphisms from
 their generator images, and the automorphism search must anchor the first
@@ -59,6 +60,10 @@ def check_table(g, seed=0):
     assert [int(x) for x in t.order_of] == [porder(e) for e in elems]
     for arr in (t.inv, t.order_of):
         assert arr.dtype == np.int32
+    # the lookup array of base point k maps from the codes of base[:k]
+    for k, lut in enumerate(t._luts):
+        codes = len({tuple(e[b] for b in t.base[:k]) for e in elems})
+        assert lut.size == (codes + 1) * g.degree, k
     rng = random.Random(seed)
     # j -> the i whose product elems[i] * elems[j] is checked
     if n <= FULL_CHECK_MAX:

@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
+from regmaps import permgrp
 from regmaps.errors import ContractError, ParameterError, ResourceError
 from regmaps.permgrp import (
     ORDER_CAP,
     NormalSubgroupHandle,
     PermGroup,
+    _schreier_sims_order,
     _sylow2,
     check_order_bound,
     count_automorphisms,
@@ -52,7 +54,23 @@ def test_group_order():
     assert s7.order() == 5040
     with pytest.raises(ResourceError):
         big = PermGroup(13, [from_cycles(13, [tuple(range(13))]), from_cycles(13, [(0, 1)])])
-        big.order(cap=10 ** 6)  # |S13| > 10^6
+        big.order()  # |S13| > ORDER_CAP = 10^6
+
+
+def test_forged_order_stops_the_enumeration(monkeypatch):
+    s13 = [from_cycles(13, [tuple(range(13))]), from_cycles(13, [(0, 1)])]
+    forged = PermGroup(13, s13, order=10)
+    found = {forged.ident}
+
+    def recording(p, q):
+        found.add(pmul(p, q))
+        return pmul(p, q)
+
+    monkeypatch.setattr(permgrp, "pmul", recording)
+    with pytest.raises(ContractError, match="more than 10 elements"):
+        forged.elements()
+    assert len(found) <= 11
+    assert forged._elements is None
 
 
 def test_pgl_order_and_element_order(pgl_groups):
@@ -272,7 +290,7 @@ def test_order_cap_is_a_lower_bound():
     with pytest.raises(ResourceError) as err:
         s10.order()
     assert ORDER_CAP < err.value.partial <= factorial(10)
-    assert s10.order(cap=factorial(10)) == factorial(10)
+    assert _schreier_sims_order(10, s10.generators, factorial(10)) == factorial(10)
 
 
 @pytest.mark.parametrize("degree", (0, 1, 2))
@@ -293,14 +311,15 @@ def test_order_invariant_under_presentation(data):
     degree = data.draw(st.integers(1, 10))
     perm = st.permutations(range(degree)).map(tuple)
     gens = data.draw(st.lists(perm, min_size=1, max_size=3))
-    want = PermGroup(degree, gens).order(cap=factorial(10))
+    order = lambda gens: _schreier_sims_order(degree, gens, factorial(10))
+    want = order(gens)
     assert want == sympy_order(PermGroup(degree, gens))
     shuffled = data.draw(st.permutations(gens))
-    assert PermGroup(degree, shuffled).order(cap=factorial(10)) == want
+    assert order(shuffled) == want
     sigma = data.draw(perm)
     si = pinv(sigma)
     conjugated = [pmul(pmul(si, x), sigma) for x in gens]
-    assert PermGroup(degree, conjugated).order(cap=factorial(10)) == want
+    assert order(conjugated) == want
     pairs = data.draw(st.lists(st.tuples(st.sampled_from(gens), st.sampled_from(gens)), max_size=3))
     redundant = gens + [pmul(x, y) for x, y in pairs]
-    assert PermGroup(degree, redundant).order(cap=factorial(10)) == want
+    assert order(redundant) == want
