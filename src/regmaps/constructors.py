@@ -65,11 +65,7 @@ __all__ = [
 ]
 
 CELL_DEGREE_CAP = 1_000_000
-ELL_CAP = 2 ** 40
 SPLIT_KERNEL_CAP = 2000  # order of the kernel V of a split extension V x| D
-# ell of build_h1: verify_star_group's Schreier-Sims chain on ell points
-# holds about ell^2 entries (60 MB peak RSS at ell = 2000)
-H1_CAP = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +270,8 @@ def make_pgl2(ctx: FieldCtx, kind: str) -> PermGroup:
 
     PSL is generated by the upper unipotents [[1, x^i], [0, 1]] and the
     Weyl element [[0, -1], [1, 0]] (all determinant-square); PGL adds
-    diag(nu, 1) for the least non-square nu.
+    diag(nu, 1) for the least non-square nu.  The group carries its order,
+    q(q^2 - 1) for PGL and half that for PSL (q is odd).
     """
     if kind not in ("psl", "pgl"):
         raise ParameterError(f"kind must be 'psl' or 'pgl', got {kind!r}")
@@ -291,7 +288,8 @@ def make_pgl2(ctx: FieldCtx, kind: str) -> PermGroup:
     if kind == "pgl":
         nu = next(x for x in F.elements() if x != zero and not F.is_square(x))
         gens.append(line.moebius_perm(nu, zero, zero, one))
-    return PermGroup(F.q + 1, gens)
+    order = F.q * (F.q ** 2 - 1)
+    return PermGroup(F.q + 1, gens, order=order if kind == "pgl" else order // 2)
 
 
 def psl2_membership(ctx: FieldCtx):
@@ -329,8 +327,6 @@ def build_h1(ell: int) -> MapTriple:
     """
     if ell < 2 or ell % 2:
         raise ParameterError(f"need even ell >= 2, got {ell}")
-    if ell > H1_CAP:
-        raise ResourceError(f"build_h1 budget is ell <= {H1_CAP}, got {ell}")
     g = make_dihedral(ell)
     y, b = g.generators
     a = ppow(y, ell // 2)
@@ -744,8 +740,6 @@ class SemidirectSpec:
     def __post_init__(self):
         if self.ell < 1 or self.ell % 2 == 0:
             raise ParameterError(f"ell must be odd and positive, got {self.ell}")
-        if self.ell > ELL_CAP:
-            raise ParameterError(f"ell exceeds cap 2^40")
         base_order, deg = self.base.group.order(), self.base.group.degree
         if gcd(self.ell, base_order) != 1:
             raise ParameterError(f"ell = {self.ell} not coprime to |H*| = {base_order}")

@@ -70,8 +70,6 @@ class CosetTable:
 
     index: int
     actions: tuple  # three tuples: right multiplication by a, b, c
-    tree_parent: tuple  # parent coset per coset (root: -1)
-    tree_label: tuple  # generator label 0/1/2 of the edge from parent (root: -1)
     tree_edge: frozenset  # {(parent, label)} of tree edges, the eliminated gens
 
 
@@ -92,15 +90,9 @@ def cayley_coset_table(t: TriangleTarget, label_order=(0, 1, 2)) -> CosetTable:
     gens = [table.pos[x] for x in (t.triple.a, t.triple.b, t.triple.c)]
     actions = tuple(tuple(table.right(j).tolist()) for j in gens)
     schedule = table.bfs_schedule([gens[lab] for lab in label_order])
-    parent = [-1] * order
-    label = [-1] * order
-    for dst, src, slot in schedule:
-        parent[dst], label[dst] = src, label_order[slot]
     return CosetTable(
         index=order,
         actions=actions,
-        tree_parent=tuple(parent),
-        tree_label=tuple(label),
         tree_edge=frozenset((src, label_order[slot]) for _dst, src, slot in schedule),
     )
 

@@ -4,7 +4,8 @@ Permutations are tuples of 0-based images; ``pmul(p, q)`` applies p first,
 then q, and composes in C through ``operator.itemgetter``.  Groups carry
 their generators plus lazily-computed caches (order, element set, conjugacy
 classes, element table).  Orders up to 10^6 come from a deterministic
-Schreier-Sims chain that sifts its Schreier generators.
+Schreier-Sims chain of at most 10^7 stored entries that sifts its Schreier
+generators.
 
 Everything else works in the index space of one ``ElementTable`` per group
 (up to ~2*10^4 elements): an element is its index in the sorted element
@@ -55,6 +56,7 @@ __all__ = [
 Perm = tuple
 
 ORDER_CAP = 10 ** 6
+CHAIN_CAP = 10 ** 7  # degree x transversal elements of one Schreier-Sims chain
 ELEMENTS_CAP = 20000
 
 
@@ -170,7 +172,8 @@ class PermGroup:
         return identity(self.degree)
 
     def order(self) -> int:
-        """|G|: the cached order, or a Schreier-Sims chain under ORDER_CAP."""
+        """|G|: the cached order, or a Schreier-Sims chain under ORDER_CAP
+        and CHAIN_CAP."""
         if self.cached_order is None:
             self.cached_order = _schreier_sims_order(self.degree, self.generators, ORDER_CAP)
         return self.cached_order
@@ -261,9 +264,10 @@ class _Level:
         self.orbit = [point]
         self.tested = [0]
 
-    def add_generator(self, g: Perm) -> None:
+    def add_generator(self, g: Perm, room: int) -> None:
         """Extend the orbit in place: old points see only g, new points
-        every generator."""
+        every generator.  The orbit may hold ``room`` points; the next one
+        raises ``ResourceError`` before its transversal element is made."""
         self.gens.append(g)
         trans, orbit = self.trans, self.orbit
         start = len(orbit)
@@ -273,6 +277,11 @@ class _Level:
             for s in (g,) if k < start else self.gens:
                 img = s[pt]
                 if img not in trans:
+                    if len(orbit) >= room:
+                        raise ResourceError(
+                            f"Schreier-Sims chain budget is {CHAIN_CAP} entries"
+                            f" (degree x transversal elements): {CHAIN_CAP // len(g)} at degree {len(g)}"
+                        )
                     trans[img] = pmul(trans[pt], s)
                     orbit.append(img)
             k += 1
@@ -294,10 +303,13 @@ def _schreier_sims_order(degree: int, gens, cap: int) -> int:
 
     The order is the product of the orbit lengths.  That product never
     exceeds |G|, so ``ResourceError`` is raised as soon as it passes ``cap``
-    and never for a group within it.
+    and never for a group within it.  The chain's memory is one permutation
+    of ``degree`` points per orbit point, so ``ResourceError`` is also raised
+    before degree x (the sum of the orbit lengths) would pass CHAIN_CAP.
     """
     ident = identity(degree)
     chain = []
+    room = CHAIN_CAP // degree
 
     def sift(h, start):
         for j in range(start, len(chain)):
@@ -317,7 +329,8 @@ def _schreier_sims_order(degree: int, gens, cap: int) -> int:
         if hi == len(chain):
             chain.append(_Level(next(i for i in range(degree) if h[i] != i), ident))
         for level in chain[lo:hi + 1]:
-            level.add_generator(h)
+            others = sum(len(other.orbit) for other in chain) - len(level.orbit)
+            level.add_generator(h, room - others)
         order = prod(len(level.orbit) for level in chain)
         if order > cap:
             raise ResourceError(f"group order exceeds cap {cap}", partial=order)

@@ -1,4 +1,9 @@
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +23,29 @@ def snf_random_cases():
         )
         cases.append((m, smith_normal_form(m)))
     return cases
+
+
+@pytest.fixture(scope="session")
+def run_capped():
+    """Run ``python *args`` on the package source with its address space
+    capped at 1 GiB, so a run that would fill memory ends in MemoryError
+    instead of taking the machine's memory."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, *args], cwd=root, env=env, preexec_fn=cap,
+            capture_output=True, text=True, timeout=120,
+        )
+
+    return run
 
 
 @pytest.fixture(scope="session")

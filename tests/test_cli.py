@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from regmaps import permgrp
 from regmaps.cli import build_parser, main, resolve_group
 from regmaps.errors import ResourceError
 from regmaps.mapcore import verify_structural_lemmas
+from regmaps.permgrp import CHAIN_CAP
 
 
 def run_cli(capsys, *argv):
@@ -102,6 +104,7 @@ def test_cell_descriptor(capsys):
         ("0", "ell must be odd and positive, got 0"),
         ("7", "ell = 7 not coprime to |H*| = 336"),
         ("1000003", "cell degree 1000011 exceeds 1000000"),
+        ("10000000000001", "cell degree 10000000000009 exceeds 1000000"),
     ],
 )
 def test_cell_descriptor_reports_its_own_error(capsys, ell, message):
@@ -121,6 +124,28 @@ def test_cell_over_the_element_budget_is_refused(capsys):
     assert main(["verify", "cell:pgl2:7:3:8,100001"]) == 2
     assert time.perf_counter() - start < 5
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_chain_over_its_budget_exits_2(run_capped):
+    # D_9999 x D_10001 on 20000 points: the chain of its first orbit alone
+    # would hold 2 * 10^8 entries
+    start = time.perf_counter()
+    proc = run_capped("-m", "regmaps.cli", "verify", "h2:9999,10001")
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        f"error: Schreier-Sims chain budget is {CHAIN_CAP} entries"
+        " (degree x transversal elements): 500 at degree 20000\n"
+    )
+
+
+def test_pgl2_order_is_known_before_any_chain(monkeypatch, capsys):
+    def sift(*args):
+        raise AssertionError("a Schreier-Sims chain was started")
+
+    monkeypatch.setattr(permgrp, "_schreier_sims_order", sift)
+    assert main(["verify", "pgl2:2401", "--type", "3,8"]) == 2
+    assert capsys.readouterr().err == "error: element budget is 20000, group has order 13841284800\n"
 
 
 def test_reports_deterministic(capsys):

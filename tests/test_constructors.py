@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import time
 from itertools import product
 
 import pytest
@@ -7,7 +8,6 @@ from sympy import Poly, Symbol, primerange
 
 from regmaps.algebra import IntMatrix, det_bareiss
 from regmaps.constructors import (
-    H1_CAP,
     SemidirectSpec,
     ModuleExtensionSpec,
     automorphism_perm_group,
@@ -35,6 +35,7 @@ from regmaps.families import _product_split_candidates
 from regmaps.homology import TriangleTarget, kernel_presentation
 from regmaps.mapcore import classify_maps_for_group, verify_star_group
 from regmaps.permgrp import (
+    CHAIN_CAP,
     PermGroup,
     count_automorphisms,
     element_table,
@@ -186,16 +187,22 @@ def test_make_dihedral_order_matches_schreier_sims():
         assert d.cached_order == 2 * n == PermGroup(d.degree, d.generators).order()
 
 
-def test_build_h1_refuses_above_its_budget_before_building(monkeypatch):
-    assert build_h1(H1_CAP).group.order() == 2 * H1_CAP
+@pytest.mark.parametrize("p,e", [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1), (5, 2), (3, 3)])
+@pytest.mark.parametrize("kind", ["psl", "pgl"])
+def test_make_pgl2_order_matches_schreier_sims(p, e, kind):
+    # every odd prime power q with 5 <= q <= 27
+    g = make_pgl2(make_field(p, e), kind)
+    assert g.cached_order == PermGroup(g.degree, g.generators).order()
 
-    def build(*args):
-        raise AssertionError("a group was built")
 
-    monkeypatch.setattr(constructors, "make_dihedral", build)
-    monkeypatch.setattr(permgrp, "_schreier_sims_order", build)
-    with pytest.raises(ResourceError, match=re.escape(f"build_h1 budget is ell <= {H1_CAP}, got 20000")):
+def test_build_h1_refuses_above_its_budget_before_building():
+    # <ab, bc> = D_ell on ell points: its chain holds ell * (ell + 2) entries
+    assert build_h1(2000).group.order() == 4000
+    start = time.perf_counter()
+    message = f"Schreier-Sims chain budget is {CHAIN_CAP} entries (degree x transversal elements): 500 at degree 20000"
+    with pytest.raises(ResourceError, match=re.escape(message)):
         build_h1(20000)
+    assert time.perf_counter() - start < 1
 
 
 def test_build_h2():

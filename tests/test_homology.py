@@ -30,14 +30,14 @@ def test_coset_table_sizes(pgl_groups):
 
 
 def _pmul_coset_table(t, label_order):
-    """Actions and BFS tree of the Cayley graph from the sorted elements and
-    3|G| permutation products."""
+    """Actions and BFS tree edges of the Cayley graph from the sorted
+    elements and 3|G| permutation products; an edge (parent, label) fixes
+    its child, actions[label][parent]."""
     g = t.triple.group
     elems = sorted(g.elements())
     index = {e: i for i, e in enumerate(elems)}
     gens = (t.triple.a, t.triple.b, t.triple.c)
     actions = tuple(tuple(index[pmul(x, gen)] for x in elems) for gen in gens)
-    parent, label = [-1] * len(elems), [-1] * len(elems)
     root = index[g.ident]
     seen, frontier, edges = {root}, [root], set()
     while frontier:
@@ -47,18 +47,17 @@ def _pmul_coset_table(t, label_order):
                 j = actions[lab][i]
                 if j not in seen:
                     seen.add(j)
-                    parent[j], label[j] = i, lab
                     edges.add((i, lab))
                     nxt.append(j)
         frontier = nxt
-    return actions, tuple(parent), tuple(label), frozenset(edges)
+    return actions, frozenset(edges)
 
 
 def test_coset_table_matches_permutation_products(pgl_groups):
     t = TriangleTarget(find_triples(pgl_groups["pgl7"], 3, 8)[0], (2, 3, 8))
     for order in itertools.permutations(range(3)):
         table = cayley_coset_table(t, label_order=order)
-        got = (table.actions, table.tree_parent, table.tree_label, table.tree_edge)
+        got = (table.actions, table.tree_edge)
         assert got == _pmul_coset_table(t, order)
 
 

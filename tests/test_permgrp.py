@@ -8,6 +8,7 @@ from sympy.combinatorics import Permutation, PermutationGroup
 from regmaps import permgrp
 from regmaps.errors import ContractError, ParameterError, ResourceError
 from regmaps.permgrp import (
+    CHAIN_CAP,
     ORDER_CAP,
     NormalSubgroupHandle,
     PermGroup,
@@ -291,6 +292,31 @@ def test_order_cap_is_a_lower_bound():
         s10.order()
     assert ORDER_CAP < err.value.partial <= factorial(10)
     assert _schreier_sims_order(10, s10.generators, factorial(10)) == factorial(10)
+
+
+def test_chain_budget_refuses_before_filling_memory(run_capped):
+    # C_100000 on 100000 points: order 10^5 is within ORDER_CAP, but its
+    # chain would hold 10^10 entries
+    code = (
+        "import time\n"
+        "from regmaps.permgrp import PermGroup\n"
+        "n = 10 ** 5\n"
+        "g = PermGroup(n, [tuple(range(1, n)) + (0,)])\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        "    g.order()\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+        "print(time.perf_counter() - start)\n"
+    )
+    proc = run_capped("-c", code)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    error, seconds = proc.stdout.splitlines()
+    assert error == (
+        f"ResourceError Schreier-Sims chain budget is {CHAIN_CAP} entries"
+        " (degree x transversal elements): 100 at degree 100000"
+    )
+    assert float(seconds) < 1
 
 
 @pytest.mark.parametrize("degree", (0, 1, 2))
