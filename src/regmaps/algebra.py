@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import heapq
 import operator
+from math import gcd
 
 from .errors import ParameterError, ResourceError
 
@@ -401,7 +402,8 @@ def _eliminate_unit_pivots(rows, col_rows, p=None) -> int:
 
 def _dense_snf(A, ncols: int):
     """Nonzero Smith invariant factors of the dense row list A (modified in
-    place), by minimal-absolute-value pivoting."""
+    place): minimal-absolute-value pivoting to a diagonal, whose entries
+    are then put in divisibility order."""
     nrows = len(A)
     factors = []
     t = 0
@@ -463,25 +465,14 @@ def _dense_snf(A, ncols: int):
                         break
             if not dirty:
                 break
-        # pivot must divide every remaining entry; if not, fold that row in
-        pivot = A[t][t]
-        offender = None
-        for i in range(t + 1, nrows):
-            row = A[i]
-            for j in range(t + 1, ncols):
-                if row[j] % pivot:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            rt = A[t]
-            ro = A[offender]
-            for k in range(t, ncols):
-                rt[k] += ro[k]
-            continue  # redo column clearing at the same t
-        factors.append(abs(pivot))
+        factors.append(abs(A[t][t]))
         t += 1
+    # diag(d_i, d_j) ~ diag(gcd, lcm): after the pass over j > i, d_i
+    # divides every later entry (Newman, *Integral Matrices*, 1972, ch. II)
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            d = gcd(factors[i], factors[j])
+            factors[i], factors[j] = d, factors[i] // d * factors[j]
     return factors
 
 

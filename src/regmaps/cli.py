@@ -138,23 +138,22 @@ def _resolve_cell(base_desc: str, ell: int, desc: str):
 # emission
 
 
-def emit(report: dict, fmt: str, stream=None) -> None:
-    stream = stream or sys.stdout
+def emit(report: dict, fmt: str) -> None:
+    write = sys.stdout.write
     if fmt == "json":
-        json.dump(report, stream, indent=2, sort_keys=True, default=str)
-        stream.write("\n")
+        write(json.dumps(report, indent=2, sort_keys=True, default=str) + "\n")
     elif fmt == "tsv":
         items = report.get("items", [])
         if items:
             keys = sorted({k for it in items for k in it})
-            stream.write("\t".join(keys) + "\n")
+            write("\t".join(keys) + "\n")
             for it in items:
-                stream.write("\t".join(str(it.get(k, "")) for k in keys) + "\n")
-        stream.write(f"pass\t{report['pass']}\n")
+                write("\t".join(str(it.get(k, "")) for k in keys) + "\n")
+        write(f"pass\t{report['pass']}\n")
     else:
         for it in report.get("items", []):
-            stream.write(" ".join(f"{k}={v}" for k, v in sorted(it.items())) + "\n")
-        stream.write(f"pass: {report['pass']}\n")
+            write(" ".join(f"{k}={v}" for k, v in sorted(it.items())) + "\n")
+        write(f"pass: {report['pass']}\n")
 
 
 def _report(command, config, items, passed):
@@ -422,10 +421,7 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         report = args.fn(args)
-    except RegmapsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (RegmapsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report["seconds"] = round(time.time() - t0, 3)

@@ -19,7 +19,7 @@ extension's order is proved from its generators, not computed by Schreier-Sims.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 import numpy as np
 
@@ -507,7 +507,8 @@ def gl_group(k: int, p: int) -> PermGroup:
 def _gl_generators(k, p):
     """Generating matrices of GL_k(p): a primitive scalar in slot (0, 0)
     and, for k > 1, the cyclic permutation matrix and a transvection."""
-    nu = _primitive_root(p)
+    # the least primitive root mod p, which exists because p is prime
+    nu = next(g for g in range(1, p) if len({pow(g, i, p) for i in range(p - 1)}) == p - 1)
     diag = tuple(
         tuple((nu if i == 0 else 1) if i == j else 0 for j in range(k)) for i in range(k)
     )
@@ -521,17 +522,6 @@ def _gl_generators(k, p):
         for i in range(k)
     )
     return [cyc, trans, diag]
-
-
-def _primitive_root(p):
-    for g in range(1, p):
-        seen, cur = set(), 1
-        for _ in range(p - 1):
-            cur = cur * g % p
-            seen.add(cur)
-        if len(seen) == p - 1:
-            return g
-    raise ContractError("no primitive root")
 
 
 def _action_homs(acting: PermGroup, targets):
@@ -578,23 +568,15 @@ def _conjugacy_representatives(homs, conjugators):
     return [s for i, s in enumerate(homs) if labels[i] == i]
 
 
-def build_module_extension(acting, spec: ModuleExtensionSpec) -> PermGroup:
+def build_module_extension(h: PermGroup, spec: ModuleExtensionSpec) -> PermGroup:
     """The affine group V x| H on p^k + deg(H) points: the split extension
     (``build_split_extension``) of the translations of V = F_p^k on its
     vector codes by H.
 
-    ``acting`` is a PermGroup or MapTriple whose generators act through
-    spec.matrices; the generator images must satisfy H's relations, which
-    ``build_split_extension`` checks.
+    The generators of ``h`` act through spec.matrices; the generator
+    images must satisfy H's relations, which ``build_split_extension``
+    checks.
     """
-    if isinstance(acting, MapTriple):
-        h = PermGroup(
-            acting.group.degree,
-            [acting.a, acting.b, acting.c],
-            order=acting.group.order(),
-        )
-    else:
-        h = acting
     k, p = spec.k, spec.p
     if k == 0:
         return h
@@ -758,10 +740,11 @@ def build_semidirect_cell(spec: SemidirectSpec) -> MapTriple:
 
     The base triple must have its two inside-H0 canonical products split as
     one product inside H0 (whose two involution factors both lie outside
-    H0) and the other outside H0 with even order; the C_ell generator is
-    folded into one of the two outside-H0 involutions.  Element orders and
-    chi are computed analytically; permutations live on ell + deg(base)
-    points.
+    H0) and the other outside H0; the C_ell generator is folded into one of
+    the two outside-H0 involutions.  ``SemidirectSpec`` makes ell coprime
+    to |H*|, which m and n divide, so the stretched order is ell*m (or
+    ell*n).  Element orders and chi are computed analytically, then checked
+    on the permutations, which live on ell + deg(base) points.
     """
     base, ell = spec.base, spec.ell
     h0 = spec.h0_elements
@@ -771,21 +754,13 @@ def build_semidirect_cell(spec: SemidirectSpec) -> MapTriple:
     base_order = base.group.order()
 
     if (not sa) and (not sb) and sc:
-        # ab in H0 picks up the ell factor; bc must have even order
-        if base.n % 2:
-            raise ContractError("outside product bc must have even order")
+        # ab in H0 picks up the ell factor
         attach = "a"
-        new_m, new_n = lcm(ell, base.m) , base.n
-        if new_m != ell * base.m:
-            raise ContractError("ell not coprime to m")
+        new_m, new_n = ell * base.m, base.n
     elif sa and (not sb) and (not sc):
-        # bc in H0 picks up ell; ab must have even order (dual pattern)
-        if base.m % 2:
-            raise ContractError("outside product ab must have even order")
+        # bc in H0 picks up ell (dual pattern)
         attach = "c"
-        new_m, new_n = base.m, lcm(ell, base.n)
-        if new_n != ell * base.n:
-            raise ContractError("ell not coprime to n")
+        new_m, new_n = base.m, ell * base.n
     else:
         raise ContractError(
             "base triple membership pattern unusable: need the two factors of "

@@ -18,7 +18,7 @@ C4 searches call, so importing this module loads numpy but not sympy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, NamedTuple
 
 from .algebra import as_prime_power, is_prime, p_part
@@ -73,14 +73,6 @@ class FamilyRow:
         if self.id not in _ROW_EVALUATORS:
             raise ParameterError(f"unknown family row {self.id!r}")
         _ROW_EVALUATORS[self.id].validate(self.params)
-
-    @property
-    def type_pair(self):
-        return _ROW_EVALUATORS[self.id].type_pair(self.params)
-
-    @property
-    def order(self):
-        return _ROW_EVALUATORS[self.id].order(self.params)
 
 
 class _Row(NamedTuple):
@@ -540,7 +532,9 @@ def scan_pgl_cases(q_bound: int):
     """For every odd prime power 5 <= q <= q_bound, test the candidate
     star-types of PGL2(q) (the {(q+-1)/2, q-+1}, {q-1, q+1} and, for
     p >= 5, {p, p+-1} shapes) and keep those whose -chi with
-    |G| = q(q^2-1) is a power of an odd prime r.
+    |G| = q(q^2-1) is a power of an odd prime r.  For q >= 5 both entries
+    of every shape are at least 2 and 2 lcm(m, n) divides q(q^2-1), so
+    ``euler_characteristic`` accepts each one.
 
     Returns sorted (q, (m, n), r, d) with m <= n.
     """
@@ -558,10 +552,6 @@ def scan_pgl_cases(q_bound: int):
             types.append((p, p + 1))
             types.append((p, p - 1))
         for m, n in types:
-            if m < 2 or n < 2:
-                continue
-            if order % (2 * lcm(m, n)):
-                continue
             chi = euler_characteristic(order, m, n)
             if chi >= -1:
                 continue

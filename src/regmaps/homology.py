@@ -58,10 +58,6 @@ class TriangleTarget:
                 f"(M, N) = ({M}, {N}) must be multiples of ({self.triple.m}, {self.triple.n})"
             )
 
-    @property
-    def branched(self) -> bool:
-        return self.delta_type[1:] != (self.triple.m, self.triple.n)
-
 
 @dataclass
 class CosetTable:
@@ -73,27 +69,20 @@ class CosetTable:
     tree_edge: frozenset  # {(parent, label)} of tree edges, the eliminated gens
 
 
-def cayley_coset_table(t: TriangleTarget, label_order=(0, 1, 2)) -> CosetTable:
+def cayley_coset_table(t: TriangleTarget) -> CosetTable:
     """The coset table of K in D: the Cayley graph of G, for |G| at most
-    COSET_CAP.
-
-    ``label_order`` sets the BFS edge scan order (default A < B < C); any
-    order gives the same homology, which the tests exercise.
-    """
+    COSET_CAP, with the BFS tree that scans the edges A < B < C."""
     g = t.triple.group
     order = g.order()
     if order > COSET_CAP:
         raise ResourceError(f"coset table budget is {COSET_CAP}, |G| = {order}")
-    if sorted(label_order) != [0, 1, 2]:
-        raise ParameterError("label_order must be a permutation of (0, 1, 2)")
     table = element_table(g)
     gens = [table.pos[x] for x in (t.triple.a, t.triple.b, t.triple.c)]
     actions = tuple(tuple(table.right(j).tolist()) for j in gens)
-    schedule = table.bfs_schedule([gens[lab] for lab in label_order])
     return CosetTable(
         index=order,
         actions=actions,
-        tree_edge=frozenset((src, label_order[slot]) for _dst, src, slot in schedule),
+        tree_edge=frozenset((src, slot) for _dst, src, slot in table.bfs_schedule(gens)),
     )
 
 

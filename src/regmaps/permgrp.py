@@ -8,12 +8,12 @@ Schreier-Sims chain of at most 10^7 stored entries that sifts its Schreier
 generators.
 
 Everything else works in the index space of one ``ElementTable`` per group
-(up to ~2*10^4 elements): an element is its index in the sorted element
-list, a subgroup is a boolean mask over the indices, and conjugacy classes
-and cosets are orbit labels (the least index of each orbit).  Products
-with one fixed element are whole columns, ``right(i)`` and ``left(i)``,
-found by base-point lookups; these columns are the only products the
-index space has, and no n x n table is ever stored.
+(up to 2*10^4 elements and 10^7 entries): an element is its index in the
+sorted element list, a subgroup is a boolean mask over the indices, and
+conjugacy classes and cosets are orbit labels (the least index of each
+orbit).  Products with one fixed element are whole columns, ``right(i)``
+and ``left(i)``, found by base-point lookups; these columns are the only
+products the index space has, and no n x n table is ever stored.
 """
 
 from __future__ import annotations
@@ -175,21 +175,27 @@ class PermGroup:
         """|G|: the cached order, or a Schreier-Sims chain under ORDER_CAP
         and CHAIN_CAP."""
         if self.cached_order is None:
-            self.cached_order = _schreier_sims_order(self.degree, self.generators, ORDER_CAP)
+            self.cached_order = _schreier_sims_order(self.degree, self.generators)
         return self.cached_order
 
     def elements(self) -> frozenset:
         """All group elements by breadth-first closure.
 
-        The order is read first, and a group of order above ELEMENTS_CAP
-        is refused with ``ResourceError`` before any element is
-        enumerated.  The closure must then find exactly that many
-        elements; it stops with ``ContractError`` as soon as it finds one
-        more, so a wrong ``order=`` cannot make it run on."""
+        The order is read first, and a group of order above ELEMENTS_CAP,
+        or whose order x degree entries would pass CHAIN_CAP, is refused
+        with ``ResourceError`` before any element is enumerated.  The
+        closure must then find exactly that many elements; it stops with
+        ``ContractError`` as soon as it finds one more, so a wrong
+        ``order=`` cannot make it run on."""
         if self._elements is None:
             order = self.order()
             if order > ELEMENTS_CAP:
                 raise ResourceError(f"element budget is {ELEMENTS_CAP}, group has order {order}")
+            if order * self.degree > CHAIN_CAP:
+                raise ResourceError(
+                    f"element list budget is {CHAIN_CAP} entries (elements x degree):"
+                    f" order {order} at degree {self.degree}"
+                )
             elems = {self.ident}
             frontier = [self.ident]
             while frontier:
@@ -288,7 +294,7 @@ class _Level:
         self.tested.extend([0] * (len(orbit) - start))
 
 
-def _schreier_sims_order(degree: int, gens, cap: int) -> int:
+def _schreier_sims_order(degree: int, gens) -> int:
     """Order via a deterministic Schreier-Sims with sifting (Holt, Eick and
     O'Brien, *Handbook of Computational Group Theory*, 2005, sec. 4.4.2).
 
@@ -302,7 +308,7 @@ def _schreier_sims_order(degree: int, gens, cap: int) -> int:
     identity still does, and none is sifted twice.
 
     The order is the product of the orbit lengths.  That product never
-    exceeds |G|, so ``ResourceError`` is raised as soon as it passes ``cap``
+    exceeds |G|, so ``ResourceError`` is raised as soon as it passes ORDER_CAP
     and never for a group within it.  The chain's memory is one permutation
     of ``degree`` points per orbit point, so ``ResourceError`` is also raised
     before degree x (the sum of the orbit lengths) would pass CHAIN_CAP.
@@ -320,7 +326,9 @@ def _schreier_sims_order(degree: int, gens, cap: int) -> int:
                 return h, j
             ui = level.invs.get(pt)
             if ui is None:
-                ui = level.invs[pt] = pinv(u)
+                # re-read through ident, so each entry is a pointer to one of
+                # ident's ints, not a fresh int (pinv makes them anew)
+                ui = level.invs[pt] = pmul(pinv(u), ident)
             h = pmul(h, ui)
         return h, len(chain)
 
@@ -332,8 +340,8 @@ def _schreier_sims_order(degree: int, gens, cap: int) -> int:
             others = sum(len(other.orbit) for other in chain) - len(level.orbit)
             level.add_generator(h, room - others)
         order = prod(len(level.orbit) for level in chain)
-        if order > cap:
-            raise ResourceError(f"group order exceeds cap {cap}", partial=order)
+        if order > ORDER_CAP:
+            raise ResourceError(f"group order exceeds cap {ORDER_CAP}", partial=order)
 
     for g in gens:
         if g != ident:
@@ -638,12 +646,17 @@ def hom_from_generator_images(degree: int, gens, images):
     the permutations of the images' degree.
 
     Walks the Cayley graph of the generated group once; returns the dict
-    element -> image, or None if the assignment is inconsistent.
+    element -> image, or None if the assignment is inconsistent.  The walk
+    lists the group's elements with their images, so it is under the
+    budgets of ``PermGroup.elements()``: it raises ``ResourceError`` as soon
+    as it finds more than ELEMENTS_CAP elements, or more entries of
+    elements and images than CHAIN_CAP.
     """
     if len(images) != len(gens):
         raise ParameterError("need one image per generator")
     ident = identity(degree)
     mapping = {ident: identity(len(images[0]) if images else 0)}
+    room = min(ELEMENTS_CAP, CHAIN_CAP // (degree + len(mapping[ident])))
     frontier = [ident]
     while frontier:
         nxt = []
@@ -654,6 +667,12 @@ def hom_from_generator_images(degree: int, gens, images):
                 fy = pmul(fx, img)
                 old = mapping.get(y)
                 if old is None:
+                    if len(mapping) == room:
+                        raise ResourceError(
+                            f"element budget is {ELEMENTS_CAP} elements and {CHAIN_CAP} entries:"
+                            f" the group on {degree} points, with images on {len(fy)} points,"
+                            f" has more than {room} elements"
+                        )
                     mapping[y] = fy
                     nxt.append(y)
                 elif old != fy:

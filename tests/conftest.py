@@ -49,6 +49,14 @@ def run_capped():
 
 
 @pytest.fixture(scope="session")
+def corollary_table():
+    """The rows of ``verify_corollary_table()``, built once per session."""
+    from regmaps.families import verify_corollary_table
+
+    return verify_corollary_table()
+
+
+@pytest.fixture(scope="session")
 def pgl_groups():
     """The PSL/PGL groups the acceptance criteria keep coming back to."""
     from regmaps.constructors import make_field, make_pgl2

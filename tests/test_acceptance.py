@@ -21,7 +21,6 @@ from regmaps.families import (
     row_chi,
     scan_pgl_cases,
     verify_congruence_row,
-    verify_corollary_table,
 )
 from regmaps.homology import (
     TriangleTarget,
@@ -165,8 +164,8 @@ def test_criterion_07_pgl_scan():
     _passline(7, f"PGL2 scan: exactly three cases, stable to q = 1000, in {elapsed:.1f}s")
 
 
-def test_criterion_08_corollary_table():
-    results = verify_corollary_table()
+def test_criterion_08_corollary_table(corollary_table):
+    results = corollary_table
     assert len(results) == 22
     assert all(r["ok"] for r in results), [r for r in results if not r["ok"]]
     constructed = sum(1 for r in results if r["evidence"] == "constructed")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from regmaps import permgrp
+from regmaps import cli, permgrp
 from regmaps.cli import build_parser, main, resolve_group
 from regmaps.errors import ResourceError
 from regmaps.mapcore import verify_structural_lemmas
@@ -55,6 +55,17 @@ def test_family_rows(capsys):
     assert code == 0 and rep["items"][0]["pass"]
     code, rep = run_json(capsys, "family", "--row", "C3", "--r", "7", "--d", "1")
     assert code == 0 and {(it["j"], it["k"]) for it in rep["items"]} == {(3, 5)}
+    for argv, want in (
+        (["C1", "--max", "3"], [("C1", 4, [6, 4]), ("C1", 6, [6, 6]), ("C1", 12, [6, 12]), ("C1", 30, [6, 30])]),
+        (["C2", "--max", "3"], [("C2", 2, [6, 6]), ("C2", 4, [6, 12]), ("C2", 10, [6, 30]), ("C2", 28, [6, 84])]),
+        (["C6", "--r", "3", "--max", "3"], [("C6", 3, [12, 3])]),
+    ):
+        code, rep = run_json(capsys, "family", "--row", *argv)
+        assert code == 0 and [(it["row"], it["ell"], it["type"]) for it in rep["items"]] == want
+    code, rep = run_json(capsys, "family", "--row", "C4", "--r", "3", "--max", "3")
+    assert code == 0 and [(it["i"], it["alpha"], it["beta"], it["j"], it["k"]) for it in rep["items"]] == [
+        (1, 1, 0, 1, 3), (3, 1, 0, 1, 15), (3, 1, 0, 5, 3), (2, 1, 1, 1, 5), (2, 1, 1, 5, 1),
+    ]
 
 
 def test_tables(capsys):
@@ -75,11 +86,22 @@ def test_cover_rank(capsys):
 
 def test_snf_file(tmp_path, capsys):
     f = tmp_path / "m.txt"
-    f.write_text("2 2\n2 4\n6 8\n")
-    code, rep = run_json(capsys, "snf", str(f))
-    assert code == 0
-    assert rep["items"][0]["invariant_factors"] == "2,4"
-    assert rep["items"][0]["free_rank"] == 0
+    # the second matrix is diagonal but not yet in divisibility order
+    for text, factors in (("2 2\n2 4\n6 8\n", "2,4"), ("3 3\n4 0 0\n0 6 0\n0 0 10\n", "2,2,60")):
+        f.write_text(text)
+        code, rep = run_json(capsys, "snf", str(f))
+        assert code == 0
+        assert rep["items"][0]["invariant_factors"] == factors
+        assert rep["items"][0]["free_rank"] == 0
+
+
+def test_corollary_json(monkeypatch, capsys, corollary_table):
+    monkeypatch.setattr(cli, "verify_corollary_table", lambda: corollary_table)
+    code, rep = run_json(capsys, "corollary")
+    assert code == 0 and rep["pass"]
+    evidence = [it["evidence"] for it in rep["items"]]
+    assert (len(evidence), evidence.count("constructed"), evidence.count("numerology")) == (22, 16, 6)
+    assert all(it["pass"] and it["detail"] == "" for it in rep["items"])
 
 
 def test_scan_pgl(capsys):
@@ -137,6 +159,32 @@ def test_chain_over_its_budget_exits_2(run_capped):
         f"error: Schreier-Sims chain budget is {CHAIN_CAP} entries"
         " (degree x transversal elements): 500 at degree 20000\n"
     )
+
+
+def test_element_list_over_its_entry_budget_exits_2(run_capped):
+    # C_4999 x| H1(2): order 19996, within ELEMENTS_CAP, on 5003 points;
+    # its element list would hold 10^8 entries
+    start = time.perf_counter()
+    proc = run_capped("-m", "regmaps.cli", "census", "cell:h1:2,4999")
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        f"error: element list budget is {CHAIN_CAP} entries (elements x degree):"
+        " order 19996 at degree 5003\n"
+    )
+
+
+def test_module_extension_walk_is_budgeted(tmp_path, run_capped):
+    # the action of PGL(2,97) (912576 elements) is checked by a walk of
+    # its Cayley graph, which stops at the element budget
+    f = tmp_path / "ext.json"
+    f.write_text(json.dumps({"acting": "pgl2:97", "p": 3, "k": 1, "matrices": [[[1]], [[1]], [[1]]]}))
+    start = time.perf_counter()
+    proc = run_capped("-m", "regmaps.cli", "verify", f"modext:{f}", "--type", "3,8")
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: element budget is 20000 elements")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_pgl2_order_is_known_before_any_chain(monkeypatch, capsys):

@@ -1,4 +1,4 @@
-import itertools
+import random
 
 import pytest
 
@@ -15,7 +15,8 @@ from regmaps.homology import (
     kernel_presentation,
     reidemeister_schreier,
 )
-from regmaps.permgrp import pmul
+from regmaps.mapcore import verify_star_group
+from regmaps.permgrp import PermGroup, pinv, pmul
 
 
 def test_coset_table_sizes(pgl_groups):
@@ -29,10 +30,10 @@ def test_coset_table_sizes(pgl_groups):
     assert cayley_coset_table(TriangleTarget(t38, (2, 3, 8))).index == 336
 
 
-def _pmul_coset_table(t, label_order):
-    """Actions and BFS tree edges of the Cayley graph from the sorted
-    elements and 3|G| permutation products; an edge (parent, label) fixes
-    its child, actions[label][parent]."""
+def _pmul_coset_table(t):
+    """Actions and BFS tree edges (labels scanned A < B < C) of the Cayley
+    graph from the sorted elements and 3|G| permutation products; an edge
+    (parent, label) fixes its child, actions[label][parent]."""
     g = t.triple.group
     elems = sorted(g.elements())
     index = {e: i for i, e in enumerate(elems)}
@@ -43,7 +44,7 @@ def _pmul_coset_table(t, label_order):
     while frontier:
         nxt = []
         for i in frontier:
-            for lab in label_order:
+            for lab in range(3):
                 j = actions[lab][i]
                 if j not in seen:
                     seen.add(j)
@@ -55,10 +56,8 @@ def _pmul_coset_table(t, label_order):
 
 def test_coset_table_matches_permutation_products(pgl_groups):
     t = TriangleTarget(find_triples(pgl_groups["pgl7"], 3, 8)[0], (2, 3, 8))
-    for order in itertools.permutations(range(3)):
-        table = cayley_coset_table(t, label_order=order)
-        got = (table.actions, table.tree_edge)
-        assert got == _pmul_coset_table(t, order)
+    table = cayley_coset_table(t)
+    assert (table.actions, table.tree_edge) == _pmul_coset_table(t)
 
 
 def test_target_validation(pgl_groups):
@@ -124,15 +123,32 @@ def test_branched_mod3_dimension_31(pgl_groups):
     assert branched_rank_check(t, 3) == (31, 31, True)
 
 
+def _relabelled(t, seed):
+    """The triple t with its points relabelled by a seeded permutation."""
+    sigma = list(range(t.group.degree))
+    random.Random(seed).shuffle(sigma)
+    si = pinv(tuple(sigma))
+    a, b, c = (pmul(pmul(si, x), tuple(sigma)) for x in (t.a, t.b, t.c))
+    g = PermGroup(t.group.degree, [a, b, c], order=t.group.order())
+    return verify_star_group(g, a, b, c)
+
+
 def test_branched_tree_order_invariance(pgl_groups):
+    # the dual (c, b, a) of type {4, 5} has the same kernel, but its BFS
+    # scans the original's labels C < B < A, so its spanning tree is
+    # another one; relabelling the points renumbers the cosets
     t = find_triples(pgl_groups["pgl5"], 5, 4)[0]
-    target = TriangleTarget(t, (2, 15, 12))
-    dims = set()
-    for order in ((0, 1, 2), (2, 1, 0), (1, 0, 2)):
-        table = cayley_coset_table(target, label_order=order)
-        pres = reidemeister_schreier(table, (2, 15, 12))
+    copies = [t, t.dual(), _relabelled(t, 1), _relabelled(t.dual(), 2)]
+    trees, dims = [], set()
+    for copy in copies:
+        table = cayley_coset_table(TriangleTarget(copy, (2, 3 * copy.m, 3 * copy.n)))
+        trees.append(table.tree_edge)
+        pres = reidemeister_schreier(table, (2, 3 * copy.m, 3 * copy.n))
         dims.add(pres.n_generators - mod_p_rank(pres.relation_matrix, 3))
     assert dims == {31}
+    assert len(set(trees)) == len(copies)
+    # read in the original's labels (A and C swapped), the dual's tree differs
+    assert frozenset((i, 2 - lab) for i, lab in trees[1]) != trees[0]
 
 
 def test_branched_checks(pgl_groups):

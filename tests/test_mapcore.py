@@ -123,6 +123,16 @@ def test_structural_lemmas_e9_d4(e9_d4_triple):
     assert rep["sylow_cyclic_away_from_chi"].passed
 
 
+def test_structural_lemmas_s4_quotient():
+    # the hemicube: S4 is soluble with trivial odd core, so G/O is S4 itself
+    s4 = PermGroup(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
+    t = find_triples(s4, 3, 4)[0]
+    assert t.chi == 1
+    check = verify_structural_lemmas(t)["soluble_quotient"]
+    assert check.applicable and check.passed
+    assert check.detail == "order 24, profile {1: 1, 2: 9, 3: 8, 4: 6}"
+
+
 def _largest_table_attribute(g):
     """Cells held by the largest attribute of g's element table (arrays by
     size, lists and tuples by the cells of their items, dicts by length)."""

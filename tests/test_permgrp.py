@@ -20,6 +20,7 @@ from regmaps.permgrp import (
     element_table,
     frattini_of_pgroup,
     from_cycles,
+    hom_from_generator_images,
     identity,
     is_almost_sylow_cyclic,
     normal_closure,
@@ -286,12 +287,13 @@ def test_wreath_heisenberg_and_split_extension_orders_match_sympy():
         assert ext.order() == fresh.order() == sympy_order(fresh) == 216
 
 
-def test_order_cap_is_a_lower_bound():
+def test_order_cap_is_a_lower_bound(monkeypatch):
     s10 = symmetric(10)
     with pytest.raises(ResourceError) as err:
         s10.order()
     assert ORDER_CAP < err.value.partial <= factorial(10)
-    assert _schreier_sims_order(10, s10.generators, factorial(10)) == factorial(10)
+    monkeypatch.setattr(permgrp, "ORDER_CAP", factorial(10))
+    assert _schreier_sims_order(10, s10.generators) == factorial(10)
 
 
 def test_chain_budget_refuses_before_filling_memory(run_capped):
@@ -319,6 +321,43 @@ def test_chain_budget_refuses_before_filling_memory(run_capped):
     assert float(seconds) < 1
 
 
+def test_hom_walk_is_under_the_element_budget(monkeypatch):
+    from regmaps.constructors import make_dihedral, make_field, make_pgl2
+
+    # PSL(2,37) has 25308 elements, above ELEMENTS_CAP
+    g = make_pgl2(make_field(37, 1), "psl")
+    message = (
+        "element budget is 20000 elements and 10000000 entries: the group on"
+        " 38 points, with images on 38 points, has more than 20000 elements"
+    )
+    with pytest.raises(ResourceError) as err:
+        hom_from_generator_images(g.degree, g.generators, g.generators)
+    assert str(err.value) == message
+    # the images count too: D_4 on 4 points, acting trivially on 20 points,
+    # needs 8 x (4 + 20) entries
+    d4, ident = make_dihedral(4), identity(20)
+    monkeypatch.setattr(permgrp, "CHAIN_CAP", 8 * 24)
+    assert len(hom_from_generator_images(4, d4.generators, (ident, ident))) == 8
+    monkeypatch.setattr(permgrp, "CHAIN_CAP", 8 * 24 - 1)
+    with pytest.raises(ResourceError, match="has more than 7 elements"):
+        hom_from_generator_images(4, d4.generators, (ident, ident))
+
+
+def test_chain_inverses_share_int_objects(run_capped):
+    # D_3160 on 3160 points: a chain at the budget, with its sifted inverses
+    code = (
+        "import resource\n"
+        "from regmaps.constructors import make_dihedral\n"
+        "from regmaps.permgrp import PermGroup\n"
+        "print(PermGroup(3160, make_dihedral(3160).generators).order())\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    proc = run_capped("-c", code)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    order, peak_kb = map(int, proc.stdout.split())
+    assert order == 6320 and peak_kb < 300 * 1024
+
+
 @pytest.mark.parametrize("degree", (0, 1, 2))
 def test_small_degree_products_are_tuples(degree):
     perms = [tuple(p) for p in ([], [0], [0, 1], [1, 0]) if len(p) == degree]
@@ -337,15 +376,17 @@ def test_order_invariant_under_presentation(data):
     degree = data.draw(st.integers(1, 10))
     perm = st.permutations(range(degree)).map(tuple)
     gens = data.draw(st.lists(perm, min_size=1, max_size=3))
-    order = lambda gens: _schreier_sims_order(degree, gens, factorial(10))
-    want = order(gens)
-    assert want == sympy_order(PermGroup(degree, gens))
-    shuffled = data.draw(st.permutations(gens))
-    assert order(shuffled) == want
-    sigma = data.draw(perm)
-    si = pinv(sigma)
-    conjugated = [pmul(pmul(si, x), sigma) for x in gens]
-    assert order(conjugated) == want
-    pairs = data.draw(st.lists(st.tuples(st.sampled_from(gens), st.sampled_from(gens)), max_size=3))
-    redundant = gens + [pmul(x, y) for x, y in pairs]
-    assert order(redundant) == want
+    order = lambda gens: _schreier_sims_order(degree, gens)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(permgrp, "ORDER_CAP", factorial(10))  # S_10 is above the cap
+        want = order(gens)
+        assert want == sympy_order(PermGroup(degree, gens))
+        shuffled = data.draw(st.permutations(gens))
+        assert order(shuffled) == want
+        sigma = data.draw(perm)
+        si = pinv(sigma)
+        conjugated = [pmul(pmul(si, x), sigma) for x in gens]
+        assert order(conjugated) == want
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(gens), st.sampled_from(gens)), max_size=3))
+        redundant = gens + [pmul(x, y) for x, y in pairs]
+        assert order(redundant) == want
