@@ -28,6 +28,7 @@ from .errors import ContractError, ParameterError, ResourceError
 from .mapcore import MapTriple, euler_characteristic, involution_triples, verify_star_group
 from .permgrp import (
     PermGroup,
+    _hom_room,
     _orbit_labels,
     element_table,
     hom_from_generator_images,
@@ -575,7 +576,8 @@ def build_module_extension(h: PermGroup, spec: ModuleExtensionSpec) -> PermGroup
 
     The generators of ``h`` act through spec.matrices; the generator
     images must satisfy H's relations, which ``build_split_extension``
-    checks.
+    checks by a walk of H's elements; |H| is checked against that walk's
+    budget before any action permutation is built.
     """
     k, p = spec.k, spec.p
     if k == 0:
@@ -585,6 +587,9 @@ def build_module_extension(h: PermGroup, spec: ModuleExtensionSpec) -> PermGroup
     nv = p ** k
     if nv + h.degree > CELL_DEGREE_CAP:
         raise ResourceError(f"extension degree {nv + h.degree} exceeds {CELL_DEGREE_CAP}")
+    room, overflow = _hom_room(h.degree, nv)  # the room of build_split_extension's walk
+    if h.order() > room:
+        raise overflow
     actions = [_mat_perm(m, p) for m in spec.matrices]
     if any(len(set(x)) != nv for x in actions):
         raise ContractError("action matrix is singular")

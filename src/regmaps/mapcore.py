@@ -393,7 +393,11 @@ def involution_triples(g: PermGroup, types=None):
     which forces <a, b, c> = G and non-orientability.  Every Aut(g)-orbit of triples meets this set,
     and a triple with a fixed stands for class_size conjugate triples.
     ord(ax) is read off the ``left`` column of a, ord(bc) off the ``right``
-    columns of the surviving c.
+    columns of the surviving c.  <ab, bc> = G takes one ``closure`` test
+    per C_G(a)-orbit of candidates: conjugating by y in C_G(a) fixes a,
+    keeps the orders and sends <ab, bc> to its conjugate, so the verdict
+    of the first candidate met is recorded for every (b^y, c^y) (Holt,
+    Eick and O'Brien, 2005, ch. 4).
     """
     table = element_table(g)
     order_of, n_all = table.order_of, table.n
@@ -414,17 +418,24 @@ def involution_triples(g: PermGroup, types=None):
             keep = np.zeros(ns.shape, dtype=bool)
             for m, n in types:
                 keep |= (ms == m) & (ns == n)
+        cent = np.flatnonzero(table.conjugates(ia) == ia)  # C_G(a)
+        verdict = np.zeros(keep.shape, dtype=np.int8)  # 0 untested, 1 generates, -1 not
         for i, j in zip(*np.nonzero(keep)):  # row-major: b, then c ascending
             ib, ic = int(invs[i]), int(cs[j])
-            if table.closure([int(row_a[ib]), int(bc[i, j])]).sum() == n_all:
+            if not verdict[i, j]:
+                full = table.closure([int(row_a[ib]), int(bc[i, j])]).sum() == n_all
+                rows = np.searchsorted(invs, table.conjugates(ib)[cent])
+                verdict[rows, np.searchsorted(cs, table.conjugates(ic)[cent])] = 1 if full else -1
+            if verdict[i, j] > 0:
                 yield ia, ib, ic, int(ms[i, 0]), int(ns[i, j]), class_size
 
 
 def classify_maps_for_group(g: PermGroup, types=None):
     """Census of (2,m,n)*-triples on g, up to Aut(g).
 
-    Runs involution_triples over the involution class representatives a:
-    every triple with 2 <= ord(ab) <= ord(bc) that passes verify_star_group
+    Runs involution_triples over the involution class representatives a,
+    with one closure test per C_G(a)-orbit of candidates (b, c): every
+    triple with 2 <= ord(ab) <= ord(bc) that passes verify_star_group
     (degenerate quotient types like (2, l) included) is conjugate to one of
     them, so a type (m, n) has sum |class(a)| * #triples(a) triples in all.
     Aut(g) acts freely on generating triples, so the class count is that

@@ -641,6 +641,18 @@ def check_order_bound(g: PermGroup, l: NormalSubgroupHandle, p: int) -> bool:
     return all(p_part(k, p) <= bound for k in g.element_orders())
 
 
+def _hom_room(degree: int, image_degree: int):
+    """(room, error): how many elements ``hom_from_generator_images`` may
+    list for a group on ``degree`` points with images on ``image_degree``
+    points, and the ResourceError that refuses a group with more."""
+    room = min(ELEMENTS_CAP, CHAIN_CAP // (degree + image_degree))
+    return room, ResourceError(
+        f"element budget is {ELEMENTS_CAP} elements and {CHAIN_CAP} entries:"
+        f" the group on {degree} points, with images on {image_degree} points,"
+        f" has more than {room} elements"
+    )
+
+
 def hom_from_generator_images(degree: int, gens, images):
     """Try to extend generator -> image to a homomorphism from <gens> into
     the permutations of the images' degree.
@@ -656,7 +668,7 @@ def hom_from_generator_images(degree: int, gens, images):
         raise ParameterError("need one image per generator")
     ident = identity(degree)
     mapping = {ident: identity(len(images[0]) if images else 0)}
-    room = min(ELEMENTS_CAP, CHAIN_CAP // (degree + len(mapping[ident])))
+    room, overflow = _hom_room(degree, len(mapping[ident]))
     frontier = [ident]
     while frontier:
         nxt = []
@@ -668,11 +680,7 @@ def hom_from_generator_images(degree: int, gens, images):
                 old = mapping.get(y)
                 if old is None:
                     if len(mapping) == room:
-                        raise ResourceError(
-                            f"element budget is {ELEMENTS_CAP} elements and {CHAIN_CAP} entries:"
-                            f" the group on {degree} points, with images on {len(fy)} points,"
-                            f" has more than {room} elements"
-                        )
+                        raise overflow
                     mapping[y] = fy
                     nxt.append(y)
                 elif old != fy:

@@ -1,11 +1,15 @@
 """Differential oracles for the census: count every star triple over all
 involutions a (not just class representatives), divide by |Aut(G)| and
-compare with classify_maps_for_group; and check its orbit representatives
-and self-duality flags with pairwise ``ElementTable.extend_map`` tests."""
+compare with classify_maps_for_group; check its orbit representatives
+and self-duality flags with pairwise ``ElementTable.extend_map`` tests;
+and check the enumerator's one closure test per C_G(a)-orbit against a
+closure test per candidate."""
 
 import numpy as np
 import pytest
 
+from regmaps import permgrp
+from regmaps.cli import resolve_group
 from regmaps.constructors import (
     build_h2,
     build_h3,
@@ -16,8 +20,8 @@ from regmaps.constructors import (
     make_pgl2,
     split_action_classes,
 )
-from regmaps.mapcore import classify_maps_for_group
-from regmaps.permgrp import element_table, hom_from_generator_images, pmul
+from regmaps.mapcore import classify_maps_for_group, involution_triples
+from regmaps.permgrp import element_table, hom_from_generator_images, pinv, pmul
 
 
 def brute_force_classes(g):
@@ -66,7 +70,83 @@ def _group(name, pgl_groups):
         return build_h2(3, 5).group
     if name == "h3:9":
         return build_h3(9).group
+    if name in ("he3", "cell:h1:2,21"):
+        return resolve_group(name)[0]
     return pgl_groups[name]
+
+
+def per_candidate_triples(g, types=None):
+    """involution_triples with one closure test per candidate (b, c), and
+    the number of C_G(a)-orbits of the candidates it tests, the orbits
+    found by conjugating the permutations with pmul."""
+    table = element_table(g)
+    elems, order_of, n_all = table.elems, table.order_of, table.n
+    invs = np.array(table.involution_indices(), dtype=np.intp)
+    reps, sizes = np.unique(table.class_labels(), return_counts=True)
+    out, orbits = [], 0
+    for ia, class_size in zip(reps.tolist(), sizes.tolist()):
+        if order_of[ia] != 2:
+            continue
+        a = elems[ia]
+        cent = [y for y in elems if pmul(a, y) == pmul(y, a)]
+        row_a = table.left(ia)
+        ord_ax = order_of[row_a[invs]]
+        cs = invs[ord_ax <= 2]
+        ms = ord_ax[:, None]
+        bc = np.stack([table.right(c)[invs] for c in cs.tolist()], axis=1)
+        ns = order_of[bc]
+        if types is None:
+            keep = (ms >= 2) & (ms <= ns)
+        else:
+            keep = np.zeros(ns.shape, dtype=bool)
+            for m, n in types:
+                keep |= (ms == m) & (ns == n)
+        seen = set()
+        for i, j in zip(*np.nonzero(keep)):
+            ib, ic = int(invs[i]), int(cs[j])
+            if (ib, ic) not in seen:
+                orbits += 1
+                b, c = elems[ib], elems[ic]
+                seen.update((table.pos[pmul(pmul(pinv(y), b), y)], table.pos[pmul(pmul(pinv(y), c), y)])
+                            for y in cent)
+            if table.closure([int(row_a[ib]), int(bc[i, j])]).sum() == n_all:
+                out.append((ia, ib, ic, int(ms[i, 0]), int(ns[i, j]), class_size))
+    return out, orbits
+
+
+def _counting_closures(monkeypatch):
+    calls = []
+    closure = permgrp.ElementTable.closure
+
+    def counted(self, seeds):
+        calls.append(seeds)
+        return closure(self, seeds)
+
+    monkeypatch.setattr(permgrp.ElementTable, "closure", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name", ["psl5", "pgl5", "pgl7", "pgl9", "h2:3,5", "h3:9", "he3", "cell:h1:2,21"]
+)
+def test_enumerator_matches_per_candidate_closures(name, pgl_groups, monkeypatch):
+    g = _group(name, pgl_groups)
+    # every other type found, and each of them read the other way round
+    some = sorted({t[3:5] for t in per_candidate_triples(g)[0]})[::2]
+    for types in (None, set(some) | {(n, m) for m, n in some}):
+        want, orbits = per_candidate_triples(g, types)
+        calls = _counting_closures(monkeypatch)
+        assert list(involution_triples(g, types)) == want
+        assert len(calls) == orbits
+        monkeypatch.undo()
+
+
+def test_pgl2_7_census_tests_each_centralizer_orbit_once(pgl_groups, monkeypatch):
+    # 490 candidates pass the order filter, in 55 C_G(a)-orbits
+    g = pgl_groups["pgl7"]
+    calls = _counting_closures(monkeypatch)
+    assert len(classify_maps_for_group(g)) == 13
+    assert len(calls) == 55
 
 
 @pytest.mark.parametrize("name", ["psl5", "pgl5", "pgl7", "h2:3,5", "h3:9"])
