@@ -263,12 +263,6 @@ class IntMatrix:
 
     # text format used by the `snf` CLI subcommand:
     # first line "rows cols", then rows of space-separated decimal integers
-    def to_text(self) -> str:
-        lines = [f"{self.rows} {self.cols}"]
-        for i in range(self.rows):
-            lines.append(" ".join(str(x) for x in self.row(i)))
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_text(cls, text: str) -> "IntMatrix":
         lines = [ln for ln in text.splitlines() if ln.strip()]

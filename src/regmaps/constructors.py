@@ -8,8 +8,9 @@ stretch a map's face size by ell, and the involution-triple search.
 
 GL_k(p) acts as the permutations it induces on the p^k vectors of F_p^k
 (vector codes, see ``_vec_index``), so module actions and automorphism
-actions are both found by one generator-image search over permutations;
-matrices appear only in ``ModuleExtensionSpec``.  Every extension takes one
+actions are both found by one generator-image search over permutations,
+the rows of one integer array (``_action_homs``); matrices appear only in
+``ModuleExtensionSpec``.  Every extension takes one
 path: search the actions, keep one per conjugacy class (under GL_k(p) or
 Aut(V), one orbit helper), and build with ``build_split_extension``; a
 module extension is the split extension of the translations of F_p^k.  An
@@ -27,6 +28,7 @@ from .algebra import is_prime
 from .errors import ContractError, ParameterError, ResourceError
 from .mapcore import MapTriple, euler_characteristic, involution_triples, verify_star_group
 from .permgrp import (
+    CHAIN_CAP,
     PermGroup,
     _hom_room,
     _orbit_labels,
@@ -492,17 +494,45 @@ def _perm_mat(x, k, p):
 def gl_group(k: int, p: int) -> PermGroup:
     """GL_k(p) as the permutation group it induces on the p^k vector codes.
 
-    The order is the formula prod(p^k - p^i), and it cross-checks the
-    generators: they are enumerated at once and must give exactly that
-    many elements.  An order above ELEMENTS_CAP is refused before any
-    element is enumerated."""
+    Its elements are listed as one array of p^(k^2) x p^k entries
+    (``_gl_listing``), so GL_k(p) is refused with ``ResourceError`` before
+    anything is built when that array would pass CHAIN_CAP.  The order is
+    the formula prod(p^k - p^i), and it cross-checks the generators: their
+    Schreier-Sims chain must give exactly that order."""
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
     _check_vector_space(k, p)
+    if p ** (k * k + k) > CHAIN_CAP:
+        raise ResourceError(
+            f"GL_{k}({p}) listing budget is {CHAIN_CAP} entries (matrix codes x vectors):"
+            f" {p ** (k * k)} x {p ** k}"
+        )
     order = prod(p ** k - p ** i for i in range(k))
-    gl = PermGroup(p ** k, [_mat_perm(m, p) for m in _gl_generators(k, p)], order=order)
-    gl.elements()
+    gl = PermGroup(p ** k, [_mat_perm(m, p) for m in _gl_generators(k, p)])
+    if gl.order() != order:
+        raise ContractError(f"the generators of GL_{k}({p}) give order {gl.order()}, not {order}")
     return gl
+
+
+def _gl_listing(k, p):
+    """The elements of GL_k(p) as one array, row r the permutation
+    ``_mat_perm`` of the r-th invertible matrix in ascending code order, in
+    the smallest unsigned dtype that holds a vector code.
+
+    The code of a matrix m is the base-p number whose digit i*k + j is
+    m[i][j], so row i of m is the vector with code ``code // p^(ik) % p^k``.
+    Every code is mapped at once, vector by vector: v + e_t goes to the
+    image of v plus row t, added digit by digit.  The maps with trivial
+    kernel are kept.  ``gl_group(k, p)`` budgets the array."""
+    nv = p ** k
+    codes = np.arange(p ** (k * k))
+    rows = [codes // nv ** i % nv for i in range(k)]
+    images = np.zeros((codes.size, nv), dtype=np.min_scalar_type(nv - 1))
+    for v in range(1, nv):
+        t = next(i for i in range(k) if v // p ** i % p)
+        prev, row = images[:, v - p ** t], rows[t]
+        images[:, v] = sum((prev // p ** j + row // p ** j) % p * p ** j for j in range(k))
+    return images[(images[:, 1:] != 0).all(axis=1)]
 
 
 def _gl_generators(k, p):
@@ -525,31 +555,94 @@ def _gl_generators(k, p):
     return [cyc, trans, diag]
 
 
+def _perm_array(perms):
+    """The permutations ``perms`` (a nonempty list, of one degree) as the
+    rows of an array of the smallest unsigned dtype that holds a point."""
+    return np.array(perms, dtype=np.min_scalar_type(len(perms[0]) - 1))
+
+
+def _power_is_identity(perms, n):
+    """Mask of the rows x of ``perms`` (permutations, one per row) with
+    x^n = identity, n >= 1, by binary powering of every row at once."""
+    power, base = None, perms
+    while True:
+        if n & 1:
+            power = base if power is None else np.take_along_axis(base, power, axis=1)
+        n >>= 1
+        if not n:
+            return (power == np.arange(perms.shape[1])).all(axis=1)
+        base = np.take_along_axis(base, base, axis=1)
+
+
 def _action_homs(acting: PermGroup, targets):
-    """The generator-image tuples from ``targets`` (permutations of one
-    degree) that extend to homomorphisms from ``acting``, in the
-    lexicographic order of ``targets``.  Before the Cayley walk, an image's
-    order must divide its generator's order and, for i < j, the order of
-    img_i img_j must divide that of g_i g_j (the (rs)^2 relator of a
-    dihedral group)."""
+    """The generator-image tuples from the rows of ``targets`` (permutations
+    of one degree, one per row) that extend to homomorphisms from
+    ``acting``, in the lexicographic order of the rows.
+
+    Candidates are index rows into ``targets``, filtered by power tests over
+    all of them at once: an image t of g_j must have t^ord(g_j) = 1 and,
+    for each image x chosen for g_i, i < j, (x t)^ord(g_i g_j) = 1 (the
+    (rs)^2 relator of a dihedral group).  One Cayley walk of ``acting``
+    (``_walk_consistent``) then tests every surviving row, and only the
+    accepted rows become tuples."""
     gens = acting.generators
-    orders = [porder(t) for t in targets]
-    prefixes = [()]
+    rows = np.zeros((1, 0), dtype=np.intp)
     for j, g in enumerate(gens):
-        n = porder(g)
+        cands = np.flatnonzero(_power_is_identity(targets, porder(g)))
         bounds = [porder(pmul(x, g)) for x in gens[:j]]
-        candidates = [t for t, o in zip(targets, orders) if n % o == 0]
-        prefixes = [
-            pre + (t,)
-            for pre in prefixes
-            for t in candidates
-            if all(b % porder(pmul(x, t)) == 0 for b, x in zip(bounds, pre))
-        ]
-    return [
-        images
-        for images in prefixes
-        if hom_from_generator_images(acting.degree, gens, images) is not None
-    ]
+        grown = [np.zeros((0, j + 1), dtype=np.intp)]
+        for pre in rows:
+            ok = cands
+            for b, i in zip(bounds, pre):
+                ok = ok[_power_is_identity(targets[ok][:, targets[i]], b)]
+            grown.append(np.column_stack((np.broadcast_to(pre, (ok.size, j)), ok)))
+        rows = np.concatenate(grown)
+    rows = rows[_walk_consistent(acting, targets, rows)].tolist()
+    perms = {i: tuple(targets[i].tolist()) for i in {i for row in rows for i in row}}
+    return [tuple(perms[i] for i in row) for row in rows]
+
+
+def _walk_consistent(acting: PermGroup, targets, rows):
+    """Mask of the index ``rows`` (one row of ``targets`` per generator)
+    that extend to homomorphisms from ``acting``.
+
+    The Cayley graph of ``acting`` is walked once; every element carries an
+    (rows, degree) array of its images, set along the spanning tree, and
+    every other edge must agree with them.  The rows go in blocks of
+    |acting| x block x degree <= CHAIN_CAP entries, and ``acting`` is under
+    the budget of ``hom_from_generator_images`` (``_hom_room``)."""
+    ok = np.ones(len(rows), dtype=bool)
+    if not len(rows):
+        return ok
+    degree = targets.shape[1]
+    room, overflow = _hom_room(acting.degree, degree)
+    index, edges, frontier = {acting.ident: 0}, [], [acting.ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for slot, g in enumerate(acting.generators):
+                y = pmul(x, g)
+                tree = y not in index
+                if tree:
+                    if len(index) == room:
+                        raise overflow
+                    index[y] = len(index)
+                    nxt.append(y)
+                edges.append((index[x], slot, index[y], tree))
+        frontier = nxt
+    block = CHAIN_CAP // (len(index) * degree)
+    ident = np.arange(degree, dtype=targets.dtype)
+    for start in range(0, len(rows), block):
+        images = [targets[col] for col in rows[start:start + block].T]
+        good = ok[start:start + block]
+        f = [np.broadcast_to(ident, good.shape + (degree,))] + [None] * (len(index) - 1)
+        for x, slot, y, tree in edges:
+            fy = np.take_along_axis(images[slot], f[x], axis=1)
+            if tree:
+                f[y] = fy
+            else:
+                good &= (fy == f[y]).all(axis=1)
+    return ok
 
 
 def _conjugacy_representatives(homs, conjugators):
@@ -604,9 +697,10 @@ def build_module_extension(h: PermGroup, spec: ModuleExtensionSpec) -> PermGroup
 def search_module_actions(acting: PermGroup, p: int, k: int):
     """All actions of `acting` on F_p^k, up to GL_k(p)-conjugacy.
 
-    GL_k(p) acts as permutations of the vector codes (``gl_group``).  The
-    generator-image tuples that extend to a homomorphism (candidates in the
-    code order of their matrices, pruned by element orders) are split into
+    GL_k(p) acts as permutations of the vector codes (``gl_group``), listed
+    in the code order of their matrices (``_gl_listing``).  The
+    generator-image tuples that extend to a homomorphism (``_action_homs``,
+    candidates pruned by element orders) are split into
     orbits under simultaneous conjugation by GL_k(p)'s generators, and the
     first tuple of each orbit becomes one ModuleExtensionSpec.  The trivial
     action is included.
@@ -614,7 +708,9 @@ def search_module_actions(acting: PermGroup, p: int, k: int):
     if k == 0:
         return [ModuleExtensionSpec(0, p, tuple(() for _ in acting.generators))]
     gl = gl_group(k, p)
-    elems = sorted(gl.elements(), key=lambda x: sum(x[p ** i] * p ** (i * k) for i in range(k)))
+    elems = _gl_listing(k, p)
+    if len(elems) != gl.order():
+        raise ContractError(f"{len(elems)} invertible matrix codes, but |GL_{k}({p})| = {gl.order()}")
     reps = _conjugacy_representatives(_action_homs(acting, elems), gl.generators)
     return [ModuleExtensionSpec(k, p, tuple(_perm_mat(x, k, p) for x in s)) for s in reps]
 
@@ -653,7 +749,7 @@ def search_split_actions(v: PermGroup, d: PermGroup):
     the matching regular copy is returned alongside.
     """
     reg, auts = automorphism_perm_group(v)
-    return reg, _action_homs(d, auts)
+    return reg, _action_homs(d, _perm_array(auts))
 
 
 def split_action_classes(v: PermGroup, d: PermGroup):
@@ -675,7 +771,7 @@ def split_action_classes(v: PermGroup, d: PermGroup):
         if grown > order:
             gens.append(a)
             order = grown
-    return reg, _conjugacy_representatives(_action_homs(d, auts), gens)
+    return reg, _conjugacy_representatives(_action_homs(d, _perm_array(auts)), gens)
 
 
 def build_split_extension(v_regular: PermGroup, d: PermGroup, aut_images) -> PermGroup:

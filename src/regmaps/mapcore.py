@@ -268,10 +268,6 @@ class LemmaCheck:
 class StructuralReport:
     checks: list = field(default_factory=list)
 
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks if c.applicable)
-
     def add(self, name, applicable, passed, detail=""):
         self.checks.append(LemmaCheck(name, applicable, bool(passed), detail))
 

@@ -2,10 +2,9 @@
 
 Permutations are tuples of 0-based images; ``pmul(p, q)`` applies p first,
 then q, and composes in C through ``operator.itemgetter``.  Groups carry
-their generators plus lazily-computed caches (order, element set, conjugacy
-classes, element table).  Orders up to 10^6 come from a deterministic
-Schreier-Sims chain of at most 10^7 stored entries that sifts its Schreier
-generators.
+their generators plus lazily-computed caches (order, element set, element
+table).  Orders up to 10^6 come from a deterministic Schreier-Sims chain of
+at most 10^7 stored entries that sifts its Schreier generators.
 
 Everything else works in the index space of one ``ElementTable`` per group
 (up to 2*10^4 elements and 10^7 entries): an element is its index in the
@@ -161,7 +160,6 @@ class PermGroup:
         self.generators = tuple(gens)
         self.cached_order = order
         self._elements = None
-        self._classes = None
 
     def __repr__(self):
         size = self.cached_order if self.cached_order else "?"
@@ -213,15 +211,6 @@ class PermGroup:
                 raise ContractError("cached order disagrees with enumeration")
             self._elements = frozenset(elems)
         return self._elements
-
-    def conjugacy_classes(self):
-        """List of (representative, class size), ordered by representative,
-        which is the least element of its class."""
-        if self._classes is None:
-            t = element_table(self)
-            reps, sizes = np.unique(t.class_labels(), return_counts=True)
-            self._classes = [(t.elems[r], s) for r, s in zip(reps.tolist(), sizes.tolist())]
-        return self._classes
 
     def involutions(self):
         t = element_table(self)
@@ -658,14 +647,17 @@ def hom_from_generator_images(degree: int, gens, images):
     the permutations of the images' degree.
 
     Walks the Cayley graph of the generated group once; returns the dict
-    element -> image, or None if the assignment is inconsistent.  The walk
-    lists the group's elements with their images, so it is under the
-    budgets of ``PermGroup.elements()``: it raises ``ResourceError`` as soon
-    as it finds more than ELEMENTS_CAP elements, or more entries of
-    elements and images than CHAIN_CAP.
+    element -> image, or None if the assignment is inconsistent.  Images of
+    different degrees are a ParameterError.  The walk lists the group's
+    elements with their images, so it is under the budgets of
+    ``PermGroup.elements()``: it raises ``ResourceError`` as soon as it
+    finds more than ELEMENTS_CAP elements, or more entries of elements and
+    images than CHAIN_CAP.
     """
     if len(images) != len(gens):
         raise ParameterError("need one image per generator")
+    if len({len(img) for img in images}) > 1:
+        raise ParameterError("generator images of different degrees")
     ident = identity(degree)
     mapping = {ident: identity(len(images[0]) if images else 0)}
     room, overflow = _hom_room(degree, len(mapping[ident]))

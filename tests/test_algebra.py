@@ -214,7 +214,7 @@ def test_mod_p_rank_matches_sympy(p):
         )
         assert sparse == dense and sparse.rows == rows
         assert sparse.entries == dense.entries
-        assert sparse.to_text() == dense.to_text()
+        assert sparse.to_rows() == dense.to_rows()
         assert smith_normal_form(sparse) == smith_normal_form(dense)
         assert mod_p_rank(sparse, p) == mod_p_rank(dense, p)
 
@@ -229,8 +229,10 @@ def test_matrix_from_sparse_validation():
 
 
 def test_matrix_text_roundtrip():
-    m = IntMatrix.from_rows([[1, -2, 3], [0, 4, -5]])
-    assert IntMatrix.from_text(m.to_text()) == m
+    rows = [[1, -2, 3], [0, 4, -5]]
+    text = "2 3\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
+    m = IntMatrix.from_text(text)
+    assert m == IntMatrix.from_rows(rows) and m.to_rows() == rows
     with pytest.raises(ParameterError):
         IntMatrix.from_text("2 2\n1 2\n")
     with pytest.raises(ParameterError):

@@ -3,6 +3,7 @@ import re
 import time
 from itertools import product
 
+import numpy as np
 import pytest
 from sympy import Poly, Symbol, primerange
 
@@ -282,9 +283,34 @@ def test_gl_elements():
     assert gl_group(1, 5).order() == 4
     assert gl_group(3, 3).order() == 11232
     with pytest.raises(ResourceError):
-        gl_group(4, 3)  # |GL_4(3)| = 24261120 is over the element budget
+        gl_group(4, 3)  # 3^16 matrix codes x 81 vectors is over the listing budget
     with pytest.raises(ParameterError):
         gl_group(2, 4)
+
+
+def _code_order(k, p):
+    """Sort key of a linear permutation: the code of its matrix, whose
+    digit i*k + j (base p) is entry (i, j)."""
+    return lambda x: sum(x[p ** i] * p ** (i * k) for i in range(k))
+
+
+@pytest.mark.parametrize("k,p", [(1, 5), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3)])
+def test_gl_listing_is_the_sorted_matrix_permutations(k, p):
+    perms = sorted((constructors._mat_perm(m, p) for m in _oracle_gl(k, p)), key=_code_order(k, p))
+    listing = constructors._gl_listing(k, p)
+    assert listing.dtype == np.uint8
+    assert listing.tolist() == [list(x) for x in perms]
+
+
+def test_gl_listing_is_refused_before_anything_is_built(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("GL_1(4999) was built")
+
+    for name in ("_gl_generators", "_gl_listing", "_mat_perm", "PermGroup"):
+        monkeypatch.setattr(constructors, name, unreachable)
+    # 4999 matrix codes x 4999 vectors is over CHAIN_CAP
+    with pytest.raises(ResourceError, match="listing budget"):
+        gl_group(1, 4999)
 
 
 def _det(m):
@@ -351,6 +377,50 @@ def test_module_actions_vs_brute_force(n, p, k):
         }
     # the orbits are disjoint and together hold every homomorphism
     assert len(covered) == len(set(covered)) and set(covered) == homs
+
+
+def _per_candidate_homs(acting, targets):
+    """The generator images from ``targets`` that extend to homomorphisms
+    from ``acting``, one walk per candidate: each image's order divides its
+    generator's, and the tuples go in the order of ``itertools.product``."""
+    choices = [[t for t in targets if porder(g) % porder(t) == 0] for g in acting.generators]
+    return [
+        images
+        for images in product(*choices)
+        if hom_from_generator_images(acting.degree, acting.generators, images) is not None
+    ]
+
+
+# acting groups whose order filters are no presentation, so the Cayley walk
+# rejects candidates: C3 x C3 (orders 3, 3, 3) and S3 x C3 (three generators)
+_ACTING = {
+    "c3xc3": lambda: PermGroup(6, [(1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 5, 3)]),
+    "s3xc3": lambda: PermGroup(6, [(1, 2, 0, 3, 4, 5), (1, 0, 2, 3, 4, 5), (0, 1, 2, 4, 5, 3)]),
+    "trivial": lambda: PermGroup(1, []),
+}
+
+
+def _acting(name):
+    return make_dihedral(int(name[1:])) if name[0] == "d" else _ACTING[name]()
+
+
+@pytest.mark.parametrize(
+    "acting,p,k",
+    [("d1", 3, 2), ("d2", 3, 2), ("d4", 3, 2), ("d5", 3, 2), ("d10", 3, 2), ("d1", 3, 3),
+     ("c3xc3", 3, 2), ("s3xc3", 3, 2), ("trivial", 3, 2)],
+)
+def test_module_action_homs_match_per_candidate_walks(acting, p, k, monkeypatch):
+    d = _acting(acting)
+    gl = sorted(gl_group(k, p).elements(), key=_code_order(k, p))
+    listing = constructors._gl_listing(k, p)
+    homs = constructors._action_homs(d, listing)
+    assert homs == _per_candidate_homs(d, gl)
+    if not d.generators:
+        assert homs == [()]
+        assert search_module_actions(d, p, k) == [ModuleExtensionSpec(k, p, ())]
+    # a walk in blocks of two candidates gives the same answer
+    monkeypatch.setattr(constructors, "CHAIN_CAP", 2 * d.order() * p ** k)
+    assert constructors._action_homs(d, listing) == homs
 
 
 def _old_module_extension(h, spec):
@@ -558,17 +628,41 @@ def test_split_action_classes_vs_brute_force(kernel, n, classes):
     assert set(covered) == set(search_split_actions(v, d)[1])
 
 
-def test_split_action_pruning_keeps_every_hom():
-    he3, d4 = build_heisenberg(), make_dihedral(4)
-    _reg, auts = automorphism_perm_group(he3)
-    candidates = [[x for x in auts if porder(g) % porder(x) == 0] for g in d4.generators]
-    unpruned = [
-        images
-        for images in product(*candidates)
-        if hom_from_generator_images(d4.degree, d4.generators, images) is not None
-    ]
-    assert len(unpruned) == 676
-    assert search_split_actions(he3, d4)[1] == unpruned
+@pytest.mark.parametrize(
+    "kernel,acting",
+    [(kernel, n) for kernel in ("he3", "wr3", "c3") for n in ("d2", "d4", "d10")]
+    + [("he3", "c3xc3"), ("he3", "trivial"), ("c3", "trivial")],
+)
+def test_split_actions_match_per_candidate_walks(kernel, acting):
+    v, d = _KERNELS[kernel](), _acting(acting)
+    _reg, auts = automorphism_perm_group(v)
+    homs = search_split_actions(v, d)[1]
+    assert homs == _per_candidate_homs(d, auts)
+    if not d.generators:
+        assert homs == [()]
+
+
+def test_action_searches_walk_no_candidate_alone(monkeypatch):
+    # the order filters are power tests on arrays and the homomorphism test
+    # is one batched walk: porder runs only on the generators and their
+    # pairwise products, and no candidate gets its own walk
+    calls = {"porder": 0, "hom": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(constructors, "porder", counted("porder", porder))
+    monkeypatch.setattr(
+        constructors, "hom_from_generator_images", counted("hom", hom_from_generator_images)
+    )
+    d4 = make_dihedral(4)
+    assert len(search_module_actions(d4, 3, 3)) == 24
+    assert calls == {"porder": 3, "hom": 0}
+    assert len(search_split_actions(build_heisenberg(), d4)[1]) == 676
+    assert calls == {"porder": 6, "hom": 0}
 
 
 def test_split_he3_d4():

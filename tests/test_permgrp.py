@@ -1,5 +1,6 @@
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -228,9 +229,10 @@ def test_order_and_solubility_match_sympy(group_zoo):
         assert g.order() == ref.order()
         assert g.is_soluble() == ref.is_solvable
         assert g.derived_series() == [h.order() for h in ref.derived_series()]
-        classes = g.conjugacy_classes()
-        assert sorted(size for _, size in classes) == sorted(map(len, ref.conjugacy_classes()))
-        for rep, _size in classes:
+        t = element_table(g)
+        reps, sizes = np.unique(t.class_labels(), return_counts=True)
+        assert sorted(sizes.tolist()) == sorted(map(len, ref.conjugacy_classes()))
+        for rep in (t.elems[i] for i in reps.tolist()):
             want = ref.normal_closure(Permutation(list(rep), size=g.degree)).order()
             assert normal_closure(g, [rep]).order() == want
         syl = ref.sylow_subgroup(2)
@@ -341,6 +343,14 @@ def test_hom_walk_is_under_the_element_budget(monkeypatch):
     monkeypatch.setattr(permgrp, "CHAIN_CAP", 8 * 24 - 1)
     with pytest.raises(ResourceError, match="has more than 7 elements"):
         hom_from_generator_images(4, d4.generators, (ident, ident))
+
+
+def test_hom_images_of_different_degrees_are_refused():
+    from regmaps.constructors import make_dihedral
+
+    d2 = make_dihedral(2)
+    with pytest.raises(ParameterError, match="different degrees"):
+        hom_from_generator_images(d2.degree, d2.generators, ((1, 0, 2), (0, 1, 2, 3, 4)))
 
 
 def test_chain_inverses_share_int_objects(run_capped):
