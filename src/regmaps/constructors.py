@@ -648,17 +648,26 @@ def _walk_consistent(acting: PermGroup, targets, rows):
 def _conjugacy_representatives(homs, conjugators):
     """The first tuple of each orbit of ``homs`` under simultaneous
     conjugation by the group ``conjugators`` generate, in the order of
-    ``homs``: those whose index ``_orbit_labels`` labels with itself.  A
-    conjugate outside ``homs`` is a ContractError."""
-    index = {s: i for i, s in enumerate(homs)}
+    ``homs``: those whose index ``_orbit_labels`` labels with itself.  The
+    conjugates by one g are one array gather, found among ``homs`` by a
+    binary search of their rows as bytes; one outside is a ContractError."""
+    h = len(homs)
+    if not h or not homs[0] or not conjugators:
+        return list(homs)
+    perms = np.array(conjugators, dtype=np.intp)
+    rows = np.array(homs, dtype=np.intp).reshape(h, -1, perms.shape[1])
+    flat = rows.reshape(h, -1)
+    key = np.dtype((np.void, flat[0].nbytes))  # a row as one byte string
+    order = np.argsort(flat.view(key).ravel())
+    keys = flat[order].view(key).ravel()
     maps = []
-    for g in conjugators:
-        ginv = pinv(g)
-        try:
-            maps.append([index[tuple(pmul(pmul(ginv, x), g) for x in s)] for s in homs])
-        except KeyError:
-            raise ContractError("conjugate action escaped the search set") from None
-    labels = _orbit_labels(len(homs), maps).tolist()
+    for g in perms:
+        conj = np.ascontiguousarray(g[rows[:, :, np.argsort(g)]]).reshape(h, -1)  # g^-1 x g
+        at = order[np.minimum(np.searchsorted(keys, conj.view(key).ravel()), h - 1)]
+        if not np.array_equal(flat[at], conj):
+            raise ContractError("conjugate action escaped the search set")
+        maps.append(at.tolist())
+    labels = _orbit_labels(h, maps).tolist()
     return [s for i, s in enumerate(homs) if labels[i] == i]
 
 
@@ -728,19 +737,25 @@ def regular_form(g: PermGroup) -> PermGroup:
     return PermGroup(t.n, [tuple(t.right(j).tolist()) for j in t.gen_indices], order=t.n)
 
 
+def _automorphisms(v: PermGroup):
+    """``automorphism_perm_group`` and generators of Aut(v): the coset
+    maps of the search and the conjugations by v's generators."""
+    reg, t = regular_form(v), element_table(v)
+    outer = t.automorphism_index_maps(t.gen_indices)
+    inner = np.array([t.conjugation(y) for y in range(t.n)], dtype=np.int32)
+    maps = np.concatenate([inner[:, f] for f in outer])
+    _, first = np.unique(maps[:, t.gen_indices], axis=0, return_index=True)
+    gens = [tuple(f.tolist()) for f in outer] + [tuple(inner[j].tolist()) for j in t.gen_indices]
+    return reg, [tuple(f) for f in maps[first].tolist()], gens
+
+
 def automorphism_perm_group(v: PermGroup):
     """(regular copy of v, Aut(v) as permutations of v's element indices),
-    in the lexicographic order of the generator images.
-
-    Each class-anchored automorphism f of v's own element table
-    (``ElementTable.automorphism_index_maps``) is followed by every inner
-    automorphism x -> y^-1 x y (the ``conjugation`` columns); maps equal
-    on the generators are one map, so duplicates are dropped."""
-    reg, t = regular_form(v), element_table(v)
-    inner = np.array([t.conjugation(y) for y in range(t.n)], dtype=np.int32)
-    maps = np.concatenate([inner[:, f] for f in t.automorphism_index_maps(t.gen_indices)])
-    _, first = np.unique(maps[:, t.gen_indices], axis=0, return_index=True)
-    return reg, [tuple(f) for f in maps[first].tolist()]
+    in the lexicographic order of the generator images: each map of
+    ``ElementTable.automorphism_index_maps``, one per coset of Inn(v),
+    followed by every inner automorphism, the |Z(v)| copies dropped."""
+    reg, auts, _ = _automorphisms(v)
+    return reg, auts
 
 
 def search_split_actions(v: PermGroup, d: PermGroup):
@@ -758,19 +773,10 @@ def split_action_classes(v: PermGroup, d: PermGroup):
 
     Conjugating by an automorphism alpha of v maps the split extension of
     phi onto that of alpha^-1 phi alpha, so one per class builds every
-    extension up to isomorphism.  The orbits are walked under a generating
-    set of Aut(v): its maps taken in order, each kept when it raises the
-    order of the group kept so far.
+    extension up to isomorphism.  The orbits are walked under the coset
+    maps of the automorphism search and the conjugations by v's generators.
     """
-    reg, auts = automorphism_perm_group(v)
-    gens, order = [], 1
-    for a in auts:
-        if order == len(auts):
-            break
-        grown = PermGroup(reg.degree, gens + [a]).order()
-        if grown > order:
-            gens.append(a)
-            order = grown
+    reg, auts, gens = _automorphisms(v)
     return reg, _conjugacy_representatives(_action_homs(d, _perm_array(auts)), gens)
 
 

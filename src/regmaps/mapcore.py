@@ -7,9 +7,9 @@ Euler characteristic and flag counts, checks the structural constraints
 that odd characteristic imposes, and provides the involution-triple
 enumerator behind both the triple search and the census up to Aut(G)
 used as a ground-truth oracle on small groups.  The census reads its
-Aut(G)-orbits, and self-duality, off the automorphisms that send a to its
-class representative, each followed by every inner automorphism; Aut(G)
-itself is never listed.
+Aut(G)-orbits, and self-duality, off one automorphism per coset of
+Inn(G), in inner classes: each triple is kept as the conjugate whose first
+entry is a class representative.  Aut(G) itself is never listed.
 """
 
 from __future__ import annotations
@@ -435,22 +435,24 @@ def classify_maps_for_group(g: PermGroup, types=None):
     (degenerate quotient types like (2, l) included) is conjugate to one of
     them, so a type (m, n) has sum |class(a)| * #triples(a) triples in all.
     Aut(g) acts freely on generating triples, so the class count is that
-    total / |Aut(g)|.  The automorphisms are never listed: with the
-    class-anchored maps f of ``ElementTable.automorphism_index_maps`` (a
-    sent to the least element of its class), every automorphism is an f
-    followed by an inner one, and |Aut(g)| is the sum of |class(f[a])|.
+    total / |Aut(g)|.  The automorphisms are never listed: the maps f of
+    ``ElementTable.automorphism_index_maps`` are one per coset of Inn(g),
+    and |Aut(g)| = (number of maps) x |g : Z(g)|.  Orbits are kept in inner
+    classes: Inn(g) acts freely on generating triples, so the Inn-class of
+    f(T) is the C_g(r)-orbit of its member (r, y, z) with r a class
+    representative, and each such member stands for |class(r)| triples.
     The class-representative triples are walked in enumerator order; each
     one not yet covered becomes a representative T, and its orbit is the
-    union, over the f whose image f(T) is not yet in it, of the conjugates
-    of f(T) (``ElementTable.conjugates``).  The orbit must have |Aut(g)|
-    triples and the orbits met must number total / |Aut(g)|.  A
-    representative is self-dual when (c, b, a) lies in its orbit.  The
-    dual copy of a type with m < n (its (n, m) triples) is not listed
-    again.
+    union of those C_g(r)-orbits over the f.  The class sizes of its
+    entries must sum to |Aut(g)| and the orbits met must number
+    total / |Aut(g)|.  A representative is self-dual when (c, b, a),
+    moved the same way, lies in its orbit.  The dual copy of a type with
+    m < n (its (n, m) triples) is not listed again.
 
     ``types``, if given, restricts the census to those ordered types.  The
-    element table carries the only budget: a group of order above
-    ELEMENTS_CAP is refused before its elements are enumerated.
+    element table and the automorphism search carry the budgets: a group
+    of order above ELEMENTS_CAP is refused before its elements are
+    enumerated, and more maps than CHAIN_CAP entries hold as they are found.
     """
     table = element_table(g)
     totals = {}  # (m, n) -> number of triples of that type
@@ -463,7 +465,20 @@ def classify_maps_for_group(g: PermGroup, types=None):
 
     first = next(iter(accepted.values()))[0]
     auts = table.automorphism_index_maps(list(first))
-    n_aut = table.automorphism_count(auts, first[0])
+    n_aut = table.automorphism_count(auts)
+    labels = table.class_labels()
+    sizes = np.bincount(labels, minlength=table.n)
+    to_rep, cents = np.zeros(table.n, dtype=np.intp), {}  # to_rep[x]^-1 x to_rep[x] = labels[x]
+    for r in np.unique(labels[table.order_of == 2]).tolist():
+        conj = table.conjugates(r)
+        to_rep[conj] = table.inv
+        cents[r] = np.flatnonzero(conj == r)
+
+    def canonical(x, y, z):  # the conjugate of (x, y, z) with a class representative first
+        u = int(to_rep[x])
+        ui = int(table.inv[u])
+        return int(labels[x]), table.product(ui, y, u), table.product(ui, z, u)
+
     elems = table.elems
     out = []
     for (m, n), triples in sorted(accepted.items()):
@@ -477,18 +492,20 @@ def classify_maps_for_group(g: PermGroup, types=None):
         for ia, ib, ic in triples:
             if (ia, ib, ic) in covered:
                 continue
-            orbit = set()
+            orbit = set()  # the entries of the orbit with a class representative first
             for f in auts:
-                image = (int(f[ia]), int(f[ib]), int(f[ic]))
-                if image not in orbit:
-                    orbit.update(zip(*(table.conjugates(x).tolist() for x in image)))
-            if len(orbit) != n_aut:
+                r, y, z = canonical(int(f[ia]), int(f[ib]), int(f[ic]))
+                if (r, y, z) not in orbit:
+                    ys, zs = (table.conjugates(x, cents[r]).tolist() for x in (y, z))
+                    orbit.update(zip([r] * len(ys), ys, zs))
+            weight = sum(int(sizes[r]) for r, _, _ in orbit)
+            if weight != n_aut:
                 raise ContractError(
-                    f"type ({m},{n}): orbit of {len(orbit)} triples, |Aut| = {n_aut}"
+                    f"type ({m},{n}): orbit of {weight} triples, |Aut| = {n_aut}"
                 )
             covered |= orbit
             reps.append((ia, ib, ic))
-            self_duality.append((ic, ib, ia) in orbit)
+            self_duality.append(canonical(ic, ib, ia) in orbit)
         if len(reps) != k:
             raise ContractError(f"type ({m},{n}): found {len(reps)} of {k} classes")
         if m == n:

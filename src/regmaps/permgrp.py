@@ -797,11 +797,12 @@ class ElementTable:
         images = self._images
         return self._lookup(images[:, i][images[images[self.base, self.inv[i]]]])
 
-    def conjugates(self, i: int) -> np.ndarray:
-        """Index of y^-1 * elems[i] * y for every y; it sends b to
-        y[elems[i][y^-1[b]]]."""
+    def conjugates(self, i: int, by=None) -> np.ndarray:
+        """Index of y^-1 * elems[i] * y for every y, or for the y whose
+        indices are the array ``by``; it sends b to y[elems[i][y^-1[b]]]."""
         images = self._images
-        return self._lookup(images[images[:, i][images[self.base][:, self.inv]], np.arange(self.n)])
+        by = np.arange(self.n) if by is None else by
+        return self._lookup(images[images[:, i][images[self.base][:, self.inv[by]]], by])
 
     def class_labels(self) -> np.ndarray:
         """The least index in the conjugacy class of each element (cached)."""
@@ -878,19 +879,20 @@ class ElementTable:
         return f if hit.all() else None
 
     def automorphism_index_maps(self, gen_indices):
-        """The automorphisms that send the first generator g1 to the least
-        element of its conjugacy class, as index arrays f with
+        """One automorphism per coset Inn(G) f, as index arrays f with
         f[x*y] = f[x]*f[y], in the lexicographic order of their generator
-        images.
+        images: the f whose tuple of generator images is the least of its
+        orbit under conjugation, so |Aut| = len(maps) * |G : Z(G)|
+        (``automorphism_count``; Holt, Eick and O'Brien, 2005, sec. 4.6).
 
-        Every automorphism is c_y . f for one returned f and some y, where
-        c_y(x) = y^-1 x y, so |Aut| = sum over f of |class(f[g1])| and Aut
-        is the returned list up to inner conjugation (Holt, Eick and
-        O'Brien, 2005, sec. 4.6).  ``gen_indices`` must generate.  The
-        first image runs over the class representatives of ord(g1); every
+        ``gen_indices`` must generate.  The first image runs over the class
+        representatives of ord(g1).  Each later image runs over the least
+        elements of their orbits under the joint centralizer of the images
+        before it, an index array narrowed as each image is fixed.  Every
         image is filtered by its order and by the orders of its products
-        with the images chosen before (read off ``left`` columns), then
-        the tuple is extended by ``extend_map``.
+        with the images chosen before (read off ``left`` columns), then the
+        tuple is extended by ``extend_map``.  The kept maps are budgeted
+        at CHAIN_CAP entries (maps x |G|): one more is a ResourceError.
         """
         order_of, k = self.order_of, len(gen_indices)
         schedule = self.bfs_schedule(gen_indices)
@@ -902,30 +904,39 @@ class ElementTable:
         # pair_orders[i][j] = ord(g_j * g_i) for j < i
         pair_orders = [[order_of[self.product(gj, gi)] for gj in gen_indices[:i]]
                        for i, gi in enumerate(gen_indices)]
+        room = CHAIN_CAP // self.n
+        overflow = ResourceError(f"automorphism budget is {CHAIN_CAP} entries (maps x |G|):"
+                                 f" more than {room} maps of a group of order {self.n}")
         found = []
 
-        def extend(i, lefts, rights):
+        def extend(i, cent, lefts, rights):
             if i == k:
                 f = self.extend_map(schedule, gen_cols, rights)
                 if f is not None:
+                    if len(found) == room:
+                        raise overflow
                     found.append(f)
                 return
             cands = by_order[i]
             for left, want in zip(lefts, pair_orders[i]):
                 cands = cands[order_of[left[cands]] == want]
             for cand in cands.tolist():
+                conj = self.conjugates(cand, cent)
+                if conj.min() < cand:  # not the least of its orbit
+                    continue
                 # a candidate's columns are computed once, where it is chosen
                 more = [self.left(cand)] if i + 1 < k else []
-                extend(i + 1, lefts + more, rights + [self.right(cand)])
+                extend(i + 1, cent[conj == cand], lefts + more, rights + [self.right(cand)])
 
-        extend(0, [], [])
+        extend(0, np.arange(self.n), [], [])
         return found
 
-    def automorphism_count(self, anchored, g1: int) -> int:
-        """|Aut| from the maps of ``automorphism_index_maps`` whose first
-        generator is g1: the sum of the class sizes of their images of g1."""
-        sizes = np.bincount(self.class_labels(), minlength=self.n)
-        return int(sum(sizes[f[g1]] for f in anchored))
+    def automorphism_count(self, maps) -> int:
+        """|Aut| from the maps of ``automorphism_index_maps``: len(maps) *
+        |G : Z(G)|, Z(G) the elements every generator's ``conjugation``
+        column fixes."""
+        fixed = [self.conjugation(j) == np.arange(self.n) for j in self.gen_indices]
+        return len(maps) * (self.n // int(np.logical_and.reduce(fixed).sum()))
 
 
 def element_table(g: PermGroup) -> ElementTable:
@@ -938,11 +949,11 @@ def element_table(g: PermGroup) -> ElementTable:
 
 
 def count_automorphisms(g: PermGroup, triple) -> int:
-    """|Aut(g)|, the sum of |class(f[g1])| over the class-anchored
-    automorphisms f of ``ElementTable.automorphism_index_maps``, g1 the
-    first element of the generating ``triple``.  The element table carries
-    the only budget: a group of order above ELEMENTS_CAP is refused before
-    its elements are enumerated."""
+    """|Aut(g)| = len(maps) * |G : Z(G)|, from the automorphisms of
+    ``ElementTable.automorphism_index_maps``, one per coset of Inn(g), on
+    the generating ``triple``.  The element table carries the only budget
+    of the group: an order above ELEMENTS_CAP is refused before its
+    elements are enumerated; the maps have their own."""
     table = element_table(g)
-    gen_indices = [table.pos[x] for x in tuple(triple)]
-    return table.automorphism_count(table.automorphism_index_maps(gen_indices), gen_indices[0])
+    maps = table.automorphism_index_maps([table.pos[x] for x in tuple(triple)])
+    return table.automorphism_count(maps)

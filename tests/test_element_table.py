@@ -8,9 +8,10 @@ arithmetic (and class labels against the least conjugate), and bound
 every base-point lookup array by the codes it maps from, on relabelled
 PSL/PGL(2,q), a slice of the group zoo, the trivial group and a regular
 representation.  ``extend_map`` must rebuild inner automorphisms from
-their generator images, and the automorphism search must anchor the first
-generator at a class representative.  The negative tests tamper with the
-element list.
+their generator images; the automorphism search must anchor every
+generator, and its one map per coset of Inn(G) times |G : Z(G)| must be
+the |Aut| of a brute-force generator-image count.  The negative tests
+tamper with the element list.
 """
 
 import random
@@ -19,14 +20,27 @@ import numpy as np
 import pytest
 
 from regmaps.constructors import (
+    build_h2,
     build_heisenberg,
+    build_module_extension,
     find_triples,
+    make_dihedral,
     make_field,
     make_pgl2,
     regular_form,
+    search_module_actions,
 )
-from regmaps.errors import ContractError
-from regmaps.permgrp import ElementTable, PermGroup, element_table, pinv, pmul, porder
+from regmaps import permgrp
+from regmaps.errors import ContractError, ResourceError
+from regmaps.permgrp import (
+    ElementTable,
+    PermGroup,
+    count_automorphisms,
+    element_table,
+    pinv,
+    pmul,
+    porder,
+)
 
 FULL_CHECK_MAX = 400
 SAMPLE_PAIRS = 10 ** 4
@@ -132,15 +146,111 @@ def test_extend_map_rebuilds_inner_automorphisms(q, other):
 
 
 @pytest.mark.parametrize("q", [5, 7])
-def test_automorphism_index_maps_anchor_the_first_generator(q):
+def test_automorphism_index_maps_anchor_every_generator(q):
+    # g1 goes to its class representative, and every later generator to the
+    # least element of its orbit under the joint centralizer of the images
+    # before it, so the tuples come in lexicographic order, one per coset
     g = _relabelled(_pgl(q, "pgl"), seed=q)
     t = element_table(g)
     gens = _triple_indices(t, find_triples(g, 4, 6, limit=1)[0])
     auts = t.automorphism_index_maps(gens)
     assert auts
-    for f in auts:
-        image = int(f[gens[0]])
-        assert image == min(t.conjugates(image).tolist())
+    tuples = [[int(f[j]) for j in gens] for f in auts]
+    assert tuples == sorted(tuples) and len({tuple(x) for x in tuples}) == len(tuples)
+    for images in tuples:
+        cent = np.ones(t.n, dtype=bool)
+        for image in images:
+            conj = t.conjugates(image)
+            assert image == conj[cent].min()
+            cent &= conj == image
+
+
+def _e9_d10():
+    """E_3^2 : D10, the module extension of order 180 with a {6, 30} map."""
+    d10 = make_dihedral(10)
+    for spec in search_module_actions(d10, 3, 2):
+        ext = build_module_extension(d10, spec)
+        if ext.order() == 180 and find_triples(ext, 6, 30, limit=1):
+            return ext
+    raise AssertionError("no E_3^2 : D10 carries a {6, 30} map")
+
+
+_AUT_GROUPS = {
+    # group -> |Out|
+    "psl2:5": (lambda: _pgl(5, "psl"), 2),
+    "pgl2:5": (lambda: _pgl(5, "pgl"), 1),
+    "pgl2:7": (lambda: _pgl(7, "pgl"), 1),
+    "he3": (build_heisenberg, 48),
+    "h2:3,5": (lambda: build_h2(3, 5).group, 2),
+    "E_3^2:D10": (_e9_d10, 4),
+}
+
+
+def _brute_force_aut_order(t, gens):
+    """|Aut|: every image tuple, filtered by the orders of the images and
+    of their pairwise products, that ``extend_map`` accepts, none anchored."""
+    schedule, gen_cols = t.bfs_schedule(gens), [t.right(j) for j in gens]
+    order_of, count = t.order_of, 0
+
+    def walk(images):
+        nonlocal count
+        i = len(images)
+        if i == len(gens):
+            count += t.extend_map(schedule, gen_cols, [t.right(x) for x in images]) is not None
+            return
+        for x in np.flatnonzero(order_of == order_of[gens[i]]).tolist():
+            if all(order_of[t.product(images[j], x)] == order_of[t.product(gens[j], gens[i])]
+                   for j in range(i)):
+                walk(images + [x])
+
+    walk([])
+    return count
+
+
+def _check_aut_search(g, n_out):
+    t = element_table(g)
+    centre = [z for z in t.elems if all(pmul(z, x) == pmul(x, z) for x in g.generators)]
+    inner = t.n // len(centre)
+    n_aut = _brute_force_aut_order(t, t.gen_indices)
+    maps = t.automorphism_index_maps(t.gen_indices)
+    assert len(maps) * inner == t.automorphism_count(maps) == n_aut
+    assert len(maps) == n_aut // inner == n_out
+
+
+@pytest.mark.parametrize("name", sorted(_AUT_GROUPS))
+def test_automorphism_search_vs_brute_force(name):
+    build, n_out = _AUT_GROUPS[name]
+    _check_aut_search(build(), n_out)
+
+
+@pytest.mark.parametrize("name", sorted(_AUT_GROUPS))
+def test_aut_oracle_catches_first_generator_anchoring(name, monkeypatch):
+    # planted fault: every candidate passes as the least of its orbit under
+    # the centralizer, so only g1 is anchored and each coset of Inn(G)
+    # gives more than one map
+    conjugates = ElementTable.conjugates
+
+    def unanchored(self, i, by=None):
+        return conjugates(self, i) if by is None else np.full(len(by), i)
+
+    monkeypatch.setattr(ElementTable, "conjugates", unanchored)
+    build, n_out = _AUT_GROUPS[name]
+    with pytest.raises(AssertionError):
+        _check_aut_search(build(), n_out)
+
+
+def test_automorphism_maps_are_budgeted(monkeypatch):
+    # He3 has 48 maps of 27 entries each; the 48th passes a budget one
+    # entry smaller only by raising, as soon as it is found
+    g = build_heisenberg()
+    monkeypatch.setattr(permgrp, "CHAIN_CAP", 48 * 27)
+    assert count_automorphisms(g, g.generators) == 432
+    monkeypatch.setattr(permgrp, "CHAIN_CAP", 48 * 27 - 1)
+    message = ("automorphism budget is 1295 entries (maps x |G|):"
+               " more than 47 maps of a group of order 27")
+    with pytest.raises(ResourceError) as err:
+        count_automorphisms(g, g.generators)
+    assert str(err.value) == message
 
 
 def _tampered(g, k):
