@@ -6,17 +6,20 @@ Everything here works with Python's arbitrary-precision integers.
 Matrices are stored sparse, one {col: value} dict per row.  One sparse
 eliminator (Dumas, Saunders and Villard, "On efficient sparse integer
 matrix Smith normal form computations", J. Symbolic Comput. 32 (2001))
-pivots on unit entries in Markowitz order.  The Smith normal form runs it
-over Z on the +-1 entries, then a dense minimal-pivot pass finishes the
-rows that are left; kernel relation matrices have a few nonzeros per row
-and almost all of them go in the sparse phase.  The mod-p rank runs it
-over F_p, where every nonzero entry is a unit, so it needs no dense pass.
+pivots on unit entries, those of two-term rows first as substitutions of
+one column by another, then the rest in Markowitz order.  The Smith
+normal form runs it over Z on the +-1 entries, then a dense minimal-pivot
+pass finishes the rows that are left; kernel relation matrices have a few
+nonzeros per row and almost all of them go in the sparse phase.  The
+mod-p rank runs it over F_p, where every nonzero entry is a unit, so it
+needs no dense pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import heapq
+from itertools import islice
 import operator
 from math import gcd
 
@@ -219,14 +222,16 @@ class IntMatrix:
         mapping; zero values are dropped and every column must lie in
         range(cols)."""
         m = cls(0, cols, ())
-        rows = []
-        for row in sparse_rows:
-            keys, values = _ints(row.keys()), _ints(row.values())
-            if any(not 0 <= j < cols for j in keys):
-                raise ParameterError(f"IntMatrix row {row} has a column outside range({cols})")
-            rows.append({j: x for j, x in zip(keys, values) if x})
-        m.rows = len(rows)
-        m.sparse = tuple(rows)
+        sparse_rows = list(sparse_rows)
+        keys = _ints(j for row in sparse_rows for j in row)
+        values = _ints(x for row in sparse_rows for x in row.values())
+        if keys and not 0 <= min(keys) <= max(keys) < cols:
+            raise ParameterError(f"IntMatrix columns {min(keys)}..{max(keys)} exceed range({cols})")
+        entries = iter(zip(keys, values))
+        m.rows = len(sparse_rows)
+        m.sparse = tuple(
+            {j: x for j, x in islice(entries, len(row)) if x} for row in sparse_rows
+        )
         return m
 
     @classmethod
@@ -308,41 +313,67 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     a nonzero.  Returns the nonzero diagonal entries d1 | d2 | ... (the 1s
     first) and the free rank cols - (number of nonzero factors).
     """
-    rows, col_rows = _sparse_rows(map(dict, m.sparse))
-    units = _eliminate_unit_pivots(rows, col_rows)
-    cols_left = sorted(c for c, hit in col_rows.items() if hit)
+    rows = dict(enumerate(m.sparse))
+    units = _eliminate_unit_pivots(rows)
+    cols_left = sorted({j for row in rows.values() for j in row})
     A = [[row.get(c, 0) for c in cols_left] for _i, row in sorted(rows.items())]
     factors = [1] * units + _dense_snf(A, len(cols_left))
     return SnfResult(tuple(factors), m.cols - len(factors))
 
 
-def _sparse_rows(row_dicts):
-    """The nonzero rows of ``row_dicts`` as {row: {col: value}}, taking
-    ownership of the dicts, and the index {col: {rows}}."""
-    rows = {i: row for i, row in enumerate(row_dicts) if row}
-    col_rows = {}
-    for i, row in rows.items():
-        for j in row:
-            col_rows.setdefault(j, set()).add(i)
-    return rows, col_rows
-
-
-def _eliminate_unit_pivots(rows, col_rows, p=None) -> int:
-    """Pivot on unit entries until none is left; return how many.  Each
-    step takes the unit of least Markowitz cost (row nnz - 1) * (col nnz - 1),
-    ties to the first row and then the first column, clears its column by
-    row operations and drops its row and column.  ``rows`` and ``col_rows``
-    are updated in place.
+def _eliminate_unit_pivots(rows, p=None) -> int:
+    """Pivot on unit entries of the integer rows {row: {col: value}} until
+    none is left; return how many.  ``rows`` is replaced in place by the
+    nonzero rows left, over the columns that were not pivots.
 
     Over Z (``p`` None) the units are the +-1 entries and the arithmetic is
-    exact.  Over F_p the rows must hold residues in [1, p); every entry is
-    a unit, each update is reduced mod p, and the count is the rank.
+    exact.  Over F_p the entries are reduced mod p, every nonzero residue
+    is a unit, and the count is the rank.
 
-    The heap holds (cost, row, col) with a cost no larger than the entry's
-    current one: after each pivot, the units of every row it changed and of
-    every column that lost a nonzero are pushed at their current cost, and
-    an entry popped with a stale, lower cost is pushed again.
+    First the rows of at most two entries, in row order, are resolved
+    through the column map ``sub`` (x_j = c x_k, or x_j = 0 with k None);
+    one that resolves to a unit x at column j beside y at column k is a
+    pivot recorded as x_j = -(y / x) x_k, and the other rows are rewritten
+    through the map: the same unimodular elimination as a heap pivot.
+
+    Then each step takes the unit of least Markowitz cost (row nnz - 1) *
+    (col nnz - 1), ties to the first row and then the first column, clears
+    its column by row operations and drops its row and column.  The heap
+    holds (cost, row, col) with a cost no larger than the entry's current
+    one: after each pivot, the units of every row it changed and of every
+    column that lost a nonzero are pushed at their current cost, and an
+    entry popped with a stale, lower cost is pushed again.
     """
+    sub = {}
+
+    def rewrite(row):
+        out = {}
+        for j, c in row.items():
+            while j in sub:
+                j, d = sub[j]
+                c *= d
+            if j is not None:
+                out[j] = out.get(j, 0) + c
+        return {j: y for j, x in out.items() if (y := x % p if p else x)}
+
+    units = 0
+    for i in list(rows):
+        if len(rows[i]) <= 2:
+            row = rows[i] = rewrite(rows[i])
+            j = next((j for j, x in row.items() if p or x in (1, -1)), None)
+            if j is not None:
+                x = row.pop(j)
+                (k, y), = row.items() or ((None, 0),)
+                sub[j] = (k, -y * pow(x, -1, p) % p) if p else (k, -y * x)
+                del rows[i]
+                units += 1
+    col_rows = {}
+    for i in list(rows):
+        rows[i] = rewrite(rows[i])
+        if not rows[i]:
+            del rows[i]
+        for j in rows.get(i, ()):
+            col_rows.setdefault(j, set()).add(i)
 
     def cost(i, j):
         return (len(rows[i]) - 1) * (len(col_rows[j]) - 1)
@@ -354,7 +385,6 @@ def _eliminate_unit_pivots(rows, col_rows, p=None) -> int:
 
     heap = units_of(rows, ())
     heapq.heapify(heap)
-    units = 0
     while heap:
         old, r, c = heapq.heappop(heap)
         prow = rows.get(r)
@@ -473,14 +503,13 @@ def _dense_snf(A, ncols: int):
 def mod_p_rank(m: IntMatrix, p: int) -> int:
     """Rank of m over the field with p elements.
 
-    The rows are reduced mod p in exact arithmetic, zeros dropped, and
-    handed to the sparse eliminator of ``smith_normal_form``: over F_p every
-    nonzero entry is a unit pivot, so the number of pivots is the rank.
+    The sparse eliminator of ``smith_normal_form`` reduces the rows mod p
+    in exact arithmetic; over F_p every nonzero entry is a unit pivot, so
+    the number of pivots is the rank.
     """
     if not is_prime(p):
         raise ParameterError(f"mod_p_rank needs a prime, got {p}")
-    reduced = ({j: y for j, x in row.items() if (y := x % p)} for row in m.sparse)
-    return _eliminate_unit_pivots(*_sparse_rows(reduced), p)
+    return _eliminate_unit_pivots(dict(enumerate(m.sparse)), p)
 
 
 def det_bareiss(m: IntMatrix) -> int:

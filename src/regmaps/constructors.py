@@ -575,16 +575,16 @@ def _power_is_identity(perms, n):
 
 
 def _action_homs(acting: PermGroup, targets):
-    """The generator-image tuples from the rows of ``targets`` (permutations
-    of one degree, one per row) that extend to homomorphisms from
-    ``acting``, in the lexicographic order of the rows.
+    """The generator images from the rows of ``targets`` (permutations of
+    one degree, one per row) that extend to homomorphisms from ``acting``,
+    as index rows into ``targets`` (one column per generator) in
+    lexicographic order.
 
     Candidates are index rows into ``targets``, filtered by power tests over
     all of them at once: an image t of g_j must have t^ord(g_j) = 1 and,
     for each image x chosen for g_i, i < j, (x t)^ord(g_i g_j) = 1 (the
     (rs)^2 relator of a dihedral group).  One Cayley walk of ``acting``
-    (``_walk_consistent``) then tests every surviving row, and only the
-    accepted rows become tuples."""
+    (``_walk_consistent``) then tests every surviving row."""
     gens = acting.generators
     rows = np.zeros((1, 0), dtype=np.intp)
     for j, g in enumerate(gens):
@@ -597,9 +597,12 @@ def _action_homs(acting: PermGroup, targets):
                 ok = ok[_power_is_identity(targets[ok][:, targets[i]], b)]
             grown.append(np.column_stack((np.broadcast_to(pre, (ok.size, j)), ok)))
         rows = np.concatenate(grown)
-    rows = rows[_walk_consistent(acting, targets, rows)].tolist()
-    perms = {i: tuple(targets[i].tolist()) for i in {i for row in rows for i in row}}
-    return [tuple(perms[i] for i in row) for row in rows]
+    return rows[_walk_consistent(acting, targets, rows)]
+
+
+def _hom_tuples(targets, rows):
+    """The index rows as generator-image tuples of permutation tuples."""
+    return [tuple(map(tuple, images)) for images in targets[rows].tolist()]
 
 
 def _walk_consistent(acting: PermGroup, targets, rows):
@@ -645,17 +648,18 @@ def _walk_consistent(acting: PermGroup, targets, rows):
     return ok
 
 
-def _conjugacy_representatives(homs, conjugators):
-    """The first tuple of each orbit of ``homs`` under simultaneous
-    conjugation by the group ``conjugators`` generate, in the order of
-    ``homs``: those whose index ``_orbit_labels`` labels with itself.  The
-    conjugates by one g are one array gather, found among ``homs`` by a
-    binary search of their rows as bytes; one outside is a ContractError."""
+def _conjugacy_representatives(targets, homs, conjugators):
+    """As tuples, the first of each orbit of the index rows ``homs`` (into
+    ``targets``) under simultaneous conjugation by the group
+    ``conjugators`` generate, in the order of ``homs``: those whose index
+    ``_orbit_labels`` labels with itself.  The conjugates by one g are one
+    array gather, found among ``homs`` by a binary search of their images
+    as bytes; one outside is a ContractError."""
     h = len(homs)
-    if not h or not homs[0] or not conjugators:
-        return list(homs)
-    perms = np.array(conjugators, dtype=np.intp)
-    rows = np.array(homs, dtype=np.intp).reshape(h, -1, perms.shape[1])
+    if not h or not homs.shape[1] or not conjugators:
+        return _hom_tuples(targets, homs)
+    perms = np.array(conjugators, dtype=targets.dtype)
+    rows = targets[homs]
     flat = rows.reshape(h, -1)
     key = np.dtype((np.void, flat[0].nbytes))  # a row as one byte string
     order = np.argsort(flat.view(key).ravel())
@@ -667,8 +671,8 @@ def _conjugacy_representatives(homs, conjugators):
         if not np.array_equal(flat[at], conj):
             raise ContractError("conjugate action escaped the search set")
         maps.append(at.tolist())
-    labels = _orbit_labels(h, maps).tolist()
-    return [s for i, s in enumerate(homs) if labels[i] == i]
+    labels = _orbit_labels(h, maps)
+    return _hom_tuples(targets, homs[labels == np.arange(h)])
 
 
 def build_module_extension(h: PermGroup, spec: ModuleExtensionSpec) -> PermGroup:
@@ -720,7 +724,7 @@ def search_module_actions(acting: PermGroup, p: int, k: int):
     elems = _gl_listing(k, p)
     if len(elems) != gl.order():
         raise ContractError(f"{len(elems)} invertible matrix codes, but |GL_{k}({p})| = {gl.order()}")
-    reps = _conjugacy_representatives(_action_homs(acting, elems), gl.generators)
+    reps = _conjugacy_representatives(elems, _action_homs(acting, elems), gl.generators)
     return [ModuleExtensionSpec(k, p, tuple(_perm_mat(x, k, p) for x in s)) for s in reps]
 
 
@@ -764,7 +768,8 @@ def search_split_actions(v: PermGroup, d: PermGroup):
     the matching regular copy is returned alongside.
     """
     reg, auts = automorphism_perm_group(v)
-    return reg, _action_homs(d, _perm_array(auts))
+    targets = _perm_array(auts)
+    return reg, _hom_tuples(targets, _action_homs(d, targets))
 
 
 def split_action_classes(v: PermGroup, d: PermGroup):
@@ -777,7 +782,8 @@ def split_action_classes(v: PermGroup, d: PermGroup):
     maps of the automorphism search and the conjugations by v's generators.
     """
     reg, auts, gens = _automorphisms(v)
-    return reg, _conjugacy_representatives(_action_homs(d, _perm_array(auts)), gens)
+    targets = _perm_array(auts)
+    return reg, _conjugacy_representatives(targets, _action_homs(d, targets), gens)
 
 
 def build_split_extension(v_regular: PermGroup, d: PermGroup, aut_images) -> PermGroup:

@@ -5,9 +5,12 @@ D = D(2, M, N) = <A, B, C | A^2, B^2, C^2, (AC)^2, (AB)^M, (BC)^N>
 with M, N multiples of (ord(ab), ord(bc)), the kernel K of the obvious
 epimorphism D -> G has coset table equal to the Cayley graph of G, read
 off G's element table.  Reidemeister-Schreier then presents K on 2|G| + 1
-generators (spanning-tree generators eliminated); the abelianized relation
-matrix, built and kept as sparse rows, yields K/K' by Smith normal form
-and the mod-r kernel dimension by mod-p rank.
+generators (spanning-tree generators eliminated).  Each relator's period
+word acts on the cosets as right multiplication by one element, so its
+cycles share one length, that element's order; every cycle is traced at
+once on integer arrays.  The abelianized relation matrix, kept as sparse
+rows, yields K/K' by Smith normal form and the mod-r kernel dimension by
+mod-p rank.
 
 A smooth target (M, N) = (m, n) realizes the surface group: K/K' is
 C2 x Z^(1-chi).  The branched target (rm, rn) gives the elementary-abelian
@@ -17,11 +20,14 @@ cover datum: dim_r K/(K' K^(r)) = 1 + |G|/4.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
+
+import numpy as np
 
 from .algebra import IntMatrix, SnfResult, mod_p_rank, smith_normal_form, is_prime
 from .errors import ContractError, ParameterError, ResourceError
 from .mapcore import MapTriple, euler_characteristic, map_counts
-from .permgrp import element_table, pmul, porder
+from .permgrp import element_table
 
 __all__ = [
     "TriangleTarget",
@@ -106,71 +112,66 @@ def reidemeister_schreier(
     edges are eliminated, leaving 2|G| + 1 columns.  Each relator of
     D(2, M, N), conjugated by each coset representative, is rewritten; the
     rewrite of w_i R w_i^{-1} reduces to tracing R from coset i because
-    tree words contribute only eliminated generators.  A relator R = P^e
-    is traced once around the cycle of its period word P from coset i;
-    that cycle has some length L dividing e, and the row is the cycle's
-    row times e / L, so the work does not grow with e.  With dedupe=True,
-    starts on the same relator cycle (which abelianize identically) are
-    emitted once; correctness is unaffected, only size.
+    tree words contribute only eliminated generators.
+
+    A relator R = P^e is traced on integer arrays, every start at once.
+    P acts on the cosets as right multiplication by one element, so its
+    cycles have one length L, that element's order, which must divide e.
+    Pointer doubling labels each start with its cycle's least coset, the
+    (cycle, column) pairs of P's letters from every start are counted by
+    ``np.unique``, and a cycle's row is its counts times e / L, so the work
+    does not grow with e.  dedupe=True gives one row per cycle, in the
+    order of its least coset; dedupe=False gives each start the row of its
+    cycle (starts on one cycle abelianize identically).
     """
     two, M, N = delta_type
     if two != 2:
         raise ParameterError("delta type must be (2, M, N)")
     n = table.index
-    acts = table.actions
-    col_of = {}
-    for lab in range(3):
-        for i in range(n):
-            if (i, lab) not in table.tree_edge:
-                col_of[(i, lab)] = len(col_of)
-    n_gens = len(col_of)
+    acts = np.array(table.actions, dtype=np.intp).reshape(3, n)
+    free = np.ones((3, n), dtype=bool)
+    src, lab = np.array(list(table.tree_edge), dtype=np.intp).reshape(-1, 2).T
+    free[lab, src] = False
+    n_gens = int(free.sum())
     if n_gens != 2 * n + 1:
         raise ContractError(f"expected {2 * n + 1} Schreier generators, got {n_gens}")
+    col_of = np.full((3, n), -1, dtype=np.intp)  # -1 on the tree edges
+    col_of[free] = np.arange(n_gens)
 
-    relators = [  # (period word, exponent)
-        ((0,), 2),       # A^2
-        ((1,), 2),       # B^2
-        ((2,), 2),       # C^2
-        ((0, 2), 2),     # (AC)^2
-        ((0, 1), M),     # (AB)^M
-        ((1, 2), N),     # (BC)^N
-    ]
+    # (period word, exponent) of A^2, B^2, C^2, (AC)^2, (AB)^M and (BC)^N
+    relators = [((0,), 2), ((1,), 2), ((2,), 2), ((0, 2), 2), ((0, 1), M), ((1, 2), N)]
 
-    rows = []
-    for period_word, exponent in relators:
-        seen = [False] * n
-        for s in range(n):
-            if dedupe and seen[s]:
-                continue
-            row = {}
-            c, length = s, 0
-            while True:
-                for lab in period_word:
-                    col = col_of.get((c, lab))
-                    if col is not None:
-                        row[col] = row.get(col, 0) + 1
-                    c = acts[lab][c]
-                length += 1
-                if c == s:
-                    break
-                seen[c] = True
-            if exponent % length:
-                raise ContractError(
-                    f"relator cycle of length {length} does not divide the exponent {exponent}"
-                )
-            rows.append({col: v * (exponent // length) for col, v in row.items()})
+    rows, orders = [], {}
+    for period, exponent in relators:
+        state, letters = np.arange(n), []
+        for lab in period:
+            letters.append(col_of[lab, state])
+            state = acts[lab, state]
+        least, step = np.arange(n), state
+        while True:  # least[s]: min over s, P(s), ..., P^(2^k - 1)(s)
+            nxt = np.minimum(least, least[step])
+            if np.array_equal(nxt, least):
+                break
+            least, step = nxt, step[step]
+        _, cycle_of, length = np.unique(least, return_inverse=True, return_counts=True)
+        lengths = length.tolist()
+        order = orders[period] = lcm(*set(lengths))
+        if exponent % order:
+            raise ContractError(f"relator cycle of length {order} does not divide {exponent}")
+        letters = np.concatenate(letters)
+        owner = np.tile(cycle_of, len(period))[letters >= 0]
+        pairs, count = np.unique(owner * n_gens + letters[letters >= 0], return_counts=True)
+        cycle_rows = [{} for _ in lengths]
+        for key, v in zip(pairs.tolist(), count.tolist()):
+            cyc, j = divmod(key, n_gens)
+            cycle_rows[cyc][j] = v * (exponent // lengths[cyc])
+        rows += cycle_rows if dedupe else [cycle_rows[c] for c in cycle_of.tolist()]
 
     matrix = IntMatrix.from_sparse(n_gens, rows)
 
-    # base-map data straight from the table: ord(ab), ord(bc) of the
-    # composite actions, then chi, genus and the branch-point count
-    def composite_order(l1, l2):
-        return porder(pmul(acts[l1], acts[l2]))
-
-    m = composite_order(0, 1)
-    n_ord = composite_order(1, 2)
-    if M % m or N % n_ord:
-        raise ContractError("table is inconsistent with the delta type")
+    # base-map data from the traced cycles: ord(ab) | M, ord(bc) | N, then
+    # chi, genus and the branch-point count
+    m, n_ord = orders[(0, 1)], orders[(1, 2)]
     chi = euler_characteristic(n, m, n_ord)
     branched = (M, N) != (m, n_ord)
     u = (n // (2 * n_ord) + n // (2 * m)) if branched else 0

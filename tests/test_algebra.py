@@ -129,8 +129,18 @@ def test_snf_examples():
 
 
 def _snf_pool(kind, rng):
-    """A seeded matrix of at most 12x12 from one of three pools."""
+    """A seeded matrix of at most 12x12 from one of four pools."""
     rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+    if kind == "two_term":  # chains, cycles and cancellations of two-term rows
+        a = [[0] * cols for _ in range(rows)]
+        for row in a:
+            j = rng.randrange(cols)
+            row[j] += rng.choice((1, -1, 1, -1, 2, -2, 3))
+            k = (j + 1) % cols if rng.random() < 0.7 else rng.randrange(cols)
+            row[k] += rng.choice((1, -1, 1, 2, -2))
+        for _ in range(rng.randint(0, 2)):  # a few longer rows for the heap
+            a.insert(rng.randint(0, rows), [rng.choice((0, 0, 1, -1, 2)) for _ in range(cols)])
+        return a
     if kind == "units":  # +-1-heavy and sparse: the sparse phase does most work
         vals = (1, -1, 1, -1, 1, -1, 2, -3, 6)
         density = rng.uniform(0.1, 0.5)
@@ -151,7 +161,7 @@ def _snf_pool(kind, rng):
     return a
 
 
-@pytest.mark.parametrize("kind", ["units", "no_units", "zero_lines"])
+@pytest.mark.parametrize("kind", ["units", "no_units", "zero_lines", "two_term"])
 def test_snf_matches_sympy(kind):
     rng = random.Random(f"snf-{kind}")
     for _ in range(150):
@@ -161,6 +171,25 @@ def test_snf_matches_sympy(kind):
         want = [abs(int(d)) for d in invariant_factors(Matrix(a), domain=ZZ) if d]
         got = smith_normal_form(IntMatrix.from_rows(a))
         assert got == SnfResult(tuple(want), len(a[0]) - len(want)), a
+
+
+def test_two_term_substitutions():
+    # x1 + x2 and x2 + x3 substitute x1 = x3, so x1 + x3 closes to 2 x3
+    cycle = IntMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    assert smith_normal_form(cycle) == SnfResult((1, 1, 2), 0)
+    assert mod_p_rank(cycle, 2) == 2 and mod_p_rank(cycle, 3) == 3
+    # a chain x1 = x2 = x3 = x4, then 3 x4
+    chain = IntMatrix.from_rows([[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, -1, 1], [0, 0, 0, 3]])
+    assert smith_normal_form(chain) == SnfResult((1, 1, 1, 3), 0)
+    # the second row resolves to x2 - x2 = 0 and is dropped
+    assert smith_normal_form(IntMatrix.from_rows([[1, 1], [-1, -1]])) == SnfResult((1,), 1)
+    # 2x + y pivots on y; 2x + 2y has no unit and is left for the dense pass
+    assert smith_normal_form(IntMatrix.from_rows([[2, 1]])) == SnfResult((1,), 1)
+    assert smith_normal_form(IntMatrix.from_rows([[2, 2]])) == SnfResult((2,), 1)
+    assert smith_normal_form(IntMatrix.from_rows([[2, 1, 0], [0, 2, 2]])) == SnfResult((1, 2), 1)
+    # multiples of p vanish before the pass, other residues are units
+    assert mod_p_rank(IntMatrix.from_rows([[3, 1], [1, 6], [9, 3]]), 3) == 2
+    assert mod_p_rank(IntMatrix.from_rows([[3, 6], [2, 5]]), 3) == 1
 
 
 def test_mod_p_rank_examples():
@@ -181,8 +210,9 @@ def test_mod_p_rank_big_entries():
 
 
 def _modp_pool(p, rng):
-    """A seeded sparse matrix of at most 15x15 with zero rows and columns,
-    entries that are multiples of p, and rows that combine two others."""
+    """A seeded sparse matrix of at most 20x15 with zero rows and columns,
+    entries that are multiples of p, rows that combine two others, and
+    two-term rows that chain neighbouring columns."""
     rows, cols = rng.randint(0, 12), rng.randint(0, 15)
     vals = (1, -1, 2, p, -p, 3 * p, p - 1, p + 1, 5 * p + 2, rng.randint(-p * p, p * p))
     density = rng.uniform(0.1, 0.6)
@@ -191,6 +221,11 @@ def _modp_pool(p, rng):
     for _ in range(rng.randint(0, 3) if rows >= 2 else 0):
         (s, x), (t, y) = [(rng.choice(a), rng.randint(-3, 3)) for _ in range(2)]
         a.insert(rng.randint(0, len(a)), [x * u + y * v for u, v in zip(s, t)])
+    for _ in range(rng.randint(0, 5) if cols else 0):  # two-term rows on neighbouring columns
+        row, j = [0] * cols, rng.randrange(cols)
+        row[j] = rng.choice(vals)
+        row[(j + 1) % cols] += rng.choice(vals)
+        a.insert(rng.randint(0, len(a)), row)
     rows = len(a)
     for i in rng.sample(range(rows), rng.randint(0, rows // 3)):
         a[i] = [0] * cols

@@ -413,14 +413,14 @@ def test_module_action_homs_match_per_candidate_walks(acting, p, k, monkeypatch)
     d = _acting(acting)
     gl = sorted(gl_group(k, p).elements(), key=_code_order(k, p))
     listing = constructors._gl_listing(k, p)
-    homs = constructors._action_homs(d, listing)
+    homs = constructors._hom_tuples(listing, constructors._action_homs(d, listing))
     assert homs == _per_candidate_homs(d, gl)
     if not d.generators:
         assert homs == [()]
         assert search_module_actions(d, p, k) == [ModuleExtensionSpec(k, p, ())]
     # a walk in blocks of two candidates gives the same answer
     monkeypatch.setattr(constructors, "CHAIN_CAP", 2 * d.order() * p ** k)
-    assert constructors._action_homs(d, listing) == homs
+    assert constructors._hom_tuples(listing, constructors._action_homs(d, listing)) == homs
 
 
 def _old_module_extension(h, spec):

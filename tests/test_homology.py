@@ -4,7 +4,7 @@ import pytest
 
 from regmaps.algebra import mod_p_rank
 from regmaps.constructors import build_h1, find_triples
-from regmaps.errors import ParameterError
+from regmaps.errors import ContractError, ParameterError
 from regmaps.homology import (
     TriangleTarget,
     branched_rank_check,
@@ -193,8 +193,8 @@ def test_smooth_kernel_soluble_group():
 
 
 def _full_word_matrix(table, delta_type, dedupe):
-    """Rows of the relation matrix from tracing every relator word in full
-    (length up to 2 * exponent * |period|) from each start."""
+    """Sparse rows of the relation matrix from tracing every relator word
+    in full (length up to 2 * exponent * |period|) from each start."""
     _two, M, N = delta_type
     n, acts = table.index, table.actions
     col_of = {}
@@ -208,31 +208,46 @@ def _full_word_matrix(table, delta_type, dedupe):
         for s in range(n):
             if dedupe and seen[s]:
                 continue
-            row, c = [0] * len(col_of), s
+            row, c = {}, s
             for _ in range(exponent):
                 for lab in period:
                     if (c, lab) in col_of:
-                        row[col_of[(c, lab)]] += 1
+                        row[col_of[(c, lab)]] = row.get(col_of[(c, lab)], 0) + 1
                     c = acts[lab][c]
                 if c != s:
                     seen[c] = True
             assert c == s
             rows.append(row)
-    return rows
+    return len(col_of), rows
 
 
-@pytest.mark.parametrize("group,m,n", [("pgl5", 5, 4), ("pgl7", 3, 8), ("pgl9", 5, 8)])
+@pytest.mark.parametrize(
+    "group,m,n", [("pgl5", 5, 4), ("pgl7", 3, 8), ("pgl9", 5, 8), ("psl13", 3, 7)]
+)
 def test_scaled_cycle_rows_match_full_words(pgl_groups, group, m, n):
     t = find_triples(pgl_groups[group], m, n)[0]
     for r in (3, 5, 7):
         delta = (2, r * m, r * n)
         table = cayley_coset_table(TriangleTarget(t, delta))
         for dedupe in (True, False) if r == 3 else (True,):
-            pres = reidemeister_schreier(table, delta, dedupe)
-            mat = pres.relation_matrix
-            dense = mat.entries
-            got = [dense[i * mat.cols:(i + 1) * mat.cols] for i in range(mat.rows)]
-            assert got == [tuple(row) for row in _full_word_matrix(table, delta, dedupe)]
+            mat = reidemeister_schreier(table, delta, dedupe).relation_matrix
+            assert (mat.cols, list(mat.sparse)) == _full_word_matrix(table, delta, dedupe)
+
+
+@pytest.mark.parametrize("dedupe", [True, False])
+def test_relator_cycle_must_divide_exponent(pgl_groups, dedupe):
+    t = find_triples(pgl_groups["psl13"], 3, 7)[0]
+    table = cayley_coset_table(TriangleTarget(t, (2, 3, 7)))
+    with pytest.raises(ContractError):
+        reidemeister_schreier(table, (2, 3 + 1, 7), dedupe)
+
+
+def test_smooth_and_branched_kernel_psl13(pgl_groups):
+    # |G| = 1092, the largest coset table of the cover rows; chi = -13
+    t = find_triples(pgl_groups["psl13"], 3, 7)[0]
+    snf = kernel_abelianization(kernel_presentation(TriangleTarget(t, (2, 3, 7))))
+    assert snf.torsion() == (2,) and snf.free_rank == 14
+    assert branched_rank_check(t, 13) == (274, 274, True)
 
 
 def test_branched_rank_large_r(pgl_groups):
