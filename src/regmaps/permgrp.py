@@ -2,9 +2,11 @@
 
 Permutations are tuples of 0-based images; ``pmul(p, q)`` applies p first,
 then q, and composes in C through ``operator.itemgetter``.  Groups carry
-their generators plus lazily-computed caches (order, element set, element
+their generators plus lazily-computed caches (order, element array, element
 table).  Orders up to 10^6 come from a deterministic Schreier-Sims chain of
-at most 10^7 stored entries that sifts its Schreier generators.
+at most 10^7 stored entries that sifts its Schreier generators.  The same
+chain lists the elements: every element is one product of transversal
+elements, so the list is one integer array, sorted once by its rows' bytes.
 
 Everything else works in the index space of one ``ElementTable`` per group
 (up to 2*10^4 elements and 10^7 entries): an element is its index in the
@@ -159,7 +161,9 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(gens)
         self.cached_order = order
+        self._chain = None
         self._elements = None
+        self._element_set = None
 
     def __repr__(self):
         size = self.cached_order if self.cached_order else "?"
@@ -171,46 +175,52 @@ class PermGroup:
 
     def order(self) -> int:
         """|G|: the cached order, or a Schreier-Sims chain under ORDER_CAP
-        and CHAIN_CAP."""
+        and CHAIN_CAP, kept for ``element_array`` within its budget."""
         if self.cached_order is None:
-            self.cached_order = _schreier_sims_order(self.degree, self.generators)
+            order, chain = _schreier_sims_order(self.degree, self.generators)
+            if order <= ELEMENTS_CAP and order * self.degree <= CHAIN_CAP:
+                self._chain = chain
+            self.cached_order = order
         return self.cached_order
 
-    def elements(self) -> frozenset:
-        """All group elements by breadth-first closure.
-
-        The order is read first, and a group of order above ELEMENTS_CAP,
-        or whose order x degree entries would pass CHAIN_CAP, is refused
-        with ``ResourceError`` before any element is enumerated.  The
-        closure must then find exactly that many elements; it stops with
-        ``ContractError`` as soon as it finds one more, so a wrong
-        ``order=`` cannot make it run on."""
+    def element_array(self) -> np.ndarray:
+        """Every element, one row each, in ascending order: the products
+        x_(r-1) ... x_0 of one element per level of a Schreier-Sims chain
+        (Holt, Eick and O'Brien, 2005, sec. 4.4), one gather per level, in
+        the smallest big-endian unsigned dtype, so one argsort of the rows'
+        bytes sorts them like tuples.  An order above ELEMENTS_CAP, or order
+        x degree above CHAIN_CAP, is refused first (``ResourceError``).  A
+        given ``order=`` bounds the chain; a chain above it, a count other
+        than the order or two equal rows is a ``ContractError``."""
         if self._elements is None:
-            order = self.order()
+            order, degree = self.order(), self.degree
             if order > ELEMENTS_CAP:
                 raise ResourceError(f"element budget is {ELEMENTS_CAP}, group has order {order}")
-            if order * self.degree > CHAIN_CAP:
+            if order * degree > CHAIN_CAP:
                 raise ResourceError(
                     f"element list budget is {CHAIN_CAP} entries (elements x degree):"
-                    f" order {order} at degree {self.degree}"
+                    f" order {order} at degree {degree}"
                 )
-            elems = {self.ident}
-            frontier = [self.ident]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g in self.generators:
-                        y = pmul(x, g)
-                        if y not in elems:
-                            if len(elems) == order:
-                                raise ContractError(f"the generators give more than {order} elements")
-                            elems.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            if len(elems) != order:
-                raise ContractError("cached order disagrees with enumeration")
-            self._elements = frozenset(elems)
+            chain, self._chain = self._chain, None
+            if chain is None:
+                chain = _schreier_sims_order(degree, self.generators, claimed=order)[1]
+            dtype = np.dtype("u1" if degree <= 1 << 8 else ">u2" if degree <= 1 << 16 else ">u4")
+            rows = np.arange(degree, dtype=dtype)[None]
+            for trans in reversed(chain):  # each row x becomes x . u for every u
+                rows = np.take(np.array(trans, dtype=dtype), rows, axis=1).reshape(-1, degree)
+            if len(rows) != order:
+                raise ContractError(f"cached order {order} disagrees with the {len(rows)} elements listed")
+            rows = rows[np.argsort(rows.view(np.dtype((np.void, rows.itemsize * degree))).ravel())]
+            if (rows[1:] == rows[:-1]).all(axis=1).any():
+                raise ContractError("the chain lists an element twice")
+            self._elements = rows
         return self._elements
+
+    def elements(self) -> frozenset:
+        """All group elements as tuples, read off ``element_array`` (cached)."""
+        if self._element_set is None:
+            self._element_set = frozenset(map(tuple, self.element_array().tolist()))
+        return self._element_set
 
     def involutions(self):
         t = element_table(self)
@@ -283,9 +293,9 @@ class _Level:
         self.tested.extend([0] * (len(orbit) - start))
 
 
-def _schreier_sims_order(degree: int, gens) -> int:
-    """Order via a deterministic Schreier-Sims with sifting (Holt, Eick and
-    O'Brien, *Handbook of Computational Group Theory*, 2005, sec. 4.4.2).
+def _schreier_sims_order(degree: int, gens, claimed=None):
+    """Order and transversals by a deterministic Schreier-Sims with sifting
+    (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, 2005, sec. 4.4.2).
 
     Each base point is the first point moved by the first generator that
     fixes the base so far.  Levels are closed from the last to the first:
@@ -301,6 +311,8 @@ def _schreier_sims_order(degree: int, gens) -> int:
     and never for a group within it.  The chain's memory is one permutation
     of ``degree`` points per orbit point, so ``ResourceError`` is also raised
     before degree x (the sum of the orbit lengths) would pass CHAIN_CAP.
+    Passing a ``claimed`` order is a ``ContractError``.  Returns the order
+    and each level's transversal elements, the first level first.
     """
     ident = identity(degree)
     chain = []
@@ -329,6 +341,8 @@ def _schreier_sims_order(degree: int, gens) -> int:
             others = sum(len(other.orbit) for other in chain) - len(level.orbit)
             level.add_generator(h, room - others)
         order = prod(len(level.orbit) for level in chain)
+        if claimed is not None and order > claimed:
+            raise ContractError(f"the generators give more than {claimed} elements")
         if order > ORDER_CAP:
             raise ResourceError(f"group order exceeds cap {ORDER_CAP}", partial=order)
 
@@ -358,7 +372,7 @@ def _schreier_sims_order(degree: int, gens) -> int:
         else:
             add_residue(residue[0], i + 1, residue[1])
             i = residue[1]
-    return prod(len(level.orbit) for level in chain)
+    return prod(len(level.orbit) for level in chain), [list(level.trans.values()) for level in chain]
 
 
 class NormalSubgroupHandle:
@@ -579,7 +593,7 @@ class QuotientGroup(PermGroup):
 
     def project(self, x: Perm) -> Perm:
         """Image of an ambient element in the quotient's permutation action."""
-        return self._perm_of(self._ambient_table.pos[x])
+        return self._perm_of(_indices(self._ambient_table, [x])[0])
 
 
 def quotient_group(g: PermGroup, n: NormalSubgroupHandle) -> QuotientGroup:
@@ -737,7 +751,8 @@ class ElementTable:
     """
 
     def __init__(self, g: PermGroup):
-        self.elems = sorted(g.elements())
+        rows = g.element_array()
+        self.elems = list(map(tuple, rows.tolist()))
         n = self.n = len(self.elems)
         self.pos = {e: i for i, e in enumerate(self.elems)}
         try:
@@ -747,7 +762,7 @@ class ElementTable:
             raise ContractError("element list misses the identity or a generator") from None
         degree = self.degree = g.degree
         # images[p, j] = elems[j][p]
-        images = self._images = np.array(self.elems, dtype=np.int32).reshape(n, degree).T.copy()
+        images = self._images = np.ascontiguousarray(rows.T, dtype=np.int32)
         self.base, self._luts = _base_lookups(images.T)
         cols = [self.right(j) for j in self.gen_indices]
         for gen, col in zip(g.generators, cols):
@@ -820,16 +835,20 @@ class ElementTable:
 
     def _span(self, cols, seeds) -> np.ndarray:
         """Mask of the elements reached from the identity and ``seeds`` by
-        the right multiplications ``cols``."""
+        the right multiplications ``cols``.  A frontier keeps the copy of a
+        new element whose position the scratch ``slot`` holds: no sort."""
         members = np.zeros(self.n, dtype=bool)
         members[self.identity_index] = True
-        frontier = np.unique(np.asarray(seeds, dtype=np.intp))
+        frontier = np.asarray(seeds, dtype=np.intp)
         members[frontier] = True
+        slot = np.empty(self.n, dtype=np.intp)
         while frontier.size and cols:
             prods = np.concatenate([col[frontier] for col in cols])
-            new = np.unique(prods[~members[prods]])
-            members[new] = True
-            frontier = new
+            new = prods[~members[prods]]
+            place = np.arange(new.size)
+            slot[new] = place
+            frontier = new[slot[new] == place]
+            members[frontier] = True
         return members
 
     def closure(self, seed_indices) -> np.ndarray:
@@ -955,5 +974,5 @@ def count_automorphisms(g: PermGroup, triple) -> int:
     of the group: an order above ELEMENTS_CAP is refused before its
     elements are enumerated; the maps have their own."""
     table = element_table(g)
-    maps = table.automorphism_index_maps([table.pos[x] for x in tuple(triple)])
+    maps = table.automorphism_index_maps(_indices(table, triple))
     return table.automorphism_count(maps)

@@ -735,13 +735,14 @@ def test_split_extensions_skip_schreier_sims(monkeypatch):
     calls = []
     sifted = permgrp._schreier_sims_order
 
-    def counted(*args):
-        calls.append(args)
-        return sifted(*args)
+    def counted(degree, gens, claimed=None):
+        calls.append((degree, claimed))
+        return sifted(degree, gens, claimed)
 
     monkeypatch.setattr(permgrp, "_schreier_sims_order", counted)
     orders = {build_split_extension(reg, d4, hom).order() for hom in homs}
-    assert (len(homs), orders, len(calls)) == (676, {216}, 0)
+    # the one chain lists V, held to its given order; no extension gets one
+    assert (len(homs), orders, calls) == (676, {216}, [(27, 27)])
 
 
 # -- semidirect cells ----------------------------------------------------------

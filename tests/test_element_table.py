@@ -10,8 +10,12 @@ PSL/PGL(2,q), a slice of the group zoo, the trivial group and a regular
 representation.  ``extend_map`` must rebuild inner automorphisms from
 their generator images; the automorphism search must anchor every
 generator, and its one map per coset of Inn(G) times |G : Z(G)| must be
-the |Aut| of a brute-force generator-image count.  The negative tests
-tamper with the element list.
+the |Aut| of a brute-force generator-image count.  The element array
+listed from the Schreier-Sims chain must equal a tuple breadth-first
+closure, sorted, and the table built from it the table built from that
+closure.  The negative tests tamper with the element array that the
+table reads, and plant a repeated transversal element and a forged order
+in the chain.
 """
 
 import random
@@ -37,6 +41,7 @@ from regmaps.permgrp import (
     PermGroup,
     count_automorphisms,
     element_table,
+    from_cycles,
     pinv,
     pmul,
     porder,
@@ -262,11 +267,17 @@ def _tampered(g, k):
     return fresh, victim
 
 
+def _plant(g, elems):
+    """Make the sorted tuples ``elems`` the element array that g's table
+    reads."""
+    g._elements = np.array(sorted(elems), dtype=np.int64).reshape(-1, g.degree)
+
+
 def test_missing_element_raises():
     g = _pgl(7, "pgl")
     for k in (0, 17, 200):
         fresh, victim = _tampered(g, k)
-        fresh._elements = frozenset(fresh.elements() - {victim})
+        _plant(fresh, fresh.elements() - {victim})
         with pytest.raises(ContractError):
             ElementTable(fresh)
 
@@ -279,7 +290,7 @@ def test_element_wrong_off_the_base_raises():
     fresh, victim = _tampered(g, 5)
     bogus = list(victim)
     bogus[3], bogus[4] = bogus[4], bogus[3]
-    fresh._elements = frozenset(fresh.elements() - {victim} | {tuple(bogus)})
+    _plant(fresh, fresh.elements() - {victim} | {tuple(bogus)})
     with pytest.raises(ContractError, match="generator column"):
         ElementTable(fresh)
 
@@ -287,7 +298,7 @@ def test_element_wrong_off_the_base_raises():
 def test_missing_generator_raises():
     g = _pgl(5, "psl")
     fresh = PermGroup(g.degree, g.generators)
-    fresh._elements = frozenset(fresh.elements() - {g.generators[0]})
+    _plant(fresh, fresh.elements() - {g.generators[0]})
     with pytest.raises(ContractError):
         ElementTable(fresh)
 
@@ -297,6 +308,88 @@ def test_element_outside_the_generated_group_raises():
     # generators, but that generator alone reaches only its cyclic subgroup
     g = _pgl(7, "pgl")
     fresh = PermGroup(g.degree, g.generators[:1])
-    fresh._elements = g.elements()
+    fresh._elements = g.element_array()
     with pytest.raises(ContractError, match="larger than the group"):
         ElementTable(fresh)
+
+
+def _bfs_elements(g):
+    """The oracle: every element by a breadth-first closure over tuples,
+    sorted."""
+    elems = {g.ident}
+    frontier = [g.ident]
+    while frontier:
+        frontier = [y for y in {pmul(x, s) for x in frontier for s in g.generators} if y not in elems]
+        elems.update(frontier)
+    return sorted(elems)
+
+
+def _oracle_groups():
+    """The groups of ``test_oracle_element_array``: name -> (build, dtype of
+    the element array)."""
+    d300 = lambda: PermGroup(300, [tuple((i + 1) % 300 for i in range(300)),
+                                    tuple((-i) % 300 for i in range(300))])
+    # a little-endian key would sort 256 before 255
+    swap = lambda: PermGroup(70000, [from_cycles(70000, [(255, 256)])])
+    groups = {"trivial": (lambda: PermGroup(3, []), "u1"),
+              "D_300": (d300, ">u2"),
+              "transposition on 70000 points": (swap, ">u4")}
+    for q in (5, 7, 9, 13):
+        for kind in ("psl", "pgl"):
+            build = lambda q=q, kind=kind: _relabelled(_pgl(q, kind), seed=1000 * q + len(kind))
+            groups[f"{kind}2:{q}"] = (build, "u1")
+    return groups
+
+
+def _check_against_bfs(g, dtype=None):
+    elems = _bfs_elements(g)
+    rows = g.element_array()
+    assert rows.tolist() == [list(x) for x in elems]
+    if dtype is not None:
+        assert rows.dtype == np.dtype(dtype)
+    oracle = PermGroup(g.degree, g.generators)
+    _plant(oracle, elems)
+    want, got = ElementTable(oracle), ElementTable(g)
+    assert got.elems == want.elems == elems
+    assert got.inv.tolist() == want.inv.tolist()
+    assert got.order_of.tolist() == want.order_of.tolist()
+    assert got.class_labels().tolist() == want.class_labels().tolist()
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_groups()))
+def test_oracle_element_array(name):
+    build, dtype = _oracle_groups()[name]
+    _check_against_bfs(build(), dtype)
+
+
+def test_oracle_element_array_zoo(group_zoo):
+    for g in group_zoo:
+        _check_against_bfs(PermGroup(g.degree, g.generators))
+
+
+@pytest.mark.parametrize("fault, match", [("repeat", "twice"),
+                                          ("drop", "disagrees with the 8 elements")])
+def test_planted_chain_fault_raises(fault, match):
+    # D_5: the level of point 0 moves it to each of 5 points; one more copy
+    # of a transversal element keeps the count but lists an element twice,
+    # and one transversal element fewer lists 8 elements
+    g = PermGroup(5, make_dihedral(5).generators)
+    assert g.order() == 10
+    level = g._chain[0]
+    if fault == "repeat":
+        level[1] = level[2]
+    else:
+        level.pop()
+    with pytest.raises(ContractError, match=match):
+        g.element_array()
+    assert g._elements is None
+
+
+@pytest.mark.parametrize("order, match", [(9, "more than 9 elements"),
+                                          (20, "cached order 20 disagrees with the 10 elements")])
+def test_forged_order_raises(order, match):
+    g = make_dihedral(5)
+    forged = PermGroup(g.degree, g.generators, order=order)
+    with pytest.raises(ContractError, match=match):
+        forged.element_array()
+    assert forged._elements is None
