@@ -555,12 +555,6 @@ def _gl_generators(k, p):
     return [cyc, trans, diag]
 
 
-def _perm_array(perms):
-    """The permutations ``perms`` (a nonempty list, of one degree) as the
-    rows of an array of the smallest unsigned dtype that holds a point."""
-    return np.array(perms, dtype=np.min_scalar_type(len(perms[0]) - 1))
-
-
 def _power_is_identity(perms, n):
     """Mask of the rows x of ``perms`` (permutations, one per row) with
     x^n = identity, n >= 1, by binary powering of every row at once."""
@@ -609,63 +603,52 @@ def _walk_consistent(acting: PermGroup, targets, rows):
     """Mask of the index ``rows`` (one row of ``targets`` per generator)
     that extend to homomorphisms from ``acting``.
 
-    The Cayley graph of ``acting`` is walked once; every element carries an
-    (rows, degree) array of its images, set along the spanning tree, and
-    every other edge must agree with them.  The rows go in blocks of
-    |acting| x block x degree <= CHAIN_CAP entries, and ``acting`` is under
-    the budget of ``hom_from_generator_images`` (``_hom_room``)."""
+    Each element x of ``acting`` gets its (rows, degree) images f(x) along
+    ``ElementTable.bfs_schedule``, then f(x s) = f(x) f(s) is checked for
+    each generator s and every x through the ``right`` column of s.  Rows go
+    in blocks of |acting| x block x degree <= CHAIN_CAP entries, and |acting|
+    is held to ``_hom_room`` before its table is built."""
     ok = np.ones(len(rows), dtype=bool)
     if not len(rows):
         return ok
     degree = targets.shape[1]
     room, overflow = _hom_room(acting.degree, degree)
-    index, edges, frontier = {acting.ident: 0}, [], [acting.ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for slot, g in enumerate(acting.generators):
-                y = pmul(x, g)
-                tree = y not in index
-                if tree:
-                    if len(index) == room:
-                        raise overflow
-                    index[y] = len(index)
-                    nxt.append(y)
-                edges.append((index[x], slot, index[y], tree))
-        frontier = nxt
-    block = CHAIN_CAP // (len(index) * degree)
-    ident = np.arange(degree, dtype=targets.dtype)
+    if acting.order() > room:
+        raise overflow
+    t = element_table(acting)
+    schedule = t.bfs_schedule(t.gen_indices)
+    block = CHAIN_CAP // (t.n * degree)
     for start in range(0, len(rows), block):
         images = [targets[col] for col in rows[start:start + block].T]
         good = ok[start:start + block]
-        f = [np.broadcast_to(ident, good.shape + (degree,))] + [None] * (len(index) - 1)
-        for x, slot, y, tree in edges:
-            fy = np.take_along_axis(images[slot], f[x], axis=1)
-            if tree:
-                f[y] = fy
-            else:
-                good &= (fy == f[y]).all(axis=1)
+        f = np.empty((t.n,) + good.shape + (degree,), dtype=targets.dtype)
+        f[t.identity_index] = np.arange(degree)
+        for dst, src, slot in schedule:
+            f[dst] = np.take_along_axis(images[slot], f[src], axis=1)
+        for j, img in zip(t.gen_indices, images):
+            fs = np.take_along_axis(img[None], f, axis=2)  # f(x) f(s) for every x
+            good &= (fs == f[t.right(j)]).all(axis=(0, 2))
     return ok
 
 
 def _conjugacy_representatives(targets, homs, conjugators):
     """As tuples, the first of each orbit of the index rows ``homs`` (into
-    ``targets``) under simultaneous conjugation by the group
-    ``conjugators`` generate, in the order of ``homs``: those whose index
+    ``targets``) under simultaneous conjugation by the group that the rows
+    of ``conjugators`` (in the dtype of ``targets``) generate, in the order
+    of ``homs``: those whose index
     ``_orbit_labels`` labels with itself.  The conjugates by one g are one
     array gather, found among ``homs`` by a binary search of their images
     as bytes; one outside is a ContractError."""
     h = len(homs)
-    if not h or not homs.shape[1] or not conjugators:
+    if not h or not homs.shape[1] or not len(conjugators):
         return _hom_tuples(targets, homs)
-    perms = np.array(conjugators, dtype=targets.dtype)
     rows = targets[homs]
     flat = rows.reshape(h, -1)
     key = np.dtype((np.void, flat[0].nbytes))  # a row as one byte string
     order = np.argsort(flat.view(key).ravel())
     keys = flat[order].view(key).ravel()
     maps = []
-    for g in perms:
+    for g in conjugators:
         conj = np.ascontiguousarray(g[rows[:, :, np.argsort(g)]]).reshape(h, -1)  # g^-1 x g
         at = order[np.minimum(np.searchsorted(keys, conj.view(key).ravel()), h - 1)]
         if not np.array_equal(flat[at], conj):
@@ -724,7 +707,8 @@ def search_module_actions(acting: PermGroup, p: int, k: int):
     elems = _gl_listing(k, p)
     if len(elems) != gl.order():
         raise ContractError(f"{len(elems)} invertible matrix codes, but |GL_{k}({p})| = {gl.order()}")
-    reps = _conjugacy_representatives(elems, _action_homs(acting, elems), gl.generators)
+    conjugators = np.array(gl.generators, dtype=elems.dtype)
+    reps = _conjugacy_representatives(elems, _action_homs(acting, elems), conjugators)
     return [ModuleExtensionSpec(k, p, tuple(_perm_mat(x, k, p) for x in s)) for s in reps]
 
 
@@ -742,15 +726,16 @@ def regular_form(g: PermGroup) -> PermGroup:
 
 
 def _automorphisms(v: PermGroup):
-    """``automorphism_perm_group`` and generators of Aut(v): the coset
-    maps of the search and the conjugations by v's generators."""
+    """The regular form of v, then Aut(v) in the order of
+    ``automorphism_perm_group`` and its generators (the coset maps of the
+    search, the conjugations by v's generators) as integer array rows."""
     reg, t = regular_form(v), element_table(v)
-    outer = t.automorphism_index_maps(t.gen_indices)
+    outer = np.array(t.automorphism_index_maps(t.gen_indices))
     inner = np.array([t.conjugation(y) for y in range(t.n)], dtype=np.int32)
     maps = np.concatenate([inner[:, f] for f in outer])
     _, first = np.unique(maps[:, t.gen_indices], axis=0, return_index=True)
-    gens = [tuple(f.tolist()) for f in outer] + [tuple(inner[j].tolist()) for j in t.gen_indices]
-    return reg, [tuple(f) for f in maps[first].tolist()], gens
+    dtype = np.min_scalar_type(t.n - 1)
+    return reg, maps[first].astype(dtype), np.concatenate([outer, inner[t.gen_indices]]).astype(dtype)
 
 
 def automorphism_perm_group(v: PermGroup):
@@ -759,7 +744,7 @@ def automorphism_perm_group(v: PermGroup):
     ``ElementTable.automorphism_index_maps``, one per coset of Inn(v),
     followed by every inner automorphism, the |Z(v)| copies dropped."""
     reg, auts, _ = _automorphisms(v)
-    return reg, auts
+    return reg, [tuple(f) for f in auts.tolist()]
 
 
 def search_split_actions(v: PermGroup, d: PermGroup):
@@ -767,8 +752,7 @@ def search_split_actions(v: PermGroup, d: PermGroup):
     per generator of d).  v is replaced by its regular form internally;
     the matching regular copy is returned alongside.
     """
-    reg, auts = automorphism_perm_group(v)
-    targets = _perm_array(auts)
+    reg, targets, _ = _automorphisms(v)
     return reg, _hom_tuples(targets, _action_homs(d, targets))
 
 
@@ -781,8 +765,7 @@ def split_action_classes(v: PermGroup, d: PermGroup):
     extension up to isomorphism.  The orbits are walked under the coset
     maps of the automorphism search and the conjugations by v's generators.
     """
-    reg, auts, gens = _automorphisms(v)
-    targets = _perm_array(auts)
+    reg, targets, gens = _automorphisms(v)
     return reg, _conjugacy_representatives(targets, _action_homs(d, targets), gens)
 
 
@@ -939,10 +922,10 @@ def find_triples(g: PermGroup, m: int, n: int, limit: int = 16) -> list:
     ELEMENTS_CAP, the element table's budget, is refused before its
     elements are enumerated.
     """
-    elems = element_table(g).elems
+    table = element_table(g)
     out = []
     for ia, ib, ic, *_ in involution_triples(g, {(m, n)}):
-        out.append(verify_star_group(g, elems[ia], elems[ib], elems[ic]))
+        out.append(verify_star_group(g, *table.perms([ia, ib, ic])))
         if len(out) >= limit:
             break
     return out

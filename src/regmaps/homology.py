@@ -27,7 +27,7 @@ import numpy as np
 from .algebra import IntMatrix, SnfResult, mod_p_rank, smith_normal_form, is_prime
 from .errors import ContractError, ParameterError, ResourceError
 from .mapcore import MapTriple, euler_characteristic, map_counts
-from .permgrp import element_table
+from .permgrp import _indices, element_table
 
 __all__ = [
     "TriangleTarget",
@@ -83,7 +83,7 @@ def cayley_coset_table(t: TriangleTarget) -> CosetTable:
     if order > COSET_CAP:
         raise ResourceError(f"coset table budget is {COSET_CAP}, |G| = {order}")
     table = element_table(g)
-    gens = [table.pos[x] for x in (t.triple.a, t.triple.b, t.triple.c)]
+    gens = _indices(table, (t.triple.a, t.triple.b, t.triple.c))
     actions = tuple(tuple(table.right(j).tolist()) for j in gens)
     return CosetTable(
         index=order,

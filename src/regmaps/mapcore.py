@@ -397,7 +397,7 @@ def involution_triples(g: PermGroup, types=None):
     """
     table = element_table(g)
     order_of, n_all = table.order_of, table.n
-    invs = np.array(table.involution_indices(), dtype=np.intp)
+    invs = table.involution_indices()
     reps, sizes = np.unique(table.class_labels(), return_counts=True)
     for ia, class_size in zip(reps.tolist(), sizes.tolist()):
         if order_of[ia] != 2:
@@ -464,7 +464,7 @@ def classify_maps_for_group(g: PermGroup, types=None):
         return []
 
     first = next(iter(accepted.values()))[0]
-    auts = table.automorphism_index_maps(list(first))
+    auts = np.array(table.automorphism_index_maps(list(first)))  # auts[k, x]: image of x under map k
     n_aut = table.automorphism_count(auts)
     labels = table.class_labels()
     sizes = np.bincount(labels, minlength=table.n)
@@ -474,12 +474,11 @@ def classify_maps_for_group(g: PermGroup, types=None):
         to_rep[conj] = table.inv
         cents[r] = np.flatnonzero(conj == r)
 
-    def canonical(x, y, z):  # the conjugate of (x, y, z) with a class representative first
-        u = int(to_rep[x])
-        ui = int(table.inv[u])
-        return int(labels[x]), table.product(ui, y, u), table.product(ui, z, u)
+    def canonical(x, y, z):  # each triple of the arrays conjugated to a class representative first
+        u = to_rep[x]
+        ys, zs = table.product(table.inv[u], np.array([y, z]), u).tolist()
+        return zip(labels[x].tolist(), ys, zs)
 
-    elems = table.elems
     out = []
     for (m, n), triples in sorted(accepted.items()):
         total = totals[(m, n)]
@@ -493,8 +492,7 @@ def classify_maps_for_group(g: PermGroup, types=None):
             if (ia, ib, ic) in covered:
                 continue
             orbit = set()  # the entries of the orbit with a class representative first
-            for f in auts:
-                r, y, z = canonical(int(f[ia]), int(f[ib]), int(f[ic]))
+            for r, y, z in canonical(auts[:, ia], auts[:, ib], auts[:, ic]):
                 if (r, y, z) not in orbit:
                     ys, zs = (table.conjugates(x, cents[r]).tolist() for x in (y, z))
                     orbit.update(zip([r] * len(ys), ys, zs))
@@ -505,7 +503,7 @@ def classify_maps_for_group(g: PermGroup, types=None):
                 )
             covered |= orbit
             reps.append((ia, ib, ic))
-            self_duality.append(canonical(ic, ib, ia) in orbit)
+            self_duality.append(next(canonical([ic], [ib], [ia])) in orbit)
         if len(reps) != k:
             raise ContractError(f"type ({m},{n}): found {len(reps)} of {k} classes")
         if m == n:
@@ -516,7 +514,7 @@ def classify_maps_for_group(g: PermGroup, types=None):
         else:
             duality_classes = k
         for (ia, ib, ic), sd in zip(reps, self_duality):
-            t = verify_star_group(g, elems[ia], elems[ib], elems[ic])
+            t = verify_star_group(g, *table.perms([ia, ib, ic]))
             if (t.m, t.n) != (m, n):
                 raise ContractError("census representative has wrong type")
             out.append(

@@ -12,15 +12,16 @@ Everything else works in the index space of one ``ElementTable`` per group
 (up to 2*10^4 elements and 10^7 entries): an element is its index in the
 sorted element list, a subgroup is a boolean mask over the indices, and
 conjugacy classes and cosets are orbit labels (the least index of each
-orbit).  Products with one fixed element are whole columns, ``right(i)``
-and ``left(i)``, found by base-point lookups; these columns are the only
-products the index space has, and no n x n table is ever stored.
+orbit).  The one copy of the elements is the table's array of images.
+Products, whole columns (``right(i)``, ``left(i)``) or elementwise over
+index arrays (``product``), are base-point lookups; no n x n table is ever
+stored, and tuples are made only where elements leave the table.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from functools import cached_property, reduce
+from functools import cached_property
 from math import gcd, prod
 from operator import itemgetter
 
@@ -224,7 +225,7 @@ class PermGroup:
 
     def involutions(self):
         t = element_table(self)
-        return [t.elems[i] for i in t.involution_indices()]
+        return t.perms(t.involution_indices())
 
     def element_orders(self):
         """Multiset {order: count} over the whole group, orders ascending."""
@@ -396,29 +397,35 @@ class NormalSubgroupHandle:
         return int(self.mask.sum())
 
     def elements(self) -> frozenset:
-        elems = element_table(self.ambient).elems
-        return frozenset(elems[i] for i in np.flatnonzero(self.mask).tolist())
+        return frozenset(element_table(self.ambient).perms(np.flatnonzero(self.mask)))
 
     def is_trivial(self) -> bool:
         return not self.generators
 
     def check_normal(self) -> bool:
         t = element_table(self.ambient)
-        mask, gens = self.mask, _indices(t, self.generators)
-        return all(mask[t.product(t.inv[a], h, a)] for a in t.gen_indices for h in gens)
+        a = np.array(t.gen_indices, dtype=np.intp)[:, None]
+        h = np.array(_indices(t, self.generators), dtype=np.intp)
+        return bool(self.mask[t.product(t.inv[a], h, a)].all())
 
 
 def _indices(t: "ElementTable", perms) -> list:
-    try:
-        return [t.pos[tuple(x)] for x in perms]
-    except KeyError:
-        raise ParameterError("element is not in the group") from None
+    """The indices of the permutations ``perms`` in t (``ElementTable.find``).
+    A non-member, another degree or an entry out of range is a ParameterError."""
+    rows = [list(x) for x in perms]
+    try:  # a ragged list, another degree or a non-integer entry fails here
+        arr = np.array(rows, dtype=np.int64).reshape(len(rows), t.degree)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.tolist() != rows or (found := t.find(arr)).min(initial=0) < 0:
+        raise ParameterError("element is not in the group")
+    return found.tolist()
 
 
 def _handle(g: PermGroup, t: "ElementTable", gens, mask) -> NormalSubgroupHandle:
     """A handle on the subgroup of g with generator indices ``gens`` whose
     mask is already known."""
-    handle = NormalSubgroupHandle(g, [t.elems[i] for i in gens])
+    handle = NormalSubgroupHandle(g, t.perms(gens))
     handle.mask = mask
     return handle
 
@@ -455,6 +462,7 @@ def _normal_closure(t: "ElementTable", ambient, seeds):
     are at most log2(n) of them.  Every generator's conjugates by
     ``ambient`` are tested, so the result is normalized by them.
     """
+    ambient = np.asarray(ambient, dtype=np.intp)
     gens = []
     mask = t.closure(gens)
     todo = deque(seeds)
@@ -463,15 +471,15 @@ def _normal_closure(t: "ElementTable", ambient, seeds):
         if not mask[x]:
             gens.append(x)
             mask = t.closure(gens)
-            todo.extend(t.product(t.inv[a], x, a) for a in ambient)
+            todo.extend(t.product(t.inv[ambient], x, ambient).tolist())
     return gens, mask
 
 
 def _derived(t: "ElementTable", gens):
     """Generator indices and mask of the derived subgroup of <gens>: the
     normal closure in <gens> of the generators' commutators."""
-    comms = [t.product(t.inv[a], t.inv[b], a, b) for a in gens for b in gens]
-    return _normal_closure(t, gens, comms)
+    a = np.asarray(gens, dtype=np.intp)[:, None]
+    return _normal_closure(t, gens, t.product(t.inv[a], t.inv[a.T], a, a.T).ravel().tolist())
 
 
 def element_order(g: PermGroup, x: Perm) -> int:
@@ -494,12 +502,9 @@ def odd_core(g: PermGroup) -> NormalSubgroupHandle:
     closure is a class invariant).
     """
     t = element_table(g)
-    seeds = []
-    for i in np.unique(t.class_labels()).tolist():
-        if i == t.identity_index or t.order_of[i] % 2 == 0:
-            continue
-        if _normal_closure(t, t.gen_indices, [i])[1].sum() % 2 == 1:
-            seeds.append(i)
+    seeds = [i for i in np.unique(t.class_labels()).tolist()
+             if i != t.identity_index and t.order_of[i] % 2
+             and _normal_closure(t, t.gen_indices, [i])[1].sum() % 2]
     gens, mask = _normal_closure(t, t.gen_indices, seeds)
     if mask.sum() % 2 == 0:
         raise ContractError("odd core came out even")
@@ -512,20 +517,17 @@ def _sylow2(t: "ElementTable") -> np.ndarray:
     if target == 1:
         return t.closure(())
     k = t.order_of
-    two_elements = np.flatnonzero((k > 1) & (k & (k - 1) == 0)).tolist()
-    sub_gens = [two_elements[0]]
+    two_elements = np.flatnonzero((k > 1) & (k & (k - 1) == 0))
+    sub_gens = [int(two_elements[0])]
     sub = t.closure(sub_gens)
     while sub.sum() < target:
-        for x in two_elements:
-            if sub[x]:
-                continue
-            # a 2-element that normalizes a 2-subgroup extends it to a 2-subgroup
-            if all(sub[t.product(t.inv[x], s, x)] for s in sub_gens):
-                sub_gens.append(x)
-                sub = t.closure(sub_gens)
-                break
-        else:
+        x = two_elements[~sub[two_elements]][:, None]
+        # a 2-element that normalizes a 2-subgroup extends it to a 2-subgroup
+        normalizes = sub[t.product(t.inv[x], np.array(sub_gens), x)].all(axis=1)
+        if not normalizes.any():
             raise ContractError("failed to grow 2-subgroup to Sylow size")
+        sub_gens.append(int(x[normalizes.argmax(), 0]))
+        sub = t.closure(sub_gens)
     return sub
 
 
@@ -614,8 +616,8 @@ def frattini_of_pgroup(g: PermGroup, p: int) -> NormalSubgroupHandle:
     if p_part(n, p) != n:
         raise ContractError(f"group of order {n} is not a {p}-group")
     derived, _ = _derived(t, t.gen_indices)
-    powers = sorted({t.pos[ppow(x, p)] for x in t.elems})
-    return _handle(g, t, *_normal_closure(t, (), derived + powers))
+    powers = t.product(t.identity_index, *[np.arange(n)] * (p % n))  # x^p = x^(p mod n)
+    return _handle(g, t, *_normal_closure(t, (), derived + np.unique(powers).tolist()))
 
 
 def check_order_bound(g: PermGroup, l: NormalSubgroupHandle, p: int) -> bool:
@@ -733,13 +735,14 @@ def _base_lookups(arr):
 class ElementTable:
     """The index space of a (small) group.
 
-    Elements are sorted and indexed 0..n-1; ``inv[i]`` is the index of the
-    inverse of elems[i] and ``order_of[i]`` its order.  ``right(i)`` and
-    ``left(i)`` give the index of x * elems[i] and of elems[i] * x for every
-    x; they are the only way to multiply, so the table holds O(n * degree)
-    entries and never an n x n product table.  Subgroups, cosets,
-    conjugacy classes, the census and the automorphism search all run in
-    this index space.
+    Elements are sorted and indexed 0..n-1; ``_images[p, i]``, the image of
+    point p under element i, is the only copy of the elements (``find``
+    turns permutations into indices, ``perms`` indices into tuples where
+    they leave the table).  ``inv[i]`` is the index of the inverse of
+    element i and ``order_of[i]`` its order.  ``right(i)`` and ``left(i)``
+    give x * i and i * x for every x, and ``product`` multiplies over index
+    arrays; no n x n product table is stored.  Subgroups, cosets, conjugacy
+    classes, the census and the automorphism search run in this space.
 
     Products are found from their images of a base (see ``_base_lookups``)
     by a chain of array lookups, never by comparing whole permutations.
@@ -752,33 +755,30 @@ class ElementTable:
 
     def __init__(self, g: PermGroup):
         rows = g.element_array()
-        self.elems = list(map(tuple, rows.tolist()))
-        n = self.n = len(self.elems)
-        self.pos = {e: i for i, e in enumerate(self.elems)}
-        try:
-            e = self.identity_index = self.pos[g.ident]
-            self.gen_indices = [self.pos[x] for x in g.generators]
-        except KeyError:
-            raise ContractError("element list misses the identity or a generator") from None
-        degree = self.degree = g.degree
-        # images[p, j] = elems[j][p]
+        n = self.n = len(rows)
+        self.degree = g.degree
         images = self._images = np.ascontiguousarray(rows.T, dtype=np.int32)
         self.base, self._luts = _base_lookups(images.T)
+        self._base_images = images[self.base]
+        found = self.find(np.array([g.ident, *g.generators]))
+        if (found < 0).any():
+            raise ContractError("element list misses the identity or a generator")
+        e = self.identity_index = int(found[0])
+        self.gen_indices = found[1:].tolist()
         cols = [self.right(j) for j in self.gen_indices]
         for gen, col in zip(g.generators, cols):
             if np.min(col) < 0:
                 raise ContractError("a product is missing from the element list")
-            if not np.array_equal(images[:, col], np.array(gen)[images]):
+            if not np.array_equal(images[:, col], np.array(gen, dtype=np.int32)[images]):
                 raise ContractError("a generator column disagrees with the permutations")
         if not self._span(cols, [e]).all():
             raise ContractError("the element list is larger than the group it generates")
-        inverses = np.empty_like(images)
-        inverses[images, np.arange(n)] = np.arange(degree, dtype=np.int32)[:, None]
-        self.inv = self._lookup(inverses[self.base]).astype(np.int32)
-        # order of x: the least k whose x^k fixes every base point
         base = np.array(self.base, dtype=np.int32)[:, None]
+        # x^-1 sends b to the point that x sends to b
+        self.inv = self._lookup((images == base[:, :, None]).argmax(axis=1)).astype(np.int32)
+        # order of x: the least k whose x^k fixes every base point
         order_of = np.zeros(n, dtype=np.int32)
-        todo, power = np.arange(n), images[self.base]
+        todo, power = np.arange(n), self._base_images
         for k in range(1, n + 1):
             hit = (power == base).all(axis=0)
             order_of[todo[hit]] = k
@@ -799,25 +799,38 @@ class ElementTable:
             code = lut[code * self.degree + images[t]]
         return code
 
+    def find(self, perms) -> np.ndarray:
+        """Index of each row of the integer array ``perms``, or -1 where it
+        is no element: ``_lookup`` of its base images (clipped into range),
+        then the whole row compared with that element's."""
+        cols = perms.T
+        found = self._lookup(np.clip(cols[self.base], 0, self.degree - 1))
+        found[(found < 0) | (self._images[:, found] != cols).any(axis=0)] = -1
+        return found
+
+    def perms(self, indices) -> list:
+        """The elements with the given indices as tuples: ``_images`` columns."""
+        return list(map(tuple, self._images[:, indices].T.tolist()))
+
     def right(self, i: int) -> np.ndarray:
-        """Index of x * elems[i] for every x; it sends b to elems[i][x[b]]."""
-        return self._lookup(self._images[:, i][self._images[self.base]])
+        """Index of x * (element i) for every x; it sends b to i[x[b]]."""
+        return self._lookup(self._images[:, i][self._base_images])
 
     def left(self, i: int) -> np.ndarray:
-        """Index of elems[i] * x for every x; it sends b to x[elems[i][b]]."""
-        return self._lookup(self._images[self._images[self.base, i]])
+        """Index of (element i) * x for every x; it sends b to x[i[b]]."""
+        return self._lookup(self._images[self._base_images[:, i]])
 
     def conjugation(self, i: int) -> np.ndarray:
-        """Index of elems[i]^-1 * x * elems[i] for every x."""
+        """Index of i^-1 * x * i for every x."""
         images = self._images
-        return self._lookup(images[:, i][images[images[self.base, self.inv[i]]]])
+        return self._lookup(images[:, i][images[self._base_images[:, self.inv[i]]]])
 
     def conjugates(self, i: int, by=None) -> np.ndarray:
-        """Index of y^-1 * elems[i] * y for every y, or for the y whose
-        indices are the array ``by``; it sends b to y[elems[i][y^-1[b]]]."""
+        """Index of y^-1 * i * y for every y, or for the y whose indices are
+        the array ``by``; it sends b to y[i[y^-1[b]]]."""
         images = self._images
         by = np.arange(self.n) if by is None else by
-        return self._lookup(images[images[:, i][images[self.base][:, self.inv[by]]], by])
+        return self._lookup(images[images[:, i][self._base_images[:, self.inv[by]]], by])
 
     def class_labels(self) -> np.ndarray:
         """The least index in the conjugacy class of each element (cached)."""
@@ -826,12 +839,19 @@ class ElementTable:
             self._class_labels = _orbit_labels(self.n, cols)
         return self._class_labels
 
-    def product(self, *indices) -> int:
-        """Index of the product of the given elements, left to right."""
-        return self.pos[reduce(pmul, (self.elems[i] for i in indices))]
+    def product(self, *indices):
+        """Index of the product of the given elements, left to right, over
+        ints (an int out) or index arrays that broadcast: the base points
+        carried through the images of each factor, then ``_lookup``."""
+        ndim = max(map(np.ndim, indices))
+        images = np.array(self.base, dtype=np.intp).reshape((-1,) + (1,) * ndim)
+        for x in indices:
+            images = self._images[images, x]
+        found = self._lookup(images)
+        return found if ndim else int(found)
 
-    def involution_indices(self):
-        return [i for i in range(self.n) if self.order_of[i] == 2]
+    def involution_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.order_of == 2)
 
     def _span(self, cols, seeds) -> np.ndarray:
         """Mask of the elements reached from the identity and ``seeds`` by
@@ -920,9 +940,8 @@ class ElementTable:
         if k:
             reps = by_order[0]
             by_order[0] = reps[self.class_labels()[reps] == reps]
-        # pair_orders[i][j] = ord(g_j * g_i) for j < i
-        pair_orders = [[order_of[self.product(gj, gi)] for gj in gen_indices[:i]]
-                       for i, gi in enumerate(gen_indices)]
+        gens = np.array(gen_indices, dtype=np.intp)
+        pair_orders = order_of[self.product(gens[None], gens[:, None])]  # [i, j]: ord(g_j * g_i)
         room = CHAIN_CAP // self.n
         overflow = ResourceError(f"automorphism budget is {CHAIN_CAP} entries (maps x |G|):"
                                  f" more than {room} maps of a group of order {self.n}")
@@ -955,7 +974,7 @@ class ElementTable:
         |G : Z(G)|, Z(G) the elements every generator's ``conjugation``
         column fixes."""
         fixed = [self.conjugation(j) == np.arange(self.n) for j in self.gen_indices]
-        return len(maps) * (self.n // int(np.logical_and.reduce(fixed).sum()))
+        return len(maps) * (self.n // int(np.all(fixed, axis=0).sum()))
 
 
 def element_table(g: PermGroup) -> ElementTable:

@@ -24,6 +24,13 @@ from regmaps.mapcore import classify_maps_for_group, involution_triples
 from regmaps.permgrp import element_table, hom_from_generator_images, pinv, pmul
 
 
+def _oracle(g):
+    """The sorted elements of g as tuples and the index of each: the index
+    space of its element table, listed without the table."""
+    elems = sorted(g.elements())
+    return elems, {e: i for i, e in enumerate(elems)}
+
+
 def brute_force_classes(g):
     """(m, n) -> Aut-class count, from all triples with 2 <= m <= n.
 
@@ -32,11 +39,12 @@ def brute_force_classes(g):
     walks permutations, so the oracle shares neither the census's product
     code nor its automorphism search."""
     table = element_table(g)
-    elems, order_of = table.elems, table.order_of
+    elems, pos = _oracle(g)
+    order_of = table.order_of
     invs = np.array(table.involution_indices(), dtype=np.intp)
     # prod[i, j] = index of invs[i] * invs[j]
     prod = np.array(
-        [[table.pos[pmul(elems[x], elems[y])] for y in invs.tolist()] for x in invs.tolist()],
+        [[pos[pmul(elems[x], elems[y])] for y in invs.tolist()] for x in invs.tolist()],
         dtype=np.intp,
     )
     full = {}  # (ab, bc) -> <ab, bc> = G
@@ -80,7 +88,8 @@ def per_candidate_triples(g, types=None):
     the number of C_G(a)-orbits of the candidates it tests, the orbits
     found by conjugating the permutations with pmul."""
     table = element_table(g)
-    elems, order_of, n_all = table.elems, table.order_of, table.n
+    elems, pos = _oracle(g)
+    order_of, n_all = table.order_of, table.n
     invs = np.array(table.involution_indices(), dtype=np.intp)
     reps, sizes = np.unique(table.class_labels(), return_counts=True)
     out, orbits = [], 0
@@ -107,7 +116,7 @@ def per_candidate_triples(g, types=None):
             if (ib, ic) not in seen:
                 orbits += 1
                 b, c = elems[ib], elems[ic]
-                seen.update((table.pos[pmul(pmul(pinv(y), b), y)], table.pos[pmul(pmul(pinv(y), c), y)])
+                seen.update((pos[pmul(pmul(pinv(y), b), y)], pos[pmul(pmul(pinv(y), c), y)])
                             for y in cent)
             if table.closure([int(row_a[ib]), int(bc[i, j])]).sum() == n_all:
                 out.append((ia, ib, ic, int(ms[i, 0]), int(ns[i, j]), class_size))
@@ -183,11 +192,12 @@ def test_census_orbits_match_extend_map(name, pgl_groups, he3_d4_classes):
     else:
         g = _group(name, pgl_groups)
     table = element_table(g)
+    pos = _oracle(g)[1]
     reps = {}  # (m, n) -> [(ia, ib, ic, self_dual)]
     for c in classify_maps_for_group(g):
         t = c.representative
         reps.setdefault((c.m, c.n), []).append(
-            ([table.pos[x] for x in (t.a, t.b, t.c)], c.self_dual)
+            ([pos[x] for x in (t.a, t.b, t.c)], c.self_dual)
         )
     for classes in reps.values():
         for i, (rep, self_dual) in enumerate(classes):

@@ -13,15 +13,22 @@ generator, and its one map per coset of Inn(G) times |G : Z(G)| must be
 the |Aut| of a brute-force generator-image count.  The element array
 listed from the Schreier-Sims chain must equal a tuple breadth-first
 closure, sorted, and the table built from it the table built from that
-closure.  The negative tests tamper with the element array that the
-table reads, and plant a repeated transversal element and a forged order
-in the chain.
+closure.  ``product`` must equal the tuple products over ints and index
+arrays on drawn groups, where a non-member, another degree and an entry
+out of range are refused, and the table must keep one copy of the
+elements (under two image arrays of memory).  The negative tests tamper
+with the element array that the table reads, and plant a repeated
+transversal element and a forged order in the chain.
 """
 
 import random
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regmaps.constructors import (
     build_h2,
@@ -35,13 +42,14 @@ from regmaps.constructors import (
     search_module_actions,
 )
 from regmaps import permgrp
-from regmaps.errors import ContractError, ResourceError
+from regmaps.errors import ContractError, ParameterError, ResourceError
 from regmaps.permgrp import (
     ElementTable,
     PermGroup,
     count_automorphisms,
     element_table,
     from_cycles,
+    normal_closure,
     pinv,
     pmul,
     porder,
@@ -67,15 +75,23 @@ def _pgl(q, kind):
     return make_pgl2(make_field(p, e), kind)
 
 
+def _oracle(g):
+    """The sorted elements of g as tuples and the index of each: the index
+    space of its element table, listed without the table."""
+    elems = sorted(g.elements())
+    return elems, {e: i for i, e in enumerate(elems)}
+
+
 def check_table(g, seed=0):
     t = ElementTable(g)
-    elems = sorted(g.elements())
+    elems, pos = _oracle(g)
     n = len(elems)
-    assert t.elems == elems and t.n == n
-    assert t.pos == {e: i for i, e in enumerate(elems)}
-    assert t.identity_index == t.pos[g.ident]
+    assert t.n == n and t.perms(np.arange(n)) == elems
+    assert t.find(np.array(elems)).tolist() == list(range(n))
+    assert t.identity_index == pos[g.ident]
+    assert t.gen_indices == [pos[x] for x in g.generators]
     # inverses and orders come from base images
-    assert [int(x) for x in t.inv] == [t.pos[pinv(e)] for e in elems]
+    assert [int(x) for x in t.inv] == [pos[pinv(e)] for e in elems]
     assert [int(x) for x in t.order_of] == [porder(e) for e in elems]
     for arr in (t.inv, t.order_of):
         assert arr.dtype == np.int32
@@ -96,16 +112,16 @@ def check_table(g, seed=0):
     for c in columns:
         x = elems[c]
         xi = pinv(x)
-        assert t.right(c).tolist() == [t.pos[pmul(y, x)] for y in elems], c
-        assert t.left(c).tolist() == [t.pos[pmul(x, y)] for y in elems], c
-        assert t.conjugation(c).tolist() == [t.pos[pmul(pmul(xi, y), x)] for y in elems], c
+        assert t.right(c).tolist() == [pos[pmul(y, x)] for y in elems], c
+        assert t.left(c).tolist() == [pos[pmul(x, y)] for y in elems], c
+        assert t.conjugation(c).tolist() == [pos[pmul(pmul(xi, y), x)] for y in elems], c
         conjugates = t.conjugates(c).tolist()
-        assert conjugates == [t.pos[pmul(pmul(pinv(y), x), y)] for y in elems], c
+        assert conjugates == [pos[pmul(pmul(pinv(y), x), y)] for y in elems], c
         assert t.class_labels()[c] == min(conjugates), c
     for j, rows in rows_by_column.items():
         x = elems[j]
         got = t.right(j)[rows].tolist()
-        assert got == [t.pos[pmul(elems[i], x)] for i in rows], j
+        assert got == [pos[pmul(elems[i], x)] for i in rows], j
 
 
 def test_zoo_slice(group_zoo):
@@ -131,22 +147,59 @@ def test_regular_heisenberg():
     check_table(regular_form(build_heisenberg()))
 
 
-def _triple_indices(t, triple):
-    return [t.pos[x] for x in (triple.a, triple.b, triple.c)]
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(st.data())
+def test_product_matches_tuple_products(data):
+    # the groups of test_order_invariant_under_presentation, at degrees
+    # whose symmetric groups fit an element table
+    degree = data.draw(st.integers(1, 7))
+    perm = st.permutations(range(degree)).map(tuple)
+    g = PermGroup(degree, data.draw(st.lists(perm, min_size=1, max_size=3)))
+    t = element_table(g)
+    elems, pos = _oracle(g)
+    index = st.integers(0, t.n - 1)
+    factors = data.draw(st.lists(index, min_size=1, max_size=4))
+    got = t.product(*factors)
+    assert type(got) is int and got == pos[reduce(pmul, (elems[i] for i in factors))]
+    size = data.draw(st.integers(0, 6))
+    arrays = data.draw(st.lists(st.lists(index, min_size=size, max_size=size), min_size=1, max_size=4))
+    arrays = [np.array(a, dtype=np.intp) for a in arrays]
+    want = [pos[reduce(pmul, (elems[i] for i in column))] for column in zip(*arrays)]
+    assert t.product(*arrays).tolist() == want
+    # a scalar broadcasts against the arrays
+    assert t.product(factors[0], *arrays).tolist() == [
+        pos[pmul(elems[factors[0]], elems[i])] for i in want
+    ]
+    # a permutation that the group misses, one of another degree and ones
+    # with an entry out of range are refused; a member is found
+    refused = [tuple(range(degree + 1)), tuple(range(1, degree + 1)), (-1,) + tuple(range(1, degree))]
+    outsider = data.draw(perm)
+    if outsider not in pos:
+        refused.append(outsider)
+    for x in refused:
+        with pytest.raises(ParameterError, match="not in the group"):
+            normal_closure(g, [x])
+    member = elems[factors[0]]
+    assert member in normal_closure(g, [member]).elements()
+
+
+def _triple_indices(g, triple):
+    pos = _oracle(g)[1]
+    return [pos[x] for x in (triple.a, triple.b, triple.c)]
 
 
 @pytest.mark.parametrize("q, other", [(5, (5, 6)), (7, (3, 8))])
 def test_extend_map_rebuilds_inner_automorphisms(q, other):
     g = _relabelled(_pgl(q, "pgl"), seed=q)
     t = element_table(g)
-    gens = _triple_indices(t, find_triples(g, 4, 6, limit=1)[0])
+    gens = _triple_indices(g, find_triples(g, 4, 6, limit=1)[0])
     schedule, gen_cols = t.bfs_schedule(gens), [t.right(j) for j in gens]
     for x in random.Random(q).sample(range(t.n), 10):
         conj = t.conjugation(x)
         f = t.extend_map(schedule, gen_cols, [t.right(int(conj[j])) for j in gens])
         assert f is not None and f.tolist() == conj.tolist(), x
     # a triple of another type has the same element orders but is no image
-    images = _triple_indices(t, find_triples(g, *other, limit=1)[0])
+    images = _triple_indices(g, find_triples(g, *other, limit=1)[0])
     assert t.extend_map(schedule, gen_cols, [t.right(i) for i in images]) is None
 
 
@@ -157,7 +210,7 @@ def test_automorphism_index_maps_anchor_every_generator(q):
     # before it, so the tuples come in lexicographic order, one per coset
     g = _relabelled(_pgl(q, "pgl"), seed=q)
     t = element_table(g)
-    gens = _triple_indices(t, find_triples(g, 4, 6, limit=1)[0])
+    gens = _triple_indices(g, find_triples(g, 4, 6, limit=1)[0])
     auts = t.automorphism_index_maps(gens)
     assert auts
     tuples = [[int(f[j]) for j in gens] for f in auts]
@@ -214,7 +267,7 @@ def _brute_force_aut_order(t, gens):
 
 def _check_aut_search(g, n_out):
     t = element_table(g)
-    centre = [z for z in t.elems if all(pmul(z, x) == pmul(x, z) for x in g.generators)]
+    centre = [z for z in g.elements() if all(pmul(z, x) == pmul(x, z) for x in g.generators)]
     inner = t.n // len(centre)
     n_aut = _brute_force_aut_order(t, t.gen_indices)
     maps = t.automorphism_index_maps(t.gen_indices)
@@ -350,7 +403,7 @@ def _check_against_bfs(g, dtype=None):
     oracle = PermGroup(g.degree, g.generators)
     _plant(oracle, elems)
     want, got = ElementTable(oracle), ElementTable(g)
-    assert got.elems == want.elems == elems
+    assert got.perms(np.arange(got.n)) == want.perms(np.arange(want.n)) == elems
     assert got.inv.tolist() == want.inv.tolist()
     assert got.order_of.tolist() == want.order_of.tolist()
     assert got.class_labels().tolist() == want.class_labels().tolist()
@@ -393,3 +446,19 @@ def test_forged_order_raises(order, match):
     with pytest.raises(ContractError, match=match):
         forged.element_array()
     assert forged._elements is None
+
+
+def test_table_keeps_one_copy_of_the_elements():
+    # the images array, n x degree int32 entries, is the table's only copy
+    # of the elements: base lookups, inverses and orders stay below one
+    # more such array (the tuple list and index dict held 6.5 MB here)
+    g = make_pgl2(make_field(3, 3), "pgl")
+    g.element_array()
+    tracemalloc.start()
+    try:
+        t = ElementTable(g)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert t.n == 19656
+    assert kept < 2 * t.n * g.degree * 4

@@ -238,7 +238,8 @@ def test_order_and_solubility_match_sympy(group_zoo):
         t = element_table(g)
         reps, sizes = np.unique(t.class_labels(), return_counts=True)
         assert sorted(sizes.tolist()) == sorted(map(len, ref.conjugacy_classes()))
-        for rep in (t.elems[i] for i in reps.tolist()):
+        elems = sorted(g.elements())
+        for rep in (elems[i] for i in reps.tolist()):
             want = ref.normal_closure(Permutation(list(rep), size=g.degree)).order()
             assert normal_closure(g, [rep]).order() == want
         syl = ref.sylow_subgroup(2)
