@@ -26,7 +26,9 @@ import numpy as np
 
 from .algebra import is_prime
 from .errors import ContractError, ParameterError, ResourceError
-from .mapcore import MapTriple, euler_characteristic, involution_triples, verify_star_group
+from .mapcore import (
+    MapTriple, _enumerated_triple, euler_characteristic, involution_triples, verify_star_group,
+)
 from .permgrp import (
     CHAIN_CAP,
     PermGroup,
@@ -916,7 +918,10 @@ def find_triples(g: PermGroup, m: int, n: int, limit: int = 16) -> list:
 
     The triples come from mapcore.involution_triples: a ranges over
     involution conjugacy-class representatives (sufficient for existence
-    up to conjugacy), then b and c in ascending order.  Fewer than
+    up to conjugacy), then b and c in ascending order, and its closure
+    test of <ab, bc> = G is each triple's proof: no Schreier-Sims chain is
+    built per triple (``verify_star_group`` does that for triples found
+    elsewhere).  Fewer than
     ``limit`` triples means the search was exhaustive, so an empty list is
     a definitive nonexistence certificate.  A group of order above
     ELEMENTS_CAP, the element table's budget, is refused before its
@@ -925,7 +930,7 @@ def find_triples(g: PermGroup, m: int, n: int, limit: int = 16) -> list:
     table = element_table(g)
     out = []
     for ia, ib, ic, *_ in involution_triples(g, {(m, n)}):
-        out.append(verify_star_group(g, *table.perms([ia, ib, ic])))
+        out.append(_enumerated_triple(g, table, ia, ib, ic, m, n))
         if len(out) >= limit:
             break
     return out

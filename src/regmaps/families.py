@@ -327,9 +327,18 @@ def minimal_rows():
 # Diophantine searches
 
 
+FACTOR_BITS_BOUND = 162  # bit length of the largest target _divisors factors (3^102 + 1)
+
+
 def _divisors(n: int):
-    """All positive divisors of n, ascending.  sympy is imported here, on
-    the first call, and nowhere else in the package."""
+    """All positive divisors of n, ascending.  A target of more than
+    ``FACTOR_BITS_BOUND`` bits raises ``ResourceError`` before it is
+    factored.  sympy is imported here, on the first call, and nowhere else
+    in the package."""
+    if n.bit_length() > FACTOR_BITS_BOUND:
+        raise ResourceError(
+            f"a {n.bit_length()}-bit target is above the factoring budget of {FACTOR_BITS_BOUND} bits"
+        )
     import sympy
 
     return sympy.divisors(n)
@@ -358,7 +367,8 @@ def search_c1_c2(max_i: int):
 
 def search_c3(r: int, d: int):
     """All factorizations r^d + 1 = (j-1)(k-1) with j, k odd coprime,
-    3 <= j <= k.  Factors r^d + 1 with sympy, loaded on the first call."""
+    3 <= j <= k.  Factors r^d + 1 with sympy, loaded on the first call,
+    within ``FACTOR_BITS_BOUND``."""
     if not is_prime(r) or r % 4 != 3:
         raise ParameterError("need a prime r = 3 mod 4")
     if d < 1:
@@ -387,16 +397,19 @@ def search_c4(r: int, i_max: int, alpha_max: int = 3):
     Enumerates divisor pairs of r^(i+beta) + 1, factored with sympy loaded
     on the first call; each solution is annotated with the parity fact
     i + beta odd and the (divisibility form of the) bound |N| >= r^(alpha+1).
+    Each r^m + 1 is factored once, the largest first, so a target above
+    ``FACTOR_BITS_BOUND`` is refused before any is factored.
     """
     if not is_prime(r) or r % 4 != 3:
         raise ParameterError("need a prime r = 3 mod 4")
     if i_max < 0 or alpha_max < 0:
         raise ParameterError("need i_max >= 0 and alpha_max >= 0")
+    divisors = {m: _divisors(r ** m + 1) for m in range(i_max + alpha_max, 0, -1)} if i_max else {}
     out = []
     for beta in range(0, alpha_max + 1):
         for i in range(1, i_max + 1):
             target = r ** (i + beta) + 1
-            for u in _divisors(target):
+            for u in divisors[i + beta]:
                 v = target // u
                 for alpha in range(max(beta, 1), alpha_max + 1):
                     ra = r ** alpha

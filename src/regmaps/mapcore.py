@@ -183,8 +183,9 @@ def map_counts(t: MapTriple) -> MapCertificate:
 def verify_star_group(g: PermGroup, a: Perm, b: Perm, c: Perm) -> MapTriple:
     """Check that (a, b, c) makes g a (2,m,n)*-group and build the triple.
 
-    Distinct failures raise distinct errors: InvolutionError,
-    GenerationError, OrientableError.
+    For triples from outside the enumerator: <ab, bc> = G is proved by a
+    Schreier-Sims chain of <ab, bc>.  Distinct failures raise distinct
+    errors: InvolutionError, GenerationError, OrientableError.
     """
     ident = g.ident
     for name, x in (("a", a), ("b", b), ("c", c)):
@@ -426,14 +427,23 @@ def involution_triples(g: PermGroup, types=None):
                 yield ia, ib, ic, int(ms[i, 0]), int(ns[i, j]), class_size
 
 
+def _enumerated_triple(g: PermGroup, table, ia, ib, ic, m, n) -> MapTriple:
+    """The MapTriple of a triple that involution_triples yielded: its
+    involutions, (ac)^2 = 1, orders and closure test <ab, bc> = G are
+    the proof, so no Schreier-Sims chain is built for it."""
+    a, b, c = table.perms([ia, ib, ic])
+    return MapTriple(g, a, b, c, m, n, euler_characteristic(table.n, m, n))
+
+
 def classify_maps_for_group(g: PermGroup, types=None):
     """Census of (2,m,n)*-triples on g, up to Aut(g).
 
     Runs involution_triples over the involution class representatives a,
-    with one closure test per C_G(a)-orbit of candidates (b, c): every
-    triple with 2 <= ord(ab) <= ord(bc) that passes verify_star_group
-    (degenerate quotient types like (2, l) included) is conjugate to one of
-    them, so a type (m, n) has sum |class(a)| * #triples(a) triples in all.
+    with one closure test per C_G(a)-orbit of candidates (b, c), the only
+    generation proof of a representative: every triple with
+    2 <= ord(ab) <= ord(bc) that passes verify_star_group (degenerate
+    quotient types like (2, l) included) is conjugate to one of them, so a
+    type (m, n) has sum |class(a)| * #triples(a) triples in all.
     Aut(g) acts freely on generating triples, so the class count is that
     total / |Aut(g)|.  The automorphisms are never listed: the maps f of
     ``ElementTable.automorphism_index_maps`` are one per coset of Inn(g),
@@ -514,9 +524,7 @@ def classify_maps_for_group(g: PermGroup, types=None):
         else:
             duality_classes = k
         for (ia, ib, ic), sd in zip(reps, self_duality):
-            t = verify_star_group(g, *table.perms([ia, ib, ic]))
-            if (t.m, t.n) != (m, n):
-                raise ContractError("census representative has wrong type")
+            t = _enumerated_triple(g, table, ia, ib, ic, m, n)
             out.append(
                 CensusClass(
                     representative=t,

@@ -499,11 +499,14 @@ def odd_core(g: PermGroup) -> NormalSubgroupHandle:
 
     Equal to the subgroup generated by all elements whose cyclic normal
     closure has odd order (class representatives suffice, since normal
-    closure is a class invariant).
+    closure is a class invariant).  A representative x with an even-order
+    x^-1 x^y, an element of <x^G>, is ruled out by one gather over its
+    conjugates; only the others get a normal closure.
     """
     t = element_table(g)
     seeds = [i for i in np.unique(t.class_labels()).tolist()
              if i != t.identity_index and t.order_of[i] % 2
+             and (t.order_of[t.product(t.inv[i], t.conjugates(i))] % 2).all()
              and _normal_closure(t, t.gen_indices, [i])[1].sum() % 2]
     gens, mask = _normal_closure(t, t.gen_indices, seeds)
     if mask.sum() % 2 == 0:

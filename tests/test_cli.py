@@ -220,6 +220,13 @@ def test_reports_deterministic(capsys):
     assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
 
 
+def test_family_over_its_factoring_budget_exits_2(capsys):
+    assert main(["family", "--row", "C4", "--r", "7"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: a 287-bit target is above the factoring budget of 162 bits\n"
+
+
 def test_bad_descriptor(capsys):
     assert main(["verify", "sporadic:1", "--type", "3,7"]) == 2
 

@@ -4,7 +4,7 @@ from math import gcd, isqrt
 import pytest
 
 from regmaps import families
-from regmaps.errors import ContractError, ParameterError
+from regmaps.errors import ContractError, ParameterError, ResourceError
 from regmaps.families import (
     CONGRUENCE_ROWS,
     FamilyRow,
@@ -176,6 +176,36 @@ def test_search_c4_r11():
     # the j = 5 family at i = 9: the equation forces k = (11^9 + 55)/54
     k = (11 ** 9 + 55) // 54
     assert any(s["j"] == 5 and s["i"] == 9 and s["k"] == k for s in sols)
+
+
+def test_search_c4_factors_each_target_once(monkeypatch):
+    # r^m + 1 for each m = i + beta, once, the largest first
+    seen = []
+    divisors = families._divisors
+
+    def counted(n):
+        seen.append(n)
+        return divisors(n)
+
+    monkeypatch.setattr(families, "_divisors", counted)
+    search_c4(3, i_max=9, alpha_max=2)
+    assert seen == [3 ** m + 1 for m in range(11, 0, -1)]
+
+
+def test_factoring_budget_refuses_before_sympy(monkeypatch):
+    import sympy
+
+    # the CLI default C4 search factors up to 3^102 + 1, the budget exactly
+    assert (3 ** 102 + 1).bit_length() == families.FACTOR_BITS_BOUND
+
+    def never(n):
+        raise AssertionError(f"sympy was handed {n}")
+
+    monkeypatch.setattr(sympy, "divisors", never)
+    with pytest.raises(ResourceError, match="287-bit target"):
+        search_c4(7, 100, 2)  # 7^102 + 1, refused before 7^1 + 1 is factored
+    with pytest.raises(ResourceError, match="above the factoring budget of 162 bits"):
+        search_c3(7, 59)
 
 
 def test_search_c6_c7():
