@@ -524,16 +524,17 @@ def _gl_listing(k, p):
     The code of a matrix m is the base-p number whose digit i*k + j is
     m[i][j], so row i of m is the vector with code ``code // p^(ik) % p^k``.
     Every code is mapped at once, vector by vector: v + e_t goes to the
-    image of v plus row t, added digit by digit.  The maps with trivial
-    kernel are kept.  ``gl_group(k, p)`` budgets the array."""
-    nv = p ** k
+    image of v plus row t, one gather from the table ``add[u * p^k + w]``
+    of the codes of u + w by an intp index, so no small dtype wraps.  The
+    maps with trivial kernel are kept.  ``gl_group(k, p)`` budgets the array."""
+    nv, vecs = p ** k, np.arange(p ** k)
+    add = sum((vecs[:, None] // p ** j + vecs // p ** j) % p * p ** j for j in range(k)).ravel()
     codes = np.arange(p ** (k * k))
     rows = [codes // nv ** i % nv for i in range(k)]
     images = np.zeros((codes.size, nv), dtype=np.min_scalar_type(nv - 1))
     for v in range(1, nv):
         t = next(i for i in range(k) if v // p ** i % p)
-        prev, row = images[:, v - p ** t], rows[t]
-        images[:, v] = sum((prev // p ** j + row // p ** j) % p * p ** j for j in range(k))
+        images[:, v] = add.take(images[:, v - p ** t].astype(np.intp) * nv + rows[t])
     return images[(images[:, 1:] != 0).all(axis=1)]
 
 
@@ -606,10 +607,10 @@ def _walk_consistent(acting: PermGroup, targets, rows):
     that extend to homomorphisms from ``acting``.
 
     Each element x of ``acting`` gets its (rows, degree) images f(x) along
-    ``ElementTable.bfs_schedule``, then f(x s) = f(x) f(s) is checked for
-    each generator s and every x through the ``right`` column of s.  Rows go
-    in blocks of |acting| x block x degree <= CHAIN_CAP entries, and |acting|
-    is held to ``_hom_room`` before its table is built."""
+    the BFS tree of ``ElementTable.generator_tree``, then f(x s) = f(x) f(s)
+    is checked on every edge x -> x s off that tree.  Rows go in blocks of
+    |acting| x block x degree <= CHAIN_CAP entries, and |acting| is held to
+    ``_hom_room`` before its table is built."""
     ok = np.ones(len(rows), dtype=bool)
     if not len(rows):
         return ok
@@ -618,7 +619,7 @@ def _walk_consistent(acting: PermGroup, targets, rows):
     if acting.order() > room:
         raise overflow
     t = element_table(acting)
-    schedule = t.bfs_schedule(t.gen_indices)
+    schedule, off_tree = t.generator_tree
     block = CHAIN_CAP // (t.n * degree)
     for start in range(0, len(rows), block):
         images = [targets[col] for col in rows[start:start + block].T]
@@ -627,9 +628,9 @@ def _walk_consistent(acting: PermGroup, targets, rows):
         f[t.identity_index] = np.arange(degree)
         for dst, src, slot in schedule:
             f[dst] = np.take_along_axis(images[slot], f[src], axis=1)
-        for j, img in zip(t.gen_indices, images):
-            fs = np.take_along_axis(img[None], f, axis=2)  # f(x) f(s) for every x
-            good &= (fs == f[t.right(j)]).all(axis=(0, 2))
+        for img, (srcs, dsts) in zip(images, off_tree):
+            fs = np.take_along_axis(img[None], f[srcs], axis=2)  # f(x) f(s) for each x
+            good &= (fs == f[dsts]).all(axis=(0, 2))
     return ok
 
 
@@ -667,8 +668,8 @@ def build_module_extension(h: PermGroup, spec: ModuleExtensionSpec) -> PermGroup
 
     The generators of ``h`` act through spec.matrices; the generator
     images must satisfy H's relations, which ``build_split_extension``
-    checks by a walk of H's elements; |H| is checked against that walk's
-    budget before any action permutation is built.
+    checks along the BFS tree of H's element table; |H| is checked against
+    that walk's budget before any action permutation is built.
     """
     k, p = spec.k, spec.p
     if k == 0:
@@ -678,7 +679,7 @@ def build_module_extension(h: PermGroup, spec: ModuleExtensionSpec) -> PermGroup
     nv = p ** k
     if nv + h.degree > CELL_DEGREE_CAP:
         raise ResourceError(f"extension degree {nv + h.degree} exceeds {CELL_DEGREE_CAP}")
-    room, overflow = _hom_room(h.degree, nv)  # the room of build_split_extension's walk
+    room, overflow = _hom_room(h.degree, nv)  # the walk's budget, before any action is built
     if h.order() > room:
         raise overflow
     actions = [_mat_perm(m, p) for m in spec.matrices]
@@ -779,9 +780,9 @@ def build_split_extension(v_regular: PermGroup, d: PermGroup, aut_images) -> Per
     The order |V| |D| is proved, not computed.  N, the V-generators fixing
     the D points, has |N| = |V| (V's enumerated elements).  The D-generators
     (aut_i, d_i) generate the graph H of the homomorphism d_i -> aut_i
-    (checked on D's Cayley graph), so |H| = |D| and only the identity of H
-    fixes the D points, so H meets N trivially.  Every aut_i^-1 v aut_i is
-    in V, so N is normal in <N, H> = NH, of order |N| |H|.
+    (checked along the BFS tree of D's element table), so |H| = |D| and
+    only the identity of H fixes the D points, so H meets N trivially.
+    Every aut_i^-1 v aut_i is in V, so N is normal in <N, H> = NH, of order |N| |H|.
     """
     nv = v_regular.degree
     deg = nv + d.degree
@@ -789,12 +790,12 @@ def build_split_extension(v_regular: PermGroup, d: PermGroup, aut_images) -> Per
     for dgen, aut in zip(d.generators, aut_images):
         gens.append(tuple(list(aut) + [nv + i for i in dgen]))
     ext = PermGroup(deg, gens)  # rejects an image that is no permutation of V's points
-    hom = hom_from_generator_images(d.degree, d.generators, aut_images)
+    hom = hom_from_generator_images(d, aut_images)
     if hom is None:
         raise ContractError("action images do not satisfy the acting group's relations")
     v_elems = v_regular.elements()
-    if any(pmul(pmul(pinv(aut), g), aut) not in v_elems
-           for aut in aut_images for g in v_regular.generators):
+    if any(pmul(pmul(inv, g), aut) not in v_elems
+           for aut, inv in zip(aut_images, map(pinv, aut_images)) for g in v_regular.generators):
         raise ContractError("action images do not normalize V")
     ext.cached_order = len(v_elems) * len(hom)
     return ext

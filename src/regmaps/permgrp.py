@@ -661,43 +661,35 @@ def _hom_room(degree: int, image_degree: int):
     )
 
 
-def hom_from_generator_images(degree: int, gens, images):
-    """Try to extend generator -> image to a homomorphism from <gens> into
-    the permutations of the images' degree.
+def hom_from_generator_images(group: PermGroup, images):
+    """Try to extend generator -> image, one image per generator of
+    ``group``, to a homomorphism into the permutations of the images' degree.
 
-    Walks the Cayley graph of the generated group once; returns the dict
-    element -> image, or None if the assignment is inconsistent.  Images of
-    different degrees are a ParameterError.  The walk lists the group's
-    elements with their images, so it is under the budgets of
-    ``PermGroup.elements()``: it raises ``ResourceError`` as soon as it
-    finds more than ELEMENTS_CAP elements, or more entries of elements and
-    images than CHAIN_CAP.
+    Returns the dict element -> image, or None if the assignment is
+    inconsistent.  Images of different degrees are a ParameterError.  The
+    order of ``group`` is read first: more elements than ``_hom_room``, the
+    budget of ``PermGroup.elements()`` for elements and images, is a
+    ``ResourceError``.  The images are composed as tuples along the BFS tree
+    of ``ElementTable.generator_tree``, and every edge off that tree is
+    checked once (Holt, Eick and O'Brien, 2005, sec. 4.6).
     """
-    if len(images) != len(gens):
+    if len(images) != len(group.generators):
         raise ParameterError("need one image per generator")
     if len({len(img) for img in images}) > 1:
         raise ParameterError("generator images of different degrees")
-    ident = identity(degree)
-    mapping = {ident: identity(len(images[0]) if images else 0)}
-    room, overflow = _hom_room(degree, len(mapping[ident]))
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            fx = mapping[x]
-            for gen, img in zip(gens, images):
-                y = pmul(x, gen)
-                fy = pmul(fx, img)
-                old = mapping.get(y)
-                if old is None:
-                    if len(mapping) == room:
-                        raise overflow
-                    mapping[y] = fy
-                    nxt.append(y)
-                elif old != fy:
-                    return None
-        frontier = nxt
-    return mapping
+    image_degree = len(images[0]) if images else 0
+    room, overflow = _hom_room(group.degree, image_degree)
+    if group.order() > room:
+        raise overflow
+    t = element_table(group)
+    schedule, off_tree = t.generator_tree
+    f = [identity(image_degree)] * t.n  # every other element is set on the tree
+    for dst, src, slot in schedule:
+        f[dst] = pmul(f[src], images[slot])
+    for img, (srcs, dsts) in zip(images, off_tree):
+        if any(pmul(f[x], img) != f[y] for x, y in zip(srcs.tolist(), dsts.tolist())):
+            return None
+    return dict(zip(t.perms(np.arange(t.n)), f))
 
 
 def _base_lookups(arr):
@@ -900,6 +892,17 @@ class ElementTable:
         if not all(seen):
             raise ParameterError("tuple does not generate the group")
         return schedule
+
+    @cached_property
+    def generator_tree(self):
+        """``bfs_schedule`` of the table's own generators and, for each slot
+        s, the Cayley graph edges x -> x g_s off that tree as the index
+        arrays (x, x g_s).  Computed on first use, then kept."""
+        schedule = self.bfs_schedule(self.gen_indices)
+        off = np.ones((len(self.gen_indices), self.n), dtype=bool)
+        off[[slot for *_, slot in schedule], [src for _, src, _ in schedule]] = False
+        srcs = map(np.flatnonzero, off)
+        return schedule, [(x, self.right(j)[x]) for j, x in zip(self.gen_indices, srcs)]
 
     def extend_map(self, schedule, gen_cols, image_cols):
         """The automorphism f sending generator s to image s, or None, from

@@ -8,6 +8,32 @@ from pathlib import Path
 import pytest
 
 from regmaps.algebra import IntMatrix, smith_normal_form
+from regmaps.permgrp import identity, pmul
+
+
+def reference_hom(degree, gens, images):
+    """The reference walk: generator -> image extended to a homomorphism
+    from <gens> by a breadth-first walk of its Cayley graph on permutation
+    tuples, with no ``ElementTable``.  The dict element -> image, or None
+    if the assignment is inconsistent."""
+    ident = identity(degree)
+    mapping = {ident: identity(len(images[0]) if images else 0)}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            fx = mapping[x]
+            for gen, img in zip(gens, images):
+                y = pmul(x, gen)
+                fy = pmul(fx, img)
+                old = mapping.get(y)
+                if old is None:
+                    mapping[y] = fy
+                    nxt.append(y)
+                elif old != fy:
+                    return None
+        frontier = nxt
+    return mapping
 
 
 @pytest.fixture(scope="session")

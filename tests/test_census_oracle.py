@@ -21,7 +21,9 @@ from regmaps.constructors import (
     split_action_classes,
 )
 from regmaps.mapcore import classify_maps_for_group, involution_triples
-from regmaps.permgrp import element_table, hom_from_generator_images, pinv, pmul
+from regmaps.permgrp import element_table, pinv, pmul
+
+from conftest import reference_hom
 
 
 def _oracle(g):
@@ -35,8 +37,8 @@ def brute_force_classes(g):
     """(m, n) -> Aut-class count, from all triples with 2 <= m <= n.
 
     Products of involutions come from pmul on the permutations, not from
-    the table's columns, and |Aut| from ``hom_from_generator_images``, which
-    walks permutations, so the oracle shares neither the census's product
+    the table's columns, and |Aut| from ``reference_hom``, which walks
+    permutations, so the oracle shares neither the census's product
     code nor its automorphism search."""
     table = element_table(g)
     elems, pos = _oracle(g)
@@ -68,7 +70,7 @@ def brute_force_classes(g):
     # |Aut|: the triples of first's type onto which first extends to a
     # homomorphism, each an automorphism since it generates
     mn, src = first
-    n_aut = sum(hom_from_generator_images(g.degree, src, dst) is not None for dst in by_type[mn])
+    n_aut = sum(reference_hom(g.degree, src, dst) is not None for dst in by_type[mn])
     assert all(len(triples) % n_aut == 0 for triples in by_type.values())
     return {mn: len(triples) // n_aut for mn, triples in by_type.items()}
 

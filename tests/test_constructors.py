@@ -47,6 +47,8 @@ from regmaps.permgrp import (
     porder,
 )
 
+from conftest import reference_hom
+
 
 # -- fields -----------------------------------------------------------------
 
@@ -294,11 +296,14 @@ def _code_order(k, p):
     return lambda x: sum(x[p ** i] * p ** (i * k) for i in range(k))
 
 
-@pytest.mark.parametrize("k,p", [(1, 5), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3)])
+@pytest.mark.parametrize(
+    "k,p", [(1, 5), (2, 3), (2, 5), (2, 7), (2, 11), (3, 2), (3, 3), (1, 257)]
+)
 def test_gl_listing_is_the_sorted_matrix_permutations(k, p):
     perms = sorted((constructors._mat_perm(m, p) for m in _oracle_gl(k, p)), key=_code_order(k, p))
     listing = constructors._gl_listing(k, p)
-    assert listing.dtype == np.uint8
+    # uint16 at p^k = 257: an addition-table index formed in that dtype would wrap
+    assert listing.dtype == np.min_scalar_type(p ** k - 1)
     assert listing.tolist() == [list(x) for x in perms]
 
 
@@ -387,7 +392,7 @@ def _per_candidate_homs(acting, targets):
     return [
         images
         for images in product(*choices)
-        if hom_from_generator_images(acting.degree, acting.generators, images) is not None
+        if reference_hom(acting.degree, acting.generators, images) is not None
     ]
 
 
@@ -421,6 +426,24 @@ def test_module_action_homs_match_per_candidate_walks(acting, p, k, monkeypatch)
     # a walk in blocks of two candidates gives the same answer
     monkeypatch.setattr(constructors, "CHAIN_CAP", 2 * d.order() * p ** k)
     assert constructors._hom_tuples(listing, constructors._action_homs(d, listing)) == homs
+
+
+_S3 = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+
+
+@pytest.mark.parametrize("acting", [f"d{n}" for n in range(1, 11)] + sorted(_ACTING))
+def test_hom_walk_matches_the_reference_walk(acting):
+    # every image tuple into S3, and the group's own generators: both
+    # walks give None, or the same image of every element
+    d = _acting(acting)
+    gens = d.generators
+    tuples = [gens, *product(_S3, repeat=len(gens))]
+    verdicts = set()
+    for images in tuples:
+        got = hom_from_generator_images(d, images)
+        assert got == reference_hom(d.degree, gens, images)
+        verdicts.add(got is None)
+    assert verdicts == ({False} if acting == "trivial" else {False, True})
 
 
 def _old_module_extension(h, spec):
@@ -477,6 +500,14 @@ def test_search_module_actions_trivial():
     assert len(specs) == 1
     ext = build_module_extension(d2, specs[0])
     assert ext.order() == 4
+
+
+def test_module_actions_of_c2_above_the_element_cap():
+    # |GL_4(2)| = 20160 and |GL_2(13)| = 26208 pass ELEMENTS_CAP, but the
+    # listing budgets only matrix codes x vectors: C2 has one action per
+    # number of Jordan blocks of size 2 (GL_4(2)) or -1 eigenvalues (GL_2(13))
+    assert len(search_module_actions(make_dihedral(1), 2, 4)) == 3
+    assert len(search_module_actions(make_dihedral(1), 13, 2)) == 3
 
 
 def test_module_extension_d10():
@@ -580,14 +611,14 @@ def test_count_automorphisms_above_the_old_cap():
 def _automorphisms(v):
     """Every automorphism of v as a permutation of its sorted elements, in
     the lexicographic order of the generator images: each choice of images
-    of the same orders that ``hom_from_generator_images`` extends, kept
-    when it is bijective."""
+    of the same orders that ``reference_hom`` extends, kept when it is
+    bijective."""
     elems = sorted(v.elements())
     pos = {x: i for i, x in enumerate(elems)}
     choices = [[y for y in elems if porder(y) == porder(g)] for g in v.generators]
     out = []
     for images in product(*choices):
-        phi = hom_from_generator_images(v.degree, v.generators, images)
+        phi = reference_hom(v.degree, v.generators, images)
         if phi is not None and len(set(phi.values())) == len(elems):
             out.append(tuple(pos[phi[x]] for x in elems))
     return out
@@ -665,6 +696,24 @@ def test_action_searches_walk_no_candidate_alone(monkeypatch):
     assert calls == {"porder": 6, "hom": 0}
 
 
+def test_split_builds_walk_one_generator_tree(monkeypatch):
+    # the search and all 676 builds share the BFS tree of D4's table, and
+    # no table computes its tree before it is asked for
+    he3, d4 = build_heisenberg(), make_dihedral(4)
+    trees = []
+    bfs = permgrp.ElementTable.bfs_schedule
+
+    def counted(table, gen_indices):
+        trees.append(table.n)
+        return bfs(table, gen_indices)
+
+    monkeypatch.setattr(permgrp.ElementTable, "bfs_schedule", counted)
+    assert "generator_tree" not in vars(element_table(d4))
+    reg, homs = search_split_actions(he3, d4)
+    assert {build_split_extension(reg, d4, hom).order() for hom in homs} == {216}
+    assert (len(homs), trees.count(8)) == (676, 1)
+
+
 def test_split_he3_d4():
     he3 = build_heisenberg()
     d4 = make_dihedral(4)
@@ -711,10 +760,12 @@ def test_split_extension_rejects_a_broken_certificate():
     he3, d4 = build_heisenberg(), make_dihedral(4)
     reg, homs = search_split_actions(he3, d4)
     hom = homs[1]
+    # a consistent tuple first, so D4's tree is kept for the broken ones
+    assert build_split_extension(reg, d4, hom).order() == 216
     # a transposition satisfies D4's relations (as the image of both
     # generators) but fixes 25 of He3's 27 points, so it cannot normalize it
     swap = (1, 0) + tuple(range(2, reg.degree))
-    assert hom_from_generator_images(d4.degree, d4.generators, (swap, swap)) is not None
+    assert hom_from_generator_images(d4, (swap, swap)) is not None
     with pytest.raises(ContractError, match="normalize"):
         build_split_extension(reg, d4, (swap, swap))
     # an image of order 3 for an involution breaks D4's relations

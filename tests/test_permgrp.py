@@ -340,16 +340,16 @@ def test_hom_walk_is_under_the_element_budget(monkeypatch):
         " 38 points, with images on 38 points, has more than 20000 elements"
     )
     with pytest.raises(ResourceError) as err:
-        hom_from_generator_images(g.degree, g.generators, g.generators)
+        hom_from_generator_images(g, g.generators)
     assert str(err.value) == message
     # the images count too: D_4 on 4 points, acting trivially on 20 points,
     # needs 8 x (4 + 20) entries
     d4, ident = make_dihedral(4), identity(20)
     monkeypatch.setattr(permgrp, "CHAIN_CAP", 8 * 24)
-    assert len(hom_from_generator_images(4, d4.generators, (ident, ident))) == 8
+    assert len(hom_from_generator_images(d4, (ident, ident))) == 8
     monkeypatch.setattr(permgrp, "CHAIN_CAP", 8 * 24 - 1)
     with pytest.raises(ResourceError, match="has more than 7 elements"):
-        hom_from_generator_images(4, d4.generators, (ident, ident))
+        hom_from_generator_images(d4, (ident, ident))
 
 
 def test_hom_images_of_different_degrees_are_refused():
@@ -357,7 +357,7 @@ def test_hom_images_of_different_degrees_are_refused():
 
     d2 = make_dihedral(2)
     with pytest.raises(ParameterError, match="different degrees"):
-        hom_from_generator_images(d2.degree, d2.generators, ((1, 0, 2), (0, 1, 2, 3, 4)))
+        hom_from_generator_images(d2, ((1, 0, 2), (0, 1, 2, 3, 4)))
 
 
 def test_chain_inverses_share_int_objects(run_capped):
