@@ -31,7 +31,6 @@ __all__ = [
     "odd_prime_divisors",
     "as_prime_power",
     "PrimePower",
-    "epsilon",
     "IntMatrix",
     "SnfResult",
     "smith_normal_form",
@@ -166,21 +165,6 @@ class PrimePower:
         if pe is None:
             raise ParameterError(f"{q} is not a prime power")
         return cls(*pe)
-
-
-def epsilon(q: PrimePower, r: int) -> int:
-    """Minimal-dimension bound for a PSL2(q) section of a linear group in
-    characteristic r: 2 when r = p, 3 when q = 9 and r != 3, else (q-1)/2.
-    """
-    if not is_prime(r) or r == 2:
-        raise ParameterError(f"epsilon needs an odd prime r, got {r}")
-    if q.q < 5 or q.q % 2 == 0:
-        raise ParameterError(f"epsilon needs an odd prime power q >= 5, got {q.q}")
-    if r == q.p:
-        return 2
-    if q.q == 9:
-        return 3
-    return (q.q - 1) // 2
 
 
 def _ints(values):

@@ -615,9 +615,7 @@ def _walk_consistent(acting: PermGroup, targets, rows):
     if not len(rows):
         return ok
     degree = targets.shape[1]
-    room, overflow = _hom_room(acting.degree, degree)
-    if acting.order() > room:
-        raise overflow
+    _hom_room(acting, degree)
     t = element_table(acting)
     schedule, off_tree = t.generator_tree
     block = CHAIN_CAP // (t.n * degree)
@@ -679,9 +677,7 @@ def build_module_extension(h: PermGroup, spec: ModuleExtensionSpec) -> PermGroup
     nv = p ** k
     if nv + h.degree > CELL_DEGREE_CAP:
         raise ResourceError(f"extension degree {nv + h.degree} exceeds {CELL_DEGREE_CAP}")
-    room, overflow = _hom_room(h.degree, nv)  # the walk's budget, before any action is built
-    if h.order() > room:
-        raise overflow
+    _hom_room(h, nv)  # the walk's budget, before any action is built
     actions = [_mat_perm(m, p) for m in spec.matrices]
     if any(len(set(x)) != nv for x in actions):
         raise ContractError("action matrix is singular")

@@ -41,12 +41,10 @@ __all__ = [
     "OrientableError",
     "MapTriple",
     "MapCertificate",
-    "QuotientData",
     "CensusClass",
     "euler_characteristic",
     "map_counts",
     "verify_star_group",
-    "quotient_data",
     "verify_structural_lemmas",
     "involution_triples",
     "classify_maps_for_group",
@@ -211,20 +209,6 @@ def verify_star_group(g: PermGroup, a: Perm, b: Perm, c: Perm) -> MapTriple:
     return MapTriple(group=g, a=a, b=b, c=c, m=m, n=n, chi=chi)
 
 
-@dataclass(frozen=True)
-class QuotientData:
-    """Orders of the canonical products in G/O and G/N, with quotients."""
-
-    m_bar: int
-    n_bar: int
-    m_star: int
-    n_star: int
-    m_o: int
-    n_o: int
-    m_1: int
-    n_1: int
-
-
 def _quotient_orders(t: MapTriple, n: NormalSubgroupHandle):
     """(G/N, the order of ab in it, the order of bc in it); G itself when
     N is trivial."""
@@ -232,29 +216,6 @@ def _quotient_orders(t: MapTriple, n: NormalSubgroupHandle):
         return t.group, t.m, t.n
     q = quotient_group(t.group, n)
     return q, porder(q.project(t.ab)), porder(q.project(t.bc))
-
-
-def quotient_data(t: MapTriple, n: NormalSubgroupHandle) -> QuotientData:
-    _, m_bar, n_bar = _quotient_orders(t, odd_core(t.group))
-    _, m_star, n_star = _quotient_orders(t, n)
-    for name, big, small in (
-        ("m_bar", t.m, m_bar),
-        ("n_bar", t.n, n_bar),
-        ("m_star", t.m, m_star),
-        ("n_star", t.n, n_star),
-    ):
-        if big % small:
-            raise ContractError(f"{name} = {small} does not divide {big}")
-    return QuotientData(
-        m_bar=m_bar,
-        n_bar=n_bar,
-        m_star=m_star,
-        n_star=n_star,
-        m_o=t.m // m_bar,
-        n_o=t.n // n_bar,
-        m_1=t.m // m_star,
-        n_1=t.n // n_star,
-    )
 
 
 @dataclass

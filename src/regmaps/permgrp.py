@@ -27,7 +27,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .algebra import is_prime, odd_prime_divisors, p_part
+from .algebra import p_part
 from .errors import ContractError, ParameterError, ResourceError
 
 __all__ = [
@@ -41,14 +41,10 @@ __all__ = [
     "from_cycles",
     "PermGroup",
     "NormalSubgroupHandle",
-    "element_order",
     "normal_closure",
     "odd_core",
     "sylow2_shape",
-    "is_almost_sylow_cyclic",
     "quotient_group",
-    "frattini_of_pgroup",
-    "check_order_bound",
     "count_automorphisms",
     "hom_from_generator_images",
     "ElementTable",
@@ -390,9 +386,6 @@ class NormalSubgroupHandle:
         t = element_table(self.ambient)
         return t.closure(_indices(t, self.generators))
 
-    def group(self) -> PermGroup:
-        return PermGroup(self.ambient.degree, self.generators, order=self.order())
-
     def order(self) -> int:
         return int(self.mask.sum())
 
@@ -482,12 +475,6 @@ def _derived(t: "ElementTable", gens):
     return _normal_closure(t, gens, t.product(t.inv[a], t.inv[a.T], a, a.T).ravel().tolist())
 
 
-def element_order(g: PermGroup, x: Perm) -> int:
-    if len(x) != g.degree:
-        raise ParameterError("element degree mismatch")
-    return porder(x)
-
-
 def normal_closure(g: PermGroup, seeds) -> NormalSubgroupHandle:
     """Smallest normal subgroup of g containing the seeds."""
     t = element_table(g)
@@ -560,24 +547,6 @@ def sylow2_shape(g: PermGroup) -> str:
     return "other"
 
 
-def is_almost_sylow_cyclic(g: PermGroup) -> bool:
-    """Odd Sylow subgroups cyclic; Sylow 2-subgroup trivial or containing a
-    cyclic subgroup of index 2.
-
-    A Sylow t-subgroup is cyclic iff the group has an element of order
-    |G|_t, so the element-order profile decides everything.
-    """
-    n = element_table(g).n
-    orders = g.element_orders()
-    for t in odd_prime_divisors(n):
-        if p_part(n, t) not in orders:
-            return False
-    n2 = p_part(n, 2)
-    if n2 <= 2:
-        return True
-    return n2 in orders or (n2 // 2) in orders
-
-
 class QuotientGroup(PermGroup):
     """Faithful action of g on the cosets of a normal subgroup, with the
     projection g -> quotient available on elements.
@@ -609,56 +578,17 @@ def quotient_group(g: PermGroup, n: NormalSubgroupHandle) -> QuotientGroup:
     return QuotientGroup(g, n)
 
 
-def frattini_of_pgroup(g: PermGroup, p: int) -> NormalSubgroupHandle:
-    """Frattini subgroup of a p-group: generated by the p-th powers and the
-    derived subgroup; the quotient is elementary abelian."""
-    if not is_prime(p):
-        raise ParameterError(f"needs a prime, got {p}")
-    t = element_table(g)
-    n = t.n
-    if p_part(n, p) != n:
-        raise ContractError(f"group of order {n} is not a {p}-group")
-    derived, _ = _derived(t, t.gen_indices)
-    powers = t.product(t.identity_index, *[np.arange(n)] * (p % n))  # x^p = x^(p mod n)
-    return _handle(g, t, *_normal_closure(t, (), derived + np.unique(powers).tolist()))
-
-
-def check_order_bound(g: PermGroup, l: NormalSubgroupHandle, p: int) -> bool:
-    """For a normal p-subgroup L with L/Phi(L) of rank j, every element
-    order in g has p-part at most |G|_p / p^(j-1).  Trivial L is treated as
-    bound |G|_p (vacuously true)."""
-    if not is_prime(p):
-        raise ParameterError(f"needs a prime, got {p}")
-    t = element_table(g)
-    gp = p_part(t.n, p)
-    if l.is_trivial():
-        bound = gp
-    else:
-        lsize = l.order()
-        if p_part(lsize, p) != lsize:
-            raise ContractError("handle is not a p-subgroup")
-        if not l.check_normal():
-            raise ContractError("handle is not normal")
-        phi = frattini_of_pgroup(l.group(), p)
-        j = 0
-        quot = lsize // phi.order()
-        while quot > 1:
-            quot //= p
-            j += 1
-        bound = gp // p ** (j - 1)
-    return all(p_part(k, p) <= bound for k in g.element_orders())
-
-
-def _hom_room(degree: int, image_degree: int):
-    """(room, error): how many elements ``hom_from_generator_images`` may
-    list for a group on ``degree`` points with images on ``image_degree``
-    points, and the ResourceError that refuses a group with more."""
-    room = min(ELEMENTS_CAP, CHAIN_CAP // (degree + image_degree))
-    return room, ResourceError(
-        f"element budget is {ELEMENTS_CAP} elements and {CHAIN_CAP} entries:"
-        f" the group on {degree} points, with images on {image_degree} points,"
-        f" has more than {room} elements"
-    )
+def _hom_room(group: PermGroup, image_degree: int):
+    """Refuse, with a ResourceError, a group with more elements than
+    ``hom_from_generator_images`` may list with images on ``image_degree``
+    points; ``group.order()`` is read first."""
+    room = min(ELEMENTS_CAP, CHAIN_CAP // (group.degree + image_degree))
+    if group.order() > room:
+        raise ResourceError(
+            f"element budget is {ELEMENTS_CAP} elements and {CHAIN_CAP} entries:"
+            f" the group on {group.degree} points, with images on {image_degree} points,"
+            f" has more than {room} elements"
+        )
 
 
 def hom_from_generator_images(group: PermGroup, images):
@@ -678,9 +608,7 @@ def hom_from_generator_images(group: PermGroup, images):
     if len({len(img) for img in images}) > 1:
         raise ParameterError("generator images of different degrees")
     image_degree = len(images[0]) if images else 0
-    room, overflow = _hom_room(group.degree, image_degree)
-    if group.order() > room:
-        raise overflow
+    _hom_room(group, image_degree)
     t = element_table(group)
     schedule, off_tree = t.generator_tree
     f = [identity(image_degree)] * t.n  # every other element is set on the tree

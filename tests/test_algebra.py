@@ -15,7 +15,6 @@ from regmaps.algebra import (
     SnfResult,
     as_prime_power,
     det_bareiss,
-    epsilon,
     is_prime,
     mod_p_rank,
     odd_prime_divisors,
@@ -105,17 +104,8 @@ def test_as_prime_power_large():
     assert as_prime_power((2 ** 61 - 1) ** 3) == (2 ** 61 - 1, 3)
     assert as_prime_power(3 ** 40 * 5) is None
     assert as_prime_power(2 ** 127) == (2, 127)
-
-
-def test_epsilon():
-    assert epsilon(PrimePower.of(9), 3) == 2  # r = p
-    assert epsilon(PrimePower.of(9), 7) == 3  # q = 9, r != 3
-    assert epsilon(PrimePower.of(13), 7) == 6  # (q-1)/2
-    assert epsilon(PrimePower.of(25), 3) == 12
     with pytest.raises(ParameterError):
-        epsilon(PrimePower.of(13), 2)
-    with pytest.raises(ParameterError):
-        PrimePower.of(8)
+        PrimePower.of(8)  # even characteristic
 
 
 def test_snf_examples():

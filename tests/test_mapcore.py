@@ -9,10 +9,10 @@ from regmaps.mapcore import (
     GenerationError,
     InvolutionError,
     OrientableError,
+    _quotient_orders,
     classify_maps_for_group,
     euler_characteristic,
     map_counts,
-    quotient_data,
     verify_star_group,
     verify_structural_lemmas,
 )
@@ -97,16 +97,13 @@ def test_verify_star_group_rejects_bad_involutions(pgl_groups):
         verify_star_group(g, a, invs[1], c)
 
 
-def test_quotient_data(e9_d4_triple):
+def test_quotient_orders(e9_d4_triple):
+    # m_bar and n_bar of the lemmas: the orders of ab and bc in G/O(G)
     t = e9_d4_triple
-    oc = odd_core(t.group)
-    qd = quotient_data(t, oc)
-    assert (qd.m_bar, qd.n_bar) == (2, 4)
-    assert qd.m_o * qd.n_o == 3  # (m n) / (m_bar n_bar) = 24 / 8
-    assert (qd.m_star, qd.n_star) == (2, 4)
+    gbar, m_bar, n_bar = _quotient_orders(t, odd_core(t.group))
+    assert (gbar.order(), m_bar, n_bar) == (8, 2, 4)
     triv = NormalSubgroupHandle(t.group, ())
-    qd0 = quotient_data(t, triv)
-    assert (qd0.m_star, qd0.n_star) == (t.m, t.n) and qd0.m_1 == qd0.n_1 == 1
+    assert _quotient_orders(t, triv)[1:] == (t.m, t.n)
 
 
 def _all_passed(rep):
@@ -183,6 +180,13 @@ def test_structural_lemmas_negative_control(pgl_groups):
     rep = verify_structural_lemmas(dataclasses.replace(t, chi=-3))
     assert not rep["odd_prime_excess_is_r"].passed
     assert not _all_passed(rep)
+
+
+def test_structural_lemmas_cyclic_sylow_negative_control(e9_d4_triple):
+    # the Sylow 3-subgroup of E9:D4 is E9, exempt only while 3 divides chi
+    rep = verify_structural_lemmas(dataclasses.replace(e9_d4_triple, chi=-5))
+    check = rep["sylow_cyclic_away_from_chi"]
+    assert not check.passed and check.detail == "non-cyclic Sylow at [3]"
 
 
 def test_census_counts(pgl_groups):

@@ -15,15 +15,11 @@ from regmaps.permgrp import (
     PermGroup,
     _schreier_sims_order,
     _sylow2,
-    check_order_bound,
     count_automorphisms,
-    element_order,
     element_table,
-    frattini_of_pgroup,
     from_cycles,
     hom_from_generator_images,
     identity,
-    is_almost_sylow_cyclic,
     normal_closure,
     odd_core,
     pinv,
@@ -73,10 +69,10 @@ def test_forged_order_stops_the_enumeration():
 def test_pgl_order_and_element_order(pgl_groups):
     assert pgl_groups["pgl5"].order() == 120
     g = pgl_groups["pgl5"]
-    assert element_order(g, g.ident) == 1
+    assert porder(g.ident) == 1
     # the unipotent x -> x + 1 has order p
     unip = g.generators[0]
-    assert element_order(g, unip) == 5
+    assert porder(unip) == 5
 
 
 def test_normal_closure():
@@ -122,12 +118,6 @@ def test_sylow2_shape(pgl_groups):
     assert sylow2_shape(e8) == "other"
 
 
-def test_almost_sylow_cyclic(pgl_groups, e9_d4_triple):
-    assert is_almost_sylow_cyclic(dihedral(15))
-    assert not is_almost_sylow_cyclic(e9_d4_triple.group)  # Sylow-3 is E9
-    assert is_almost_sylow_cyclic(pgl_groups["pgl5"])
-
-
 def test_quotient_group(pgl_groups):
     d15 = dihedral(15)
     q = quotient_group(d15, odd_core(d15))
@@ -162,29 +152,6 @@ def test_normal_subgroup_handle_generators():
     assert handle.order() == 3
     with pytest.raises(ParameterError):
         NormalSubgroupHandle(s3, [(0, 0, 1)])
-
-
-def test_frattini():
-    e9 = PermGroup(6, [from_cycles(6, [(0, 1, 2)]), from_cycles(6, [(3, 4, 5)])])
-    assert frattini_of_pgroup(e9, 3).is_trivial()
-    c9 = PermGroup(9, [from_cycles(9, [tuple(range(9))])])
-    assert frattini_of_pgroup(c9, 3).order() == 3
-    from regmaps.constructors import build_heisenberg
-
-    he3 = build_heisenberg()
-    phi = frattini_of_pgroup(he3, 3)
-    assert phi.order() == 3  # the centre
-    with pytest.raises(ContractError):
-        frattini_of_pgroup(dihedral(6), 3)
-
-
-def test_check_order_bound(e9_d4_triple):
-    g = e9_d4_triple.group
-    e9 = odd_core(g)  # the E9 part, rank 2
-    assert check_order_bound(g, e9, 3)  # bound 9/3 = 3, orders are 1,2,3,4,6
-    assert check_order_bound(g, NormalSubgroupHandle(g, ()), 3)  # vacuous
-    c9 = PermGroup(9, [from_cycles(9, [tuple(range(9))])])
-    assert check_order_bound(c9, NormalSubgroupHandle(c9, c9.generators), 3)
 
 
 def test_count_automorphisms(pgl_groups):
