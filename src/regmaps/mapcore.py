@@ -8,8 +8,9 @@ that odd characteristic imposes, and provides the involution-triple
 enumerator behind both the triple search and the census up to Aut(G)
 used as a ground-truth oracle on small groups.  The census reads its
 Aut(G)-orbits, and self-duality, off one automorphism per coset of
-Inn(G), in inner classes: each triple is kept as the conjugate whose first
-entry is a class representative.  Aut(G) itself is never listed.
+Inn(G), in inner classes: each is kept once, as its least member whose
+first entry is a class representative, and no other triple is stored.
+Aut(G) itself is never listed.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from .algebra import as_prime_power, odd_prime_divisors, p_part
 from .errors import ContractError, ParameterError
 from .permgrp import (
+    CHAIN_CAP,
     NormalSubgroupHandle,
     Perm,
     PermGroup,
@@ -339,34 +341,55 @@ class CensusClass:
     hyperbolic: bool
 
 
+def _conjugate_rows(table, xs, by) -> np.ndarray:
+    """int32 [k, u]: the index of by[u]^-1 * xs[k] * by[u], gathered by
+    ``ElementTable.conjugates`` in row blocks of at most CHAIN_CAP
+    base-image entries (rows x |by| x base points)."""
+    out = np.empty((len(xs), len(by)), dtype=np.int32)
+    step = max(1, CHAIN_CAP // (len(by) * len(table.base)))
+    for start in range(0, len(xs), step):
+        out[start:start + step] = table.conjugates(xs[start:start + step], by)
+    return out
+
+
 def involution_triples(g: PermGroup, types=None):
     """(2,m,n)*-triples on g whose a is an involution class representative.
 
-    Yields (ia, ib, ic, m, n, class_size) with indices into element_table(g):
-    a runs over the involution class representatives (the least index of
-    each class, from ``class_labels``), b over the involutions in ascending
-    index order, c in ascending index order over the involutions with
-    (ac)^2 = 1.  A candidate is kept when (ord(ab), ord(bc)) is in
-    ``types`` (None means every type with 2 <= m <= n) and <ab, bc> = G,
-    which forces <a, b, c> = G and non-orientability.  Every Aut(g)-orbit of triples meets this set,
-    and a triple with a fixed stands for class_size conjugate triples.
+    Yields (ia, ib, ic, m, n, class_size, orbit_size) with indices into
+    element_table(g): a runs over the involution class representatives (the
+    least index of each class, from ``class_labels``), b over the
+    involutions in ascending index order, c in ascending index order over
+    the involutions with (ac)^2 = 1.  A candidate is kept when
+    (ord(ab), ord(bc)) is in ``types`` (None means every type with
+    2 <= m <= n) and <ab, bc> = G, which forces <a, b, c> = G and
+    non-orientability.  Every Aut(g)-orbit of triples meets this set, and a
+    triple with a fixed stands for class_size conjugate triples.
     ord(ax) is read off the ``left`` column of a, ord(bc) off the ``right``
     columns of the surviving c.  <ab, bc> = G takes one ``closure`` test
     per C_G(a)-orbit of candidates: conjugating by y in C_G(a) fixes a,
     keeps the orders and sends <ab, bc> to its conjugate, so the verdict
     of the first candidate met is recorded for every (b^y, c^y) (Holt,
-    Eick and O'Brien, 2005, ch. 4).
+    Eick and O'Brien, 2005, ch. 4).  The first candidate met is the least
+    of its orbit; it carries orbit_size, the orbit's |C_G(a) : Z(G)|
+    triples (C_G(a) meets the centralizer of a generating triple in
+    Z(G)), and every other member 0.  The orbits come from one gather per
+    representative with a candidate: the position of x^y among the
+    involutions, for every involution x and every y in C_G(a).
     """
     table = element_table(g)
     order_of, n_all = table.order_of, table.n
     invs = table.involution_indices()
+    inv_pos = np.full(n_all, -1, dtype=np.int32)
+    inv_pos[invs] = np.arange(invs.size)
     reps, sizes = np.unique(table.class_labels(), return_counts=True)
+    n_center = int(np.count_nonzero(sizes == 1))
     for ia, class_size in zip(reps.tolist(), sizes.tolist()):
         if order_of[ia] != 2:
             continue
         row_a = table.left(ia)  # a * x for every x
         ord_ax = order_of[row_a[invs]]  # ord(ax) for each involution x
-        cs = invs[ord_ax <= 2]  # (ac)^2 = 1; a itself is one
+        c_pos = np.flatnonzero(ord_ax <= 2)  # (ac)^2 = 1; a itself is one
+        cs = invs[c_pos]
         ms = ord_ax[:, None]  # ord(ab), one row per b
         bc = np.stack([table.right(c)[invs] for c in cs.tolist()], axis=1)  # b * c
         ns = order_of[bc]  # ord(bc), b by c
@@ -376,16 +399,25 @@ def involution_triples(g: PermGroup, types=None):
             keep = np.zeros(ns.shape, dtype=bool)
             for m, n in types:
                 keep |= (ms == m) & (ns == n)
+        rows = np.flatnonzero(keep.any(axis=1))
+        if not rows.size:
+            continue
         cent = np.flatnonzero(table.conjugates(ia) == ia)  # C_G(a)
+        orbit_size = n_all // (class_size * n_center)
+        orbit = inv_pos[_conjugate_rows(table, invs, cent)]  # [x, y]: position of x^y
+        c_col = np.full(invs.size, -1, dtype=np.intp)
+        c_col[c_pos] = np.arange(c_pos.size)  # position among the c
         verdict = np.zeros(keep.shape, dtype=np.int8)  # 0 untested, 1 generates, -1 not
-        for i, j in zip(*np.nonzero(keep)):  # row-major: b, then c ascending
-            ib, ic = int(invs[i]), int(cs[j])
-            if not verdict[i, j]:
-                full = table.closure([int(row_a[ib]), int(bc[i, j])]).sum() == n_all
-                rows = np.searchsorted(invs, table.conjugates(ib)[cent])
-                verdict[rows, np.searchsorted(cs, table.conjugates(ic)[cent])] = 1 if full else -1
-            if verdict[i, j] > 0:
-                yield ia, ib, ic, int(ms[i, 0]), int(ns[i, j]), class_size
+        for i in rows.tolist():  # row-major: b, then c ascending
+            ib, m = int(invs[i]), int(ms[i, 0])
+            for j in np.flatnonzero(keep[i]).tolist():
+                size = 0
+                if not verdict[i, j]:
+                    full = table.closure([int(row_a[ib]), int(bc[i, j])]).sum() == n_all
+                    verdict[orbit[i], c_col[orbit[c_pos[j]]]] = 1 if full else -1
+                    size = orbit_size
+                if verdict[i, j] > 0:
+                    yield ia, ib, int(cs[j]), m, int(ns[i, j]), class_size, size
 
 
 def _enumerated_triple(g: PermGroup, table, ia, ib, ic, m, n) -> MapTriple:
@@ -396,6 +428,17 @@ def _enumerated_triple(g: PermGroup, table, ia, ib, ic, m, n) -> MapTriple:
     return MapTriple(g, a, b, c, m, n, euler_characteristic(table.n, m, n))
 
 
+def _generating_orbits(g: PermGroup, types=None):
+    """(m, n) -> {first member (ia, ib, ic) of each generating C_G(a)-orbit
+    of that type, in enumerator order: the class_size x orbit_size triples
+    that its inner class holds}, from the involution_triples stream."""
+    firsts = {}
+    for ia, ib, ic, m, n, class_size, orbit_size in involution_triples(g, types):
+        if orbit_size:
+            firsts.setdefault((m, n), {})[(ia, ib, ic)] = class_size * orbit_size
+    return firsts
+
+
 def classify_maps_for_group(g: PermGroup, types=None):
     """Census of (2,m,n)*-triples on g, up to Aut(g).
 
@@ -403,22 +446,25 @@ def classify_maps_for_group(g: PermGroup, types=None):
     with one closure test per C_G(a)-orbit of candidates (b, c), the only
     generation proof of a representative: every triple with
     2 <= ord(ab) <= ord(bc) that passes verify_star_group (degenerate
-    quotient types like (2, l) included) is conjugate to one of them, so a
-    type (m, n) has sum |class(a)| * #triples(a) triples in all.
+    quotient types like (2, l) included) is conjugate to one of them.  Only
+    the first member of each generating C_G(a)-orbit is kept: Inn(g) acts
+    freely on generating triples, so that orbit is one inner class, keyed
+    by its least member with a class representative first, and a type
+    (m, n) has the sum of class_size x orbit_size triples in all.
     Aut(g) acts freely on generating triples, so the class count is that
     total / |Aut(g)|.  The automorphisms are never listed: the maps f of
     ``ElementTable.automorphism_index_maps`` are one per coset of Inn(g),
-    and |Aut(g)| = (number of maps) x |g : Z(g)|.  Orbits are kept in inner
-    classes: Inn(g) acts freely on generating triples, so the Inn-class of
-    f(T) is the C_g(r)-orbit of its member (r, y, z) with r a class
-    representative, and each such member stands for |class(r)| triples.
-    The class-representative triples are walked in enumerator order; each
-    one not yet covered becomes a representative T, and its orbit is the
-    union of those C_g(r)-orbits over the f.  The class sizes of its
-    entries must sum to |Aut(g)| and the orbits met must number
-    total / |Aut(g)|.  A representative is self-dual when (c, b, a),
-    moved the same way, lies in its orbit.  The dual copy of a type with
-    m < n (its (n, m) triples) is not listed again.
+    and |Aut(g)| = (number of maps) x |g : Z(g)|.  Out(g) acts freely on
+    the inner classes, so the Aut-orbit of a kept T is the set of keys of
+    the f(T): f(T) is conjugated to the triple (r, y, z) with r a class
+    representative, and its key is the least (y^u, z^u) over u in C_g(r),
+    read in one gather for all the f.  The first members are walked in
+    enumerator order; each one not yet covered becomes a representative
+    T.  Its orbit must hold exactly len(maps) keys, each a kept inner
+    class, whose triples sum to |Aut(g)|, and the orbits met must number
+    total / |Aut(g)|.  A representative is self-dual when the key of
+    (c, b, a) lies in its orbit.  The dual copy of a type with m < n (its
+    (n, m) triples) is not listed again.
 
     ``types``, if given, restricts the census to those ordered types.  The
     element table and the automorphism search carry the budgets: a group
@@ -426,55 +472,66 @@ def classify_maps_for_group(g: PermGroup, types=None):
     enumerated, and more maps than CHAIN_CAP entries hold as they are found.
     """
     table = element_table(g)
-    totals = {}  # (m, n) -> number of triples of that type
-    accepted = {}  # (m, n) -> list of class-representative (ia, ib, ic)
-    for ia, ib, ic, m, n, class_size in involution_triples(g, types):
-        totals[(m, n)] = totals.get((m, n), 0) + class_size
-        accepted.setdefault((m, n), []).append((ia, ib, ic))
-    if not accepted:
+    firsts = _generating_orbits(g, types)
+    if not firsts:
         return []
 
-    first = next(iter(accepted.values()))[0]
+    first = next(iter(next(iter(firsts.values()))))
     auts = np.array(table.automorphism_index_maps(list(first)))  # auts[k, x]: image of x under map k
     n_aut = table.automorphism_count(auts)
     labels = table.class_labels()
-    sizes = np.bincount(labels, minlength=table.n)
     to_rep, cents = np.zeros(table.n, dtype=np.intp), {}  # to_rep[x]^-1 x to_rep[x] = labels[x]
     for r in np.unique(labels[table.order_of == 2]).tolist():
         conj = table.conjugates(r)
         to_rep[conj] = table.inv
         cents[r] = np.flatnonzero(conj == r)
 
-    def canonical(x, y, z):  # each triple of the arrays conjugated to a class representative first
+    def keys(x, y, z):
+        """The key of each triple of the arrays: conjugated to a class
+        representative r first, then the least (y^u, z^u), u in C_g(r)."""
         u = to_rep[x]
-        ys, zs = table.product(table.inv[u], np.array([y, z]), u).tolist()
-        return zip(labels[x].tolist(), ys, zs)
+        rs = labels[x]
+        ys, zs = table.product(table.inv[u], np.array([y, z]), u)
+        found = np.empty((3, rs.size), dtype=np.intp)
+        found[0] = rs
+        for r in np.unique(rs).tolist():
+            at = np.flatnonzero(rs == r)
+            conj = _conjugate_rows(table, np.concatenate([ys[at], zs[at]]), cents[r])
+            yc, zc = conj[:at.size], conj[at.size:]
+            least = yc.min(axis=1)
+            found[1, at] = least
+            found[2, at] = np.where(yc == least[:, None], zc, table.n).min(axis=1)
+        return list(zip(*found.tolist()))
 
     out = []
-    for (m, n), triples in sorted(accepted.items()):
-        total = totals[(m, n)]
+    for (m, n), kept in sorted(firsts.items()):
+        total = sum(kept.values())
         if total % n_aut:
             raise ContractError(
                 f"type ({m},{n}): {total} triples not divisible by |Aut| = {n_aut}"
             )
         k = total // n_aut
         reps, self_duality, covered = [], [], set()
-        for ia, ib, ic in triples:
+        for ia, ib, ic in kept:
             if (ia, ib, ic) in covered:
                 continue
-            orbit = set()  # the entries of the orbit with a class representative first
-            for r, y, z in canonical(auts[:, ia], auts[:, ib], auts[:, ic]):
-                if (r, y, z) not in orbit:
-                    ys, zs = (table.conjugates(x, cents[r]).tolist() for x in (y, z))
-                    orbit.update(zip([r] * len(ys), ys, zs))
-            weight = sum(int(sizes[r]) for r, _, _ in orbit)
+            # the f(T), then (c, b, a)
+            triples = (np.append(auts[:, x], d) for x, d in zip((ia, ib, ic), (ic, ib, ia)))
+            *images, dual = keys(*triples)
+            orbit = set(images)
+            if len(orbit) != len(auts) or not orbit <= kept.keys():
+                raise ContractError(
+                    f"type ({m},{n}): an orbit meets {len(orbit)} inner classes,"
+                    f" {len(auts)} maps"
+                )
+            weight = sum(kept[key] for key in orbit)
             if weight != n_aut:
                 raise ContractError(
                     f"type ({m},{n}): orbit of {weight} triples, |Aut| = {n_aut}"
                 )
             covered |= orbit
             reps.append((ia, ib, ic))
-            self_duality.append(next(canonical([ic], [ib], [ia])) in orbit)
+            self_duality.append(dual in orbit)
         if len(reps) != k:
             raise ContractError(f"type ({m},{n}): found {len(reps)} of {k} classes")
         if m == n:

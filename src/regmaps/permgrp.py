@@ -748,12 +748,17 @@ class ElementTable:
         images = self._images
         return self._lookup(images[:, i][images[self._base_images[:, self.inv[i]]]])
 
-    def conjugates(self, i: int, by=None) -> np.ndarray:
-        """Index of y^-1 * i * y for every y, or for the y whose indices are
-        the array ``by``; it sends b to y[i[y^-1[b]]]."""
+    def conjugates(self, i, by=None) -> np.ndarray:
+        """Index of y^-1 * x * y, x the element i, for every y, or for the y
+        whose indices are the array ``by``; it sends b to y[x[y^-1[b]]].
+        For an index array i, one row per x (a transposed view): the images
+        of every x are gathered at once."""
         images = self._images
         by = np.arange(self.n) if by is None else by
-        return self._lookup(images[images[:, i][self._base_images[:, self.inv[by]]], by])
+        x = images[:, i][self._base_images[:, self.inv[by]]]
+        if isinstance(i, np.ndarray):
+            return self._lookup(images[x, by[:, None]]).T
+        return self._lookup(images[x, by])
 
     def class_labels(self) -> np.ndarray:
         """The least index in the conjugacy class of each element (cached)."""
@@ -877,8 +882,6 @@ class ElementTable:
         gens = np.array(gen_indices, dtype=np.intp)
         pair_orders = order_of[self.product(gens[None], gens[:, None])]  # [i, j]: ord(g_j * g_i)
         room = CHAIN_CAP // self.n
-        overflow = ResourceError(f"automorphism budget is {CHAIN_CAP} entries (maps x |G|):"
-                                 f" more than {room} maps of a group of order {self.n}")
         found = []
 
         def extend(i, cent, lefts, rights):
@@ -886,7 +889,9 @@ class ElementTable:
                 f = self.extend_map(schedule, gen_cols, rights)
                 if f is not None:
                     if len(found) == room:
-                        raise overflow
+                        raise ResourceError(
+                            f"automorphism budget is {CHAIN_CAP} entries (maps x |G|):"
+                            f" more than {room} maps of a group of order {self.n}")
                     found.append(f)
                 return
             cands = by_order[i]

@@ -8,7 +8,7 @@ closure test per candidate."""
 import numpy as np
 import pytest
 
-from regmaps import permgrp
+from regmaps import mapcore, permgrp
 from regmaps.cli import resolve_group
 from regmaps.constructors import (
     build_h2,
@@ -20,6 +20,7 @@ from regmaps.constructors import (
     make_pgl2,
     split_action_classes,
 )
+from regmaps.errors import ContractError
 from regmaps.mapcore import classify_maps_for_group, involution_triples
 from regmaps.permgrp import element_table, pinv, pmul
 
@@ -88,7 +89,9 @@ def _group(name, pgl_groups):
 def per_candidate_triples(g, types=None):
     """involution_triples with one closure test per candidate (b, c), and
     the number of C_G(a)-orbits of the candidates it tests, the orbits
-    found by conjugating the permutations with pmul."""
+    found by conjugating the permutations with pmul.  The first candidate
+    of each orbit carries the orbit's size, the number of pairs it adds to
+    ``seen``; every other candidate carries 0."""
     table = element_table(g)
     elems, pos = _oracle(g)
     order_of, n_all = table.order_of, table.n
@@ -115,13 +118,16 @@ def per_candidate_triples(g, types=None):
         seen = set()
         for i, j in zip(*np.nonzero(keep)):
             ib, ic = int(invs[i]), int(cs[j])
+            size = 0
             if (ib, ic) not in seen:
                 orbits += 1
                 b, c = elems[ib], elems[ic]
+                before = len(seen)
                 seen.update((pos[pmul(pmul(pinv(y), b), y)], pos[pmul(pmul(pinv(y), c), y)])
                             for y in cent)
+                size = len(seen) - before
             if table.closure([int(row_a[ib]), int(bc[i, j])]).sum() == n_all:
-                out.append((ia, ib, ic, int(ms[i, 0]), int(ns[i, j]), class_size))
+                out.append((ia, ib, ic, int(ms[i, 0]), int(ns[i, j]), class_size, size))
     return out, orbits
 
 
@@ -152,12 +158,76 @@ def test_enumerator_matches_per_candidate_closures(name, pgl_groups, monkeypatch
         monkeypatch.undo()
 
 
+def test_orbit_gather_in_blocks_keeps_the_stream(monkeypatch):
+    # cell:h1:2,21 has a central involution, so C_G(a) = G: a cap of five
+    # rows of |G| entries per base point splits its gather into blocks
+    g = _group("cell:h1:2,21", None)
+    table = element_table(g)
+    calls = _counting_closures(monkeypatch)
+    want = list(involution_triples(g))
+    closures = len(calls)
+    gathers = []
+    conjugates = permgrp.ElementTable.conjugates
+
+    def counted(self, i, by=None):
+        if isinstance(i, np.ndarray) and len(by) == table.n:
+            gathers.append(len(i))
+        return conjugates(self, i, by)
+
+    monkeypatch.setattr(permgrp.ElementTable, "conjugates", counted)
+    monkeypatch.setattr(mapcore, "CHAIN_CAP", 5 * table.n * len(table.base))
+    del calls[:]
+    assert list(involution_triples(g)) == want
+    assert len(calls) == closures
+    assert gathers == [5] * 8 + [3]  # the 43 involutions conjugated by the whole group
+
+
 def test_pgl2_7_census_tests_each_centralizer_orbit_once(pgl_groups, monkeypatch):
     # 490 candidates pass the order filter, in 55 C_G(a)-orbits
     g = pgl_groups["pgl7"]
     calls = _counting_closures(monkeypatch)
     assert len(classify_maps_for_group(g)) == 13
     assert len(calls) == 55
+
+
+@pytest.mark.parametrize("name", ["pgl7", "h2:3,5", "he3", "cell:h1:2,21"])
+def test_census_keeps_one_entry_per_generating_orbit(name, pgl_groups):
+    g = _group(name, pgl_groups)
+    triples = per_candidate_triples(g)[0]
+    firsts = [t for t in triples if t[6]]  # the first member of each generating orbit
+    kept = mapcore._generating_orbits(g)
+    stored = [(mn, key, weight) for mn, orbits in kept.items() for key, weight in orbits.items()]
+    assert len(stored) == len(firsts)
+    assert sorted(stored) == sorted((t[3:5], t[:3], t[5] * t[6]) for t in firsts)
+    # the weights of a type add up to its triples, each conjugate counted
+    want = {}
+    for t in triples:
+        want[t[3:5]] = want.get(t[3:5], 0) + t[5]
+    assert {mn: sum(orbits.values()) for mn, orbits in kept.items()} == want
+
+
+def test_wrong_orbit_size_fails_the_weight_check(pgl_groups, monkeypatch):
+    g = pgl_groups["pgl7"]
+    enumerate_triples = mapcore.involution_triples
+
+    def doubled(g, types=None):
+        for *t, size in enumerate_triples(g, types):
+            yield (*t, 2 * size)
+
+    monkeypatch.setattr(mapcore, "involution_triples", doubled)
+    with pytest.raises(ContractError, match=r"orbit of \d+ triples, \|Aut\| = 336"):
+        classify_maps_for_group(g)
+
+
+@pytest.mark.parametrize("name,want", [
+    ("h1:200", [(2, 200, 1, 1, 1, False)]),
+    ("cell:h1:2,99", [(2, 198, 1, 1, 1, False)]),
+])
+def test_h1_censuses_are_pinned(name, want):
+    g = resolve_group(name)[0]
+    got = [(c.m, c.n, c.chi, c.classes_of_type, c.duality_classes_of_type, c.self_dual)
+           for c in classify_maps_for_group(g)]
+    assert got == want
 
 
 @pytest.mark.parametrize("name", ["psl5", "pgl5", "pgl7", "h2:3,5", "h3:9"])

@@ -118,6 +118,10 @@ def check_table(g, seed=0):
         conjugates = t.conjugates(c).tolist()
         assert conjugates == [pos[pmul(pmul(pinv(y), x), y)] for y in elems], c
         assert t.class_labels()[c] == min(conjugates), c
+    # an index array of elements: one row of conjugates per element
+    cols, by = np.array(columns), np.array(columns[::2], dtype=np.intp)
+    assert t.conjugates(cols).tolist() == [t.conjugates(c).tolist() for c in columns]
+    assert t.conjugates(cols, by).tolist() == [t.conjugates(c)[by].tolist() for c in columns]
     for j, rows in rows_by_column.items():
         x = elems[j]
         got = t.right(j)[rows].tolist()
@@ -285,11 +289,14 @@ def test_automorphism_search_vs_brute_force(name):
 def test_aut_oracle_catches_first_generator_anchoring(name, monkeypatch):
     # planted fault: every candidate passes as the least of its orbit under
     # the centralizer, so only g1 is anchored and each coset of Inn(G)
-    # gives more than one map
+    # gives more than one map; the census gathers (an index array i, as
+    # find_triples runs them while _e9_d10 is built) are left alone
     conjugates = ElementTable.conjugates
 
     def unanchored(self, i, by=None):
-        return conjugates(self, i) if by is None else np.full(len(by), i)
+        if by is None or isinstance(i, np.ndarray):
+            return conjugates(self, i, by)
+        return np.full(len(by), i)
 
     monkeypatch.setattr(ElementTable, "conjugates", unanchored)
     build, n_out = _AUT_GROUPS[name]
