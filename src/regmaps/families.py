@@ -29,7 +29,6 @@ from .constructors import (
     build_module_extension,
     build_split_extension,
     build_wreath_c3,
-    find_triples,
     make_dihedral,
     make_field,
     make_pgl2,
@@ -711,19 +710,15 @@ def verify_corollary_table():
                 profile = g.element_orders()
                 if m not in profile or n not in profile:
                     continue
-                found = find_triples(g, m, n, limit=2)
-                if not found:
+                # the order and the numerology already fix chi; an empty
+                # census means the candidate has no triple of the type
+                classes = classify_maps_for_group(g, types={(m, n)})
+                if not classes:
                     continue
-                t = found[0]
-                if -t.chi != row.neg_chi:
-                    detail = f"chi = {t.chi}"
+                got = classes[0].duality_classes_of_type
+                if row.n_classes is not None and got != row.n_classes:
+                    detail = f"{got} classes, expected {row.n_classes}"
                     continue
-                if row.n_classes is not None:
-                    classes = classify_maps_for_group(g, types={(m, n)})
-                    got = classes[0].duality_classes_of_type if classes else 0
-                    if got != row.n_classes:
-                        detail = f"{got} classes, expected {row.n_classes}"
-                        continue
                 ok = True
                 break
             if not ok and not detail:

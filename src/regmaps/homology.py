@@ -2,15 +2,15 @@
 
 For a star triple (a, b, c) on G and a full triangle group
 D = D(2, M, N) = <A, B, C | A^2, B^2, C^2, (AC)^2, (AB)^M, (BC)^N>
-with M, N multiples of (ord(ab), ord(bc)), the kernel K of the obvious
-epimorphism D -> G has coset table equal to the Cayley graph of G, read
-off G's element table.  Reidemeister-Schreier then presents K on 2|G| + 1
-generators (spanning-tree generators eliminated).  Each relator's period
-word acts on the cosets as right multiplication by one element, so its
-cycles share one length, that element's order; every cycle is traced at
-once on integer arrays.  The abelianized relation matrix, kept as sparse
-rows, yields K/K' by Smith normal form and the mod-r kernel dimension by
-mod-p rank.
+with M, N positive multiples of (ord(ab), ord(bc)), the kernel K of the
+obvious epimorphism D -> G has coset table equal to the Cayley graph of
+G, read off G's element table.  Reidemeister-Schreier then presents K on
+2|G| + 1 generators (spanning-tree generators eliminated).  Each
+relator's period word acts on the cosets as right multiplication by one
+element, so its cycles share one length, that element's order; every
+cycle is traced at once on integer arrays.  The abelianized relation
+matrix, kept as sparse rows, yields K/K' by Smith normal form and the
+mod-r kernel dimension by mod-p rank.
 
 A smooth target (M, N) = (m, n) realizes the surface group: K/K' is
 C2 x Z^(1-chi).  The branched target (rm, rn) gives the elementary-abelian
@@ -31,10 +31,7 @@ from .permgrp import _indices, element_table
 
 __all__ = [
     "TriangleTarget",
-    "CosetTable",
     "KernelPresentation",
-    "cayley_coset_table",
-    "reidemeister_schreier",
     "kernel_presentation",
     "kernel_abelianization",
     "branched_target",
@@ -59,37 +56,9 @@ class TriangleTarget:
         two, M, N = self.delta_type
         if two != 2:
             raise ParameterError("delta type must be (2, M, N)")
-        if M % self.triple.m or N % self.triple.n:
-            raise ParameterError(
-                f"(M, N) = ({M}, {N}) must be multiples of ({self.triple.m}, {self.triple.n})"
-            )
-
-
-@dataclass
-class CosetTable:
-    """Cayley action of G on itself via the epimorphism, plus a BFS
-    spanning tree (edge label order A < B < C)."""
-
-    index: int
-    actions: tuple  # three tuples: right multiplication by a, b, c
-    tree_edge: frozenset  # {(parent, label)} of tree edges, the eliminated gens
-
-
-def cayley_coset_table(t: TriangleTarget) -> CosetTable:
-    """The coset table of K in D: the Cayley graph of G, for |G| at most
-    COSET_CAP, with the BFS tree that scans the edges A < B < C."""
-    g = t.triple.group
-    order = g.order()
-    if order > COSET_CAP:
-        raise ResourceError(f"coset table budget is {COSET_CAP}, |G| = {order}")
-    table = element_table(g)
-    gens = _indices(table, (t.triple.a, t.triple.b, t.triple.c))
-    actions = tuple(tuple(table.right(j).tolist()) for j in gens)
-    return CosetTable(
-        index=order,
-        actions=actions,
-        tree_edge=frozenset((src, slot) for _dst, src, slot in table.bfs_schedule(gens)),
-    )
+        m, n = self.triple.m, self.triple.n
+        if M <= 0 or N <= 0 or M % m or N % n:
+            raise ParameterError(f"(M, N) = ({M}, {N}) must be positive multiples of ({m}, {n})")
 
 
 @dataclass
@@ -99,15 +68,15 @@ class KernelPresentation:
     n_generators: int
     relation_matrix: IntMatrix
     genus_g: int
-    branch_u: int
     delta_type: tuple
 
 
-def reidemeister_schreier(
-    table: CosetTable, delta_type: tuple, dedupe: bool = True
-) -> KernelPresentation:
-    """Abelianized relation matrix of the kernel.
+def kernel_presentation(t: TriangleTarget) -> KernelPresentation:
+    """Abelianized relation matrix of the kernel K of D(2, M, N) -> G.
 
+    The coset table of K in D is the Cayley graph of G, for |G| at most
+    COSET_CAP: the ``right`` columns of a, b and c in G's element table,
+    with the BFS tree of ``bfs_schedule`` (labels scanned A < B < C).
     Schreier generators are indexed by (coset, label); the |G| - 1 tree
     edges are eliminated, leaving 2|G| + 1 columns.  Each relator of
     D(2, M, N), conjugated by each coset representative, is rewritten; the
@@ -120,17 +89,19 @@ def reidemeister_schreier(
     Pointer doubling labels each start with its cycle's least coset, the
     (cycle, column) pairs of P's letters from every start are counted by
     ``np.unique``, and a cycle's row is its counts times e / L, so the work
-    does not grow with e.  dedupe=True gives one row per cycle, in the
-    order of its least coset; dedupe=False gives each start the row of its
-    cycle (starts on one cycle abelianize identically).
+    does not grow with e.  Starts on one cycle abelianize identically, so
+    each cycle gives one row, in the order of its least coset.
     """
-    two, M, N = delta_type
-    if two != 2:
-        raise ParameterError("delta type must be (2, M, N)")
-    n = table.index
-    acts = np.array(table.actions, dtype=np.intp).reshape(3, n)
+    _two, M, N = t.delta_type
+    g = t.triple.group
+    n = g.order()
+    if n > COSET_CAP:
+        raise ResourceError(f"coset table budget is {COSET_CAP}, |G| = {n}")
+    table = element_table(g)
+    gens = _indices(table, (t.triple.a, t.triple.b, t.triple.c))
+    acts = np.array([table.right(j) for j in gens], dtype=np.intp)
     free = np.ones((3, n), dtype=bool)
-    src, lab = np.array(list(table.tree_edge), dtype=np.intp).reshape(-1, 2).T
+    _dst, src, lab = np.array(table.bfs_schedule(gens), dtype=np.intp).reshape(-1, 3).T
     free[lab, src] = False
     n_gens = int(free.sum())
     if n_gens != 2 * n + 1:
@@ -165,31 +136,16 @@ def reidemeister_schreier(
         for key, v in zip(pairs.tolist(), count.tolist()):
             cyc, j = divmod(key, n_gens)
             cycle_rows[cyc][j] = v * (exponent // lengths[cyc])
-        rows += cycle_rows if dedupe else [cycle_rows[c] for c in cycle_of.tolist()]
+        rows += cycle_rows
 
-    matrix = IntMatrix.from_sparse(n_gens, rows)
-
-    # base-map data from the traced cycles: ord(ab) | M, ord(bc) | N, then
-    # chi, genus and the branch-point count
-    m, n_ord = orders[(0, 1)], orders[(1, 2)]
-    chi = euler_characteristic(n, m, n_ord)
-    branched = (M, N) != (m, n_ord)
-    u = (n // (2 * n_ord) + n // (2 * m)) if branched else 0
+    # ord(ab) | M and ord(bc) | N from the traced cycles give chi and the genus
+    chi = euler_characteristic(n, orders[(0, 1)], orders[(1, 2)])
     return KernelPresentation(
         n_generators=n_gens,
-        relation_matrix=matrix,
+        relation_matrix=IntMatrix.from_sparse(n_gens, rows),
         genus_g=2 - chi,
-        branch_u=u,
-        delta_type=delta_type,
+        delta_type=t.delta_type,
     )
-
-
-def kernel_presentation(t: TriangleTarget) -> KernelPresentation:
-    """Coset table plus rewriting in one step, with each relator cycle
-    emitted once; ``reidemeister_schreier`` also gives the undeduplicated
-    matrix."""
-    table = cayley_coset_table(t)
-    return reidemeister_schreier(table, t.delta_type)
 
 
 def kernel_abelianization(pres: KernelPresentation) -> SnfResult:

@@ -595,13 +595,14 @@ def hom_from_generator_images(group: PermGroup, images):
     """Try to extend generator -> image, one image per generator of
     ``group``, to a homomorphism into the permutations of the images' degree.
 
-    Returns the dict element -> image, or None if the assignment is
-    inconsistent.  Images of different degrees are a ParameterError.  The
-    order of ``group`` is read first: more elements than ``_hom_room``, the
-    budget of ``PermGroup.elements()`` for elements and images, is a
-    ``ResourceError``.  The images are composed as tuples along the BFS tree
-    of ``ElementTable.generator_tree``, and every edge off that tree is
-    checked once (Holt, Eick and O'Brien, 2005, sec. 4.6).
+    Returns the list of images, in ``element_table(group)`` index order, or
+    None if the assignment is inconsistent.  Images of different degrees
+    are a ParameterError.  The order of ``group`` is read first: more
+    elements than ``_hom_room``, the budget of ``PermGroup.elements()`` for
+    elements and images, is a ``ResourceError``.  The images are composed
+    as tuples along the BFS tree of ``ElementTable.generator_tree``, and
+    every edge off that tree is checked once (Holt, Eick and O'Brien, 2005,
+    sec. 4.6).
     """
     if len(images) != len(group.generators):
         raise ParameterError("need one image per generator")
@@ -617,7 +618,7 @@ def hom_from_generator_images(group: PermGroup, images):
     for img, (srcs, dsts) in zip(images, off_tree):
         if any(pmul(f[x], img) != f[y] for x, y in zip(srcs.tolist(), dsts.tolist())):
             return None
-    return dict(zip(t.perms(np.arange(t.n)), f))
+    return f
 
 
 def _base_lookups(arr):

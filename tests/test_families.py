@@ -248,15 +248,15 @@ def test_scan_excludes_q13_and_q9():
 
 def test_corollary_table_propagates_bugs(monkeypatch):
     def fail(exc):
-        def find_triples(*args, **kwargs):
+        def classify_maps_for_group(*args, **kwargs):
             raise exc
-        return find_triples
+        return classify_maps_for_group
 
     # a library error is a failed row; anything else is a bug and propagates
     monkeypatch.setattr(families, "COROLLARY_ROWS", families.COROLLARY_ROWS[:1])
-    monkeypatch.setattr(families, "find_triples", fail(ContractError("no triple")))
+    monkeypatch.setattr(families, "classify_maps_for_group", fail(ContractError("no triple")))
     [row] = verify_corollary_table()
     assert not row["ok"] and row["detail"] == "ContractError: no triple"
-    monkeypatch.setattr(families, "find_triples", fail(RuntimeError("bug")))
+    monkeypatch.setattr(families, "classify_maps_for_group", fail(RuntimeError("bug")))
     with pytest.raises(RuntimeError, match="bug"):
         verify_corollary_table()

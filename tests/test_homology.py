@@ -8,26 +8,23 @@ from regmaps.errors import ContractError, ParameterError
 from regmaps.homology import (
     TriangleTarget,
     branched_rank_check,
-    cayley_coset_table,
     cover_characteristic,
     cover_exponent,
     kernel_abelianization,
     kernel_presentation,
-    reidemeister_schreier,
 )
-from regmaps.mapcore import verify_star_group
+from regmaps.mapcore import MapTriple, map_counts, verify_star_group
 from regmaps.permgrp import PermGroup, pinv, pmul
 
 
 def test_coset_table_sizes(pgl_groups):
+    # the |G| - 1 tree edges of the 3|G| Schreier generators are eliminated
     t = find_triples(pgl_groups["pgl5"], 5, 4)[0]
-    table = cayley_coset_table(TriangleTarget(t, (2, 5, 4)))
-    assert table.index == 120
-    assert len(table.tree_edge) == 119
+    assert kernel_presentation(TriangleTarget(t, (2, 5, 4))).n_generators == 2 * 120 + 1
     h1 = build_h1(2)
-    assert cayley_coset_table(TriangleTarget(h1, (2, 2, 2))).index == 4
+    assert kernel_presentation(TriangleTarget(h1, (2, 2, 2))).n_generators == 2 * 4 + 1
     t38 = find_triples(pgl_groups["pgl7"], 3, 8)[0]
-    assert cayley_coset_table(TriangleTarget(t38, (2, 3, 8))).index == 336
+    assert kernel_presentation(TriangleTarget(t38, (2, 3, 8))).n_generators == 2 * 336 + 1
 
 
 def _pmul_coset_table(t):
@@ -54,12 +51,6 @@ def _pmul_coset_table(t):
     return actions, frozenset(edges)
 
 
-def test_coset_table_matches_permutation_products(pgl_groups):
-    t = TriangleTarget(find_triples(pgl_groups["pgl7"], 3, 8)[0], (2, 3, 8))
-    table = cayley_coset_table(t)
-    assert (table.actions, table.tree_edge) == _pmul_coset_table(t)
-
-
 def test_target_validation(pgl_groups):
     t = find_triples(pgl_groups["pgl5"], 5, 4)[0]
     with pytest.raises(ParameterError):
@@ -68,18 +59,23 @@ def test_target_validation(pgl_groups):
         TriangleTarget(t, (3, 5, 4))
 
 
+@pytest.mark.parametrize("delta", [(2, 0, 4), (2, -5, 4), (2, 5, 0), (2, 5, -4)])
+def test_target_exponents_must_be_positive(pgl_groups, delta):
+    # 0 and -5 are multiples of m = 5, but no triangle-group exponents
+    t = find_triples(pgl_groups["pgl5"], 5, 4)[0]
+    with pytest.raises(ParameterError, match="positive multiples"):
+        TriangleTarget(t, delta)
+
+
 def test_presentation_shape(pgl_groups):
     t = find_triples(pgl_groups["pgl5"], 5, 4)[0]
-    table = cayley_coset_table(TriangleTarget(t, (2, 5, 4)))
-    pres = reidemeister_schreier(table, (2, 5, 4), dedupe=False)
+    pres = kernel_presentation(TriangleTarget(t, (2, 5, 4)))
     assert pres.n_generators == 2 * 120 + 1
-    assert pres.relation_matrix.rows == 6 * 120
-    deduped = reidemeister_schreier(table, (2, 5, 4))
-    assert deduped.relation_matrix.rows < pres.relation_matrix.rows
+    # one row per relator cycle: A, B, C and AC act as involutions, AB and
+    # BC as right multiplication by elements of orders 5 and 4
+    assert pres.relation_matrix.rows == 4 * (120 // 2) + 120 // 5 + 120 // 4
     assert pres.genus_g == 2 - t.chi
-    assert deduped.branch_u == 0
-    branched = reidemeister_schreier(table, (2, 15, 12))
-    assert branched.branch_u == 27  # V + F of the base map
+    assert map_counts(t).u == 27  # V + F of the base map
 
 
 def test_smooth_kernel_projective_plane():
@@ -141,9 +137,9 @@ def test_branched_tree_order_invariance(pgl_groups):
     copies = [t, t.dual(), _relabelled(t, 1), _relabelled(t.dual(), 2)]
     trees, dims = [], set()
     for copy in copies:
-        table = cayley_coset_table(TriangleTarget(copy, (2, 3 * copy.m, 3 * copy.n)))
-        trees.append(table.tree_edge)
-        pres = reidemeister_schreier(table, (2, 3 * copy.m, 3 * copy.n))
+        target = TriangleTarget(copy, (2, 3 * copy.m, 3 * copy.n))
+        trees.append(_pmul_coset_table(target)[1])
+        pres = kernel_presentation(target)
         dims.add(pres.n_generators - mod_p_rank(pres.relation_matrix, 3))
     assert dims == {31}
     assert len(set(trees)) == len(copies)
@@ -192,21 +188,24 @@ def test_smooth_kernel_soluble_group():
     assert snf.torsion() == (2,) and snf.free_rank == 8
 
 
-def _full_word_matrix(table, delta_type, dedupe):
+def _full_word_matrix(t):
     """Sparse rows of the relation matrix from tracing every relator word
-    in full (length up to 2 * exponent * |period|) from each start."""
-    _two, M, N = delta_type
-    n, acts = table.index, table.actions
+    in full (length up to 2 * exponent * |period|) on the reference table
+    of ``_pmul_coset_table``, one row per relator cycle from its least
+    coset."""
+    _two, M, N = t.delta_type
+    acts, tree = _pmul_coset_table(t)
+    n = len(acts[0])
     col_of = {}
     for lab in range(3):
         for i in range(n):
-            if (i, lab) not in table.tree_edge:
+            if (i, lab) not in tree:
                 col_of[(i, lab)] = len(col_of)
     rows = []
     for period, exponent in (((0,), 2), ((1,), 2), ((2,), 2), ((0, 2), 2), ((0, 1), M), ((1, 2), N)):
         seen = [False] * n
         for s in range(n):
-            if dedupe and seen[s]:
+            if seen[s]:
                 continue
             row, c = {}, s
             for _ in range(exponent):
@@ -225,21 +224,23 @@ def _full_word_matrix(table, delta_type, dedupe):
     "group,m,n", [("pgl5", 5, 4), ("pgl7", 3, 8), ("pgl9", 5, 8), ("psl13", 3, 7)]
 )
 def test_scaled_cycle_rows_match_full_words(pgl_groups, group, m, n):
+    # the reference table numbers the sorted elements by permutation
+    # products, so the matrices agree only if the element table, its BFS
+    # tree and the column numbering all do
     t = find_triples(pgl_groups[group], m, n)[0]
     for r in (3, 5, 7):
-        delta = (2, r * m, r * n)
-        table = cayley_coset_table(TriangleTarget(t, delta))
-        for dedupe in (True, False) if r == 3 else (True,):
-            mat = reidemeister_schreier(table, delta, dedupe).relation_matrix
-            assert (mat.cols, list(mat.sparse)) == _full_word_matrix(table, delta, dedupe)
+        target = TriangleTarget(t, (2, r * m, r * n))
+        mat = kernel_presentation(target).relation_matrix
+        assert (mat.cols, list(mat.sparse)) == _full_word_matrix(target)
 
 
-@pytest.mark.parametrize("dedupe", [True, False])
-def test_relator_cycle_must_divide_exponent(pgl_groups, dedupe):
+def test_relator_cycle_must_divide_exponent(pgl_groups):
+    # a triple that claims ord(ab) = 4 passes the target check, but the
+    # traced AB cycles have length 3
     t = find_triples(pgl_groups["psl13"], 3, 7)[0]
-    table = cayley_coset_table(TriangleTarget(t, (2, 3, 7)))
-    with pytest.raises(ContractError):
-        reidemeister_schreier(table, (2, 3 + 1, 7), dedupe)
+    liar = MapTriple(t.group, t.a, t.b, t.c, 4, t.n, t.chi)
+    with pytest.raises(ContractError, match="does not divide"):
+        kernel_presentation(TriangleTarget(liar, (2, 4, 7)))
 
 
 def test_smooth_and_branched_kernel_psl13(pgl_groups):
