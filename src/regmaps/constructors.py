@@ -70,7 +70,6 @@ __all__ = [
 ]
 
 CELL_DEGREE_CAP = 1_000_000
-SPLIT_KERNEL_CAP = 2000  # order of the kernel V of a split extension V x| D
 
 
 # ---------------------------------------------------------------------------
@@ -252,22 +251,14 @@ class ProjectiveLine:
     def moebius_perm(self, a, b, c, d):
         """Permutation of the q+1 points induced by x -> (ax+b)/(cx+d)."""
         F = self.ctx
-        det = F.sub(F.mul(a, d), F.mul(b, c))
-        if det == F.zero:
+        if F.sub(F.mul(a, d), F.mul(b, c)) == F.zero:
             raise ParameterError("matrix is singular")
-        elems = F.elements()
-        index = {x: 1 + i for i, x in enumerate(elems)}
-        images = [0] * (F.q + 1)
-        # image of infinity: (a : c)
-        images[0] = 0 if c == F.zero else index[F.mul(a, F.inv(c))]
-        for i, x in enumerate(elems):
-            num = F.add(F.mul(a, x), b)
-            den = F.add(F.mul(c, x), d)
-            if den == F.zero:
-                images[1 + i] = 0
-            else:
-                images[1 + i] = index[F.mul(num, F.inv(den))]
-        return tuple(images)
+
+        def point(num, den):  # the index of (num : den)
+            return 0 if den == F.zero else 1 + _vec_index(F.mul(num, F.inv(den)), F.p)
+
+        finite = (point(F.add(F.mul(a, x), b), F.add(F.mul(c, x), d)) for x in F.elements())
+        return (point(a, c), *finite)  # infinity goes to (a : c)
 
 
 def make_pgl2(ctx: FieldCtx, kind: str) -> PermGroup:
@@ -276,12 +267,15 @@ def make_pgl2(ctx: FieldCtx, kind: str) -> PermGroup:
     PSL is generated by the upper unipotents [[1, x^i], [0, 1]] and the
     Weyl element [[0, -1], [1, 0]] (all determinant-square); PGL adds
     diag(nu, 1) for the least non-square nu.  The group carries its order,
-    q(q^2 - 1) for PGL and half that for PSL (q is odd).
+    q(q^2 - 1) for PGL and half that for PSL (q is odd).  A degree q + 1
+    above CELL_DEGREE_CAP is refused before any permutation is built.
     """
     if kind not in ("psl", "pgl"):
         raise ParameterError(f"kind must be 'psl' or 'pgl', got {kind!r}")
     if ctx.q < 5:
         raise ParameterError(f"need q >= 5, got {ctx.q}")
+    if ctx.q + 1 > CELL_DEGREE_CAP:
+        raise ResourceError(f"projective line degree {ctx.q + 1} exceeds {CELL_DEGREE_CAP}")
     F = ctx
     line = ProjectiveLine(F)
     one, zero = F.one, F.zero
@@ -717,9 +711,10 @@ def search_module_actions(acting: PermGroup, p: int, k: int):
 
 def regular_form(g: PermGroup) -> PermGroup:
     """g in its right-regular action: point i is the i-th of g's sorted
-    elements.  |g| is budgeted before anything is enumerated."""
-    if g.order() > SPLIT_KERNEL_CAP:
-        raise ResourceError(f"order {g.order()} exceeds the split budget {SPLIT_KERNEL_CAP}")
+    elements.  Its element list, |g|^2 entries, is refused above CHAIN_CAP
+    from the order, before anything is enumerated."""
+    if g.order() ** 2 > CHAIN_CAP:
+        raise ResourceError(f"regular form budget is {CHAIN_CAP} entries (|V| x |V|): |V| = {g.order()}")
     t = element_table(g)
     return PermGroup(t.n, [tuple(t.right(j).tolist()) for j in t.gen_indices], order=t.n)
 
@@ -727,14 +722,23 @@ def regular_form(g: PermGroup) -> PermGroup:
 def _automorphisms(v: PermGroup):
     """The regular form of v, then Aut(v) in the order of
     ``automorphism_perm_group`` and its generators (the coset maps of the
-    search, the conjugations by v's generators) as integer array rows."""
+    search, the conjugations by v's generators) as integer array rows.
+    Inner automorphisms take one row each; the |Aut(v)| x |v| listing is
+    refused above CHAIN_CAP before it is allocated."""
     reg, t = regular_form(v), element_table(v)
     outer = np.array(t.automorphism_index_maps(t.gen_indices))
-    inner = np.array([t.conjugation(y) for y in range(t.n)], dtype=np.int32)
+    count = t.automorphism_count(outer)
+    if count * t.n > CHAIN_CAP:
+        raise ResourceError(f"Aut(V) listing budget is {CHAIN_CAP} entries (automorphisms x |V|):"
+                            f" {count} x {t.n}")
+    ys = t.conjugates(np.array(t.gen_indices, dtype=np.intp)).T  # row y: each generator's y^-1 g y
+    _, reps = np.unique(ys, axis=0, return_index=True)  # one y per inner automorphism
+    inner = np.array([t.conjugation(y) for y in reps], dtype=np.int32)
     maps = np.concatenate([inner[:, f] for f in outer])
     _, first = np.unique(maps[:, t.gen_indices], axis=0, return_index=True)
     dtype = np.min_scalar_type(t.n - 1)
-    return reg, maps[first].astype(dtype), np.concatenate([outer, inner[t.gen_indices]]).astype(dtype)
+    conj = [t.conjugation(j) for j in t.gen_indices]
+    return reg, maps[first].astype(dtype), np.vstack([outer, *conj]).astype(dtype)
 
 
 def automorphism_perm_group(v: PermGroup):

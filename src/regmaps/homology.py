@@ -25,7 +25,7 @@ from math import lcm
 import numpy as np
 
 from .algebra import IntMatrix, SnfResult, mod_p_rank, smith_normal_form, is_prime
-from .errors import ContractError, ParameterError, ResourceError
+from .errors import ContractError, ParameterError
 from .mapcore import MapTriple, euler_characteristic, map_counts
 from .permgrp import _indices, element_table
 
@@ -39,10 +39,7 @@ __all__ = [
     "branched_rank_check",
     "cover_characteristic",
     "cover_exponent",
-    "COSET_CAP",
 ]
-
-COSET_CAP = 2000
 
 
 @dataclass(frozen=True)
@@ -74,9 +71,10 @@ class KernelPresentation:
 def kernel_presentation(t: TriangleTarget) -> KernelPresentation:
     """Abelianized relation matrix of the kernel K of D(2, M, N) -> G.
 
-    The coset table of K in D is the Cayley graph of G, for |G| at most
-    COSET_CAP: the ``right`` columns of a, b and c in G's element table,
-    with the BFS tree of ``bfs_schedule`` (labels scanned A < B < C).
+    The coset table of K in D is the Cayley graph of G: the ``right``
+    columns of a, b and c in G's element table, with the BFS tree of
+    ``bfs_schedule`` (labels scanned A < B < C), whose budgets are the only
+    ones: every array built here has O(|G|) entries.
     Schreier generators are indexed by (coset, label); the |G| - 1 tree
     edges are eliminated, leaving 2|G| + 1 columns.  Each relator of
     D(2, M, N), conjugated by each coset representative, is rewritten; the
@@ -93,11 +91,8 @@ def kernel_presentation(t: TriangleTarget) -> KernelPresentation:
     each cycle gives one row, in the order of its least coset.
     """
     _two, M, N = t.delta_type
-    g = t.triple.group
-    n = g.order()
-    if n > COSET_CAP:
-        raise ResourceError(f"coset table budget is {COSET_CAP}, |G| = {n}")
-    table = element_table(g)
+    table = element_table(t.triple.group)
+    n = table.n
     gens = _indices(table, (t.triple.a, t.triple.b, t.triple.c))
     acts = np.array([table.right(j) for j in gens], dtype=np.intp)
     free = np.ones((3, n), dtype=bool)

@@ -1,6 +1,6 @@
-import dataclasses
 import re
 import time
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -11,6 +11,7 @@ from regmaps.algebra import IntMatrix, det_bareiss
 from regmaps.constructors import (
     SemidirectSpec,
     ModuleExtensionSpec,
+    ProjectiveLine,
     automorphism_perm_group,
     build_h1,
     build_h2,
@@ -544,10 +545,46 @@ def test_aut_he3():
 
 
 def test_split_kernel_budget_refuses_before_enumerating():
+    # the regular form of S7 would list 5040^2 entries, over CHAIN_CAP
     s7 = PermGroup(7, [(1, 2, 3, 4, 5, 6, 0), (1, 0, 2, 3, 4, 5, 6)])
-    with pytest.raises(ResourceError, match="split budget"):
+    message = f"regular form budget is {CHAIN_CAP} entries (|V| x |V|): |V| = 5040"
+    with pytest.raises(ResourceError, match=re.escape(message)):
         search_split_actions(s7, make_dihedral(2))
     assert s7._elements is None
+
+
+def test_aut_listing_budget_counts_automorphisms_times_order(monkeypatch):
+    # |Aut(He3)| x |He3| = 432 x 27 entries; |He3|^2 = 729 is within both caps
+    monkeypatch.setattr(constructors, "CHAIN_CAP", 432 * 27)
+    assert len(automorphism_perm_group(build_heisenberg())[1]) == 432
+    monkeypatch.setattr(constructors, "CHAIN_CAP", 432 * 27 - 1)
+    message = "Aut(V) listing budget is 11663 entries (automorphisms x |V|): 432 x 27"
+    with pytest.raises(ResourceError, match=re.escape(message)):
+        automorphism_perm_group(build_heisenberg())
+
+
+def test_aut_listing_keeps_one_row_per_inner_automorphism():
+    # C_211 is abelian: one inner row, not 211 rows per outer map
+    c211 = PermGroup(211, [tuple((i + 1) % 211 for i in range(211))])
+    c211.order()
+    tracemalloc.start()
+    try:
+        _, auts = automorphism_perm_group(c211)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(auts) == 210 and len(set(auts)) == 210
+    assert peak < 10 * 2 ** 20
+
+
+def test_projective_line_degree_is_refused_before_anything_is_built(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a Moebius permutation was built")
+
+    monkeypatch.setattr(ProjectiveLine, "moebius_perm", unreachable)
+    # 97^4 + 1 points is over CELL_DEGREE_CAP
+    with pytest.raises(ResourceError, match="projective line degree 88529282 exceeds 1000000"):
+        make_pgl2(make_field(97, 4), "pgl")
 
 
 def _on_pgl31(call):
@@ -563,11 +600,15 @@ def _find_triples_s9():
     return s9, lambda: find_triples(s9, 3, 4)
 
 
-def _kernel_pgl13():
-    t = find_triples(make_pgl2(make_field(13, 1), "pgl"), 13, 14, limit=1)[0]
-    fresh = PermGroup(t.group.degree, t.group.generators)
-    target = TriangleTarget(dataclasses.replace(t, group=fresh), (2, 13, 14))
-    return fresh, lambda: kernel_presentation(target)
+def _kernel_pgl31():
+    F = make_field(31, 1)
+    g, line = make_pgl2(F, "pgl"), ProjectiveLine(F)
+    one, zero, neg = F.one, F.zero, F.neg(F.one)
+    a = line.moebius_perm(neg, zero, zero, one)  # x -> -x
+    b = line.moebius_perm(one, one, F.add(one, one), neg)  # x -> (x + 1) / (2x - 1)
+    c = line.moebius_perm(zero, one, one, zero)  # x -> 1 / x
+    t = verify_star_group(g, a, b, c)  # {32, 6}, proved on a Schreier-Sims chain
+    return g, lambda: kernel_presentation(TriangleTarget(t, (2, t.m, t.n)))
 
 
 PGL31_REFUSAL = "element budget is 20000, group has order 29760"
@@ -579,7 +620,7 @@ PGL31_REFUSAL = "element budget is 20000, group has order 29760"
         (_on_pgl31(lambda g: count_automorphisms(g, g.generators)), PGL31_REFUSAL),
         (_find_triples_s9, "element budget is 20000, group has order 362880"),
         (_on_pgl31(lambda g: find_triples(g, 3, 8)), PGL31_REFUSAL),
-        (_kernel_pgl13, "coset table budget is 2000, |G| = 2184"),
+        (_kernel_pgl31, PGL31_REFUSAL),
         (_on_pgl31(element_table), PGL31_REFUSAL),
         (_on_pgl31(classify_maps_for_group), PGL31_REFUSAL),
     ],

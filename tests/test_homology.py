@@ -3,7 +3,7 @@ import random
 import pytest
 
 from regmaps.algebra import mod_p_rank
-from regmaps.constructors import build_h1, find_triples
+from regmaps.constructors import build_h1, find_triples, make_field, make_pgl2
 from regmaps.errors import ContractError, ParameterError
 from regmaps.homology import (
     TriangleTarget,
@@ -255,3 +255,16 @@ def test_branched_rank_large_r(pgl_groups):
     # the rewrite traces each relator cycle once, so r only scales entries
     t = find_triples(pgl_groups["pgl5"], 5, 4)[0]
     assert branched_rank_check(t, 1000003) == (31, 31, True)
+
+
+@pytest.mark.parametrize(
+    "kind, q, m, rank",
+    [("pgl", 13, 14, 547), ("psl", 17, 17, 613)],
+    ids=["pgl13", "psl17"],
+)
+def test_kernel_homology_above_two_thousand(kind, q, m, rank):
+    # |G| = 2184 and 2448: the element table is the presentation's only budget
+    t = find_triples(make_pgl2(make_field(q, 1), kind), m, m, limit=1)[0]
+    snf = kernel_abelianization(kernel_presentation(TriangleTarget(t, (2, m, m))))
+    assert snf.torsion() == (2,) and snf.free_rank == 1 - t.chi
+    assert branched_rank_check(t, 3) == (rank, rank, True)
