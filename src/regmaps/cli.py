@@ -28,6 +28,7 @@ from .constructors import (
     find_triples,
     make_field,
     make_pgl2,
+    pgl2_order,
     psl2_membership,
 )
 from .errors import ContractError, ParameterError, RegmapsError
@@ -49,7 +50,7 @@ from .mapcore import (
     map_counts,
     verify_structural_lemmas,
 )
-from .permgrp import cycles
+from .permgrp import check_element_budget, cycles
 
 DESCRIPTOR_HELP = (
     "group descriptors: pgl2:q | psl2:q | h1:L | h2:j,k | h3:L | he3 | wr3 | "
@@ -69,17 +70,27 @@ def _ints(text: str, desc: str, count: int, sep: str = ","):
     raise ParameterError(f"malformed {desc!r}; {DESCRIPTOR_HELP}")
 
 
+def _projective(desc: str):
+    """(field, kind) of a pgl2:q / psl2:q descriptor; no group is built."""
+    (q,) = _ints(desc[5:], desc, 1)
+    pp = PrimePower.of(q)
+    return make_field(pp.p, pp.e), desc[:3]  # 'pgl' / 'psl'
+
+
 def resolve_group(desc: str):
-    """Descriptor -> (PermGroup, MapTriple or None)."""
+    """Descriptor -> (PermGroup, MapTriple or None).
+
+    Every command lists the elements of its group, so a pgl2:q or psl2:q
+    over the element budget is refused from its order, q(q^2 - 1) or half
+    that, before any generator is built (``check_element_budget``)."""
     if desc == "he3":
         return build_heisenberg(), None
     if desc == "wr3":
         return build_wreath_c3(), None
-    if desc.startswith("pgl2:") or desc.startswith("psl2:"):
-        kind = desc[:4].replace("2", "")  # 'pgl' / 'psl'
-        (q,) = _ints(desc[5:], desc, 1)
-        pp = PrimePower.of(q)
-        return make_pgl2(make_field(pp.p, pp.e), kind), None
+    if desc.startswith(("pgl2:", "psl2:")):
+        ctx, kind = _projective(desc)
+        check_element_budget(pgl2_order(ctx.q, kind), ctx.q + 1)
+        return make_pgl2(ctx, kind), None
     if desc.startswith("h1:"):
         t = build_h1(*_ints(desc[3:], desc, 1))
         return t.group, t
@@ -100,7 +111,10 @@ def resolve_group(desc: str):
             raise ParameterError(
                 f"malformed modext file {path!r} ({type(exc).__name__}: {exc}); {DESCRIPTOR_HELP}"
             ) from exc
-        acting, _ = resolve_group(acting_desc)
+        if acting_desc.startswith(("pgl2:", "psl2:")):  # budgeted by its action walk
+            acting = make_pgl2(*_projective(acting_desc))
+        else:
+            acting, _ = resolve_group(acting_desc)
         spec = ModuleExtensionSpec(k=k, p=p, matrices=matrices)
         return build_module_extension(acting, spec), None
     if desc.startswith("cell:"):
@@ -115,6 +129,7 @@ def _resolve_cell(base_desc: str, ell: int, desc: str):
         q, m, n = _ints(base_desc[5:], desc, 3, sep=":")
         pp = PrimePower.of(q)
         ctx = make_field(pp.p, pp.e)
+        check_element_budget(pgl2_order(q, "pgl"), q + 1)
         triples = find_triples(make_pgl2(ctx, "pgl"), m, n, limit=64)
         h0 = psl2_membership(ctx)
         for t in triples:

@@ -48,6 +48,7 @@ __all__ = [
     "make_field",
     "ProjectiveLine",
     "make_pgl2",
+    "pgl2_order",
     "psl2_membership",
     "make_dihedral",
     "build_h1",
@@ -287,8 +288,13 @@ def make_pgl2(ctx: FieldCtx, kind: str) -> PermGroup:
     if kind == "pgl":
         nu = next(x for x in F.elements() if x != zero and not F.is_square(x))
         gens.append(line.moebius_perm(nu, zero, zero, one))
-    order = F.q * (F.q ** 2 - 1)
-    return PermGroup(F.q + 1, gens, order=order if kind == "pgl" else order // 2)
+    return PermGroup(F.q + 1, gens, order=pgl2_order(F.q, kind))
+
+
+def pgl2_order(q: int, kind: str) -> int:
+    """|PGL2(q)| = q(q^2 - 1), and half that for PSL2(q) (q odd)."""
+    order = q * (q ** 2 - 1)
+    return order if kind == "pgl" else order // 2
 
 
 def psl2_membership(ctx: FieldCtx):

@@ -5,8 +5,10 @@ generated by involutions a, b, c with (ac)^2 = 1, ord(ab) = m, ord(bc) = n
 and <ab, bc> = G.  This module verifies candidate triples, computes the
 Euler characteristic and flag counts, checks the structural constraints
 that odd characteristic imposes, and provides the involution-triple
-enumerator behind both the triple search and the census up to Aut(G)
-used as a ground-truth oracle on small groups.  The census reads its
+candidates and their C_G(a)-orbits behind both the triple search (lazy,
+one closure test per orbit met) and the census up to Aut(G) (one batched
+closure test per class representative), the census being used as a
+ground-truth oracle on small groups.  The census reads its
 Aut(G)-orbits, and self-duality, off one automorphism per coset of
 Inn(G), in inner classes: each is kept once, as its least member whose
 first entry is a class representative, and no other triple is stored.
@@ -343,55 +345,72 @@ class CensusClass:
 
 def _conjugate_rows(table, xs, by) -> np.ndarray:
     """int32 [k, u]: the index of by[u]^-1 * xs[k] * by[u], gathered by
-    ``ElementTable.conjugates`` in row blocks of at most CHAIN_CAP
-    base-image entries (rows x |by| x base points)."""
+    ``ElementTable.conjugates`` in row blocks of at most CHAIN_CAP entries
+    held at once: for each row and u, the base images of xs[k], their intp
+    copy as an index and the base images of the conjugate, and the intp
+    code of ``_lookup``."""
     out = np.empty((len(xs), len(by)), dtype=np.int32)
-    step = max(1, CHAIN_CAP // (len(by) * len(table.base)))
+    step = max(1, CHAIN_CAP // (len(by) * (3 * len(table.base) + 1)))
     for start in range(0, len(xs), step):
         out[start:start + step] = table.conjugates(xs[start:start + step], by)
     return out
 
 
-def involution_triples(g: PermGroup, types=None):
-    """(2,m,n)*-triples on g whose a is an involution class representative.
+def _orbit_firsts(table, ia, invs, c_pos, keep):
+    """(label, firsts): the C_G(a)-orbits of the candidates ``keep`` [b, c]
+    of a = element ia, b over the involutions ``invs`` and c over
+    ``invs[c_pos]``.  They are marked in row-major order: ``firsts`` holds
+    the (rows, columns) of the first (least) member of each orbit,
+    ``label`` the number of its orbit on every candidate.  The orbits come
+    from one gather of x^y for every involution x and every y in C_G(a)."""
+    row_of = np.zeros(table.n, dtype=np.intp)
+    row_of[invs] = np.arange(invs.size)
+    col_of = np.zeros(table.n, dtype=np.intp)
+    col_of[invs[c_pos]] = np.arange(c_pos.size)
+    cent = np.flatnonzero(table.conjugates(ia) == ia)  # C_G(a)
+    orbit = _conjugate_rows(table, invs, cent)  # [x, y]: x^y
+    label = np.full(keep.shape, -1, dtype=np.int32)
+    firsts = []
+    # an orbit's first member lies in the row of the least b^y
+    lead = keep.any(axis=1) & (orbit.min(axis=1) == invs)
+    for i in np.flatnonzero(lead).tolist():
+        for j in np.flatnonzero(keep[i] & (label[i] < 0)).tolist():
+            if label[i, j] < 0:  # not in the orbit of an earlier j of this row
+                label[row_of[orbit[i]], col_of[orbit[c_pos[j]]]] = len(firsts)
+                firsts.append((i, j))
+    return label, np.array(firsts).T
 
-    Yields (ia, ib, ic, m, n, class_size, orbit_size) with indices into
-    element_table(g): a runs over the involution class representatives (the
-    least index of each class, from ``class_labels``), b over the
-    involutions in ascending index order, c in ascending index order over
-    the involutions with (ac)^2 = 1.  A candidate is kept when
-    (ord(ab), ord(bc)) is in ``types`` (None means every type with
-    2 <= m <= n) and <ab, bc> = G, which forces <a, b, c> = G and
-    non-orientability.  Every Aut(g)-orbit of triples meets this set, and a
-    triple with a fixed stands for class_size conjugate triples.
-    ord(ax) is read off the ``left`` column of a, ord(bc) off the ``right``
-    columns of the surviving c.  <ab, bc> = G takes one ``closure`` test
-    per C_G(a)-orbit of candidates: conjugating by y in C_G(a) fixes a,
-    keeps the orders and sends <ab, bc> to its conjugate, so the verdict
-    of the first candidate met is recorded for every (b^y, c^y) (Holt,
-    Eick and O'Brien, 2005, ch. 4).  The first candidate met is the least
-    of its orbit; it carries orbit_size, the orbit's |C_G(a) : Z(G)|
-    triples (C_G(a) meets the centralizer of a generating triple in
-    Z(G)), and every other member 0.  The orbits come from one gather per
-    representative with a candidate: the position of x^y among the
-    involutions, for every involution x and every y in C_G(a).
+
+def _candidate_orbits(table, types):
+    """The candidates (b, c) of each involution class representative a,
+    with their C_G(a)-orbits.
+
+    Yields (ia, class_size, orbit_size, invs, cs, ab, bc, keep, label,
+    firsts) for each representative with a candidate: a is the least index
+    of its class (``class_labels``), b runs over the involutions ``invs``
+    (rows), c over the involutions ``cs`` with (ac)^2 = 1 (columns),
+    ``ab[i]`` and ``bc[i, j]`` are the indices of a b_i and b_i c_j, and
+    ``keep`` marks the cells with (ord(ab), ord(bc)) in ``types`` (None
+    means every type with 2 <= m <= n).  Conjugating by y in C_G(a) fixes
+    a, keeps the orders and sends <ab, bc> to its conjugate, so a verdict
+    on <ab, bc> = G holds for the whole C_G(a)-orbit of (b, c): ``label``
+    and ``firsts`` are those orbits, from ``_orbit_firsts``.  A generating
+    orbit holds orbit_size = |C_G(a) : Z(G)| triples (C_G(a) meets the
+    centralizer of a generating triple in Z(G); Holt, Eick and O'Brien,
+    2005, ch. 4).
     """
-    table = element_table(g)
-    order_of, n_all = table.order_of, table.n
+    order_of = table.order_of
     invs = table.involution_indices()
-    inv_pos = np.full(n_all, -1, dtype=np.int32)
-    inv_pos[invs] = np.arange(invs.size)
     reps, sizes = np.unique(table.class_labels(), return_counts=True)
     n_center = int(np.count_nonzero(sizes == 1))
     for ia, class_size in zip(reps.tolist(), sizes.tolist()):
         if order_of[ia] != 2:
             continue
-        row_a = table.left(ia)  # a * x for every x
-        ord_ax = order_of[row_a[invs]]  # ord(ax) for each involution x
-        c_pos = np.flatnonzero(ord_ax <= 2)  # (ac)^2 = 1; a itself is one
+        ab = table.left(ia)[invs]  # a * x for each involution x
+        ms = order_of[ab][:, None]  # ord(ab), one row per b
+        c_pos = np.flatnonzero(ms[:, 0] <= 2)  # (ac)^2 = 1; a itself is one
         cs = invs[c_pos]
-        ms = ord_ax[:, None]  # ord(ab), one row per b
-        bc = np.stack([table.right(c)[invs] for c in cs.tolist()], axis=1)  # b * c
+        bc = table.product(invs[:, None], cs)  # b * c
         ns = order_of[bc]  # ord(bc), b by c
         if types is None:
             keep = (ms >= 2) & (ms <= ns)
@@ -399,55 +418,77 @@ def involution_triples(g: PermGroup, types=None):
             keep = np.zeros(ns.shape, dtype=bool)
             for m, n in types:
                 keep |= (ms == m) & (ns == n)
-        rows = np.flatnonzero(keep.any(axis=1))
-        if not rows.size:
-            continue
-        cent = np.flatnonzero(table.conjugates(ia) == ia)  # C_G(a)
-        orbit_size = n_all // (class_size * n_center)
-        orbit = inv_pos[_conjugate_rows(table, invs, cent)]  # [x, y]: position of x^y
-        c_col = np.full(invs.size, -1, dtype=np.intp)
-        c_col[c_pos] = np.arange(c_pos.size)  # position among the c
-        verdict = np.zeros(keep.shape, dtype=np.int8)  # 0 untested, 1 generates, -1 not
-        for i in rows.tolist():  # row-major: b, then c ascending
-            ib, m = int(invs[i]), int(ms[i, 0])
+        if keep.any():
+            label, firsts = _orbit_firsts(table, ia, invs, c_pos, keep)
+            orbit_size = table.n // (class_size * n_center)
+            yield ia, class_size, orbit_size, invs, cs, ab, bc, keep, label, firsts
+
+
+def involution_triples(g: PermGroup, types=None):
+    """(2,m,n)*-triples on g whose a is an involution class representative.
+
+    Yields (ia, ib, ic, m, n) with indices into element_table(g), in the
+    order of ``_candidate_orbits``: a over the involution class
+    representatives, then b, then c, each ascending.  A candidate is kept
+    when (ord(ab), ord(bc)) is in ``types`` (None means every type with
+    2 <= m <= n) and <ab, bc> = G, which forces <a, b, c> = G and
+    non-orientability.  Every Aut(g)-orbit of triples meets this set.
+    The test is lazy: one ``closure`` of a single pair for the first
+    member of each C_G(a)-orbit met, whose verdict holds for the orbit,
+    so a caller that stops early tests only the orbits it reached.
+    """
+    table = element_table(g)
+    order_of = table.order_of
+    for ia, _, _, invs, cs, ab, bc, keep, label, _ in _candidate_orbits(table, types):
+        verdict = {}
+        for i in np.flatnonzero(keep.any(axis=1)).tolist():
+            ib, m = int(invs[i]), int(order_of[ab[i]])
             for j in np.flatnonzero(keep[i]).tolist():
-                size = 0
-                if not verdict[i, j]:
-                    full = table.closure([int(row_a[ib]), int(bc[i, j])]).sum() == n_all
-                    verdict[orbit[i], c_col[orbit[c_pos[j]]]] = 1 if full else -1
-                    size = orbit_size
-                if verdict[i, j] > 0:
-                    yield ia, ib, int(cs[j]), m, int(ns[i, j]), class_size, size
+                k = label[i, j]
+                if k not in verdict:
+                    verdict[k] = table.closure([int(ab[i]), int(bc[i, j])]).all()
+                if verdict[k]:
+                    yield ia, ib, int(cs[j]), m, int(order_of[bc[i, j]])
 
 
 def _enumerated_triple(g: PermGroup, table, ia, ib, ic, m, n) -> MapTriple:
-    """The MapTriple of a triple that involution_triples yielded: its
-    involutions, (ac)^2 = 1, orders and closure test <ab, bc> = G are
-    the proof, so no Schreier-Sims chain is built for it."""
+    """The MapTriple of a triple that involution_triples or
+    _generating_orbits found: its involutions, (ac)^2 = 1, orders and
+    closure test <ab, bc> = G are the proof, so no Schreier-Sims chain is
+    built for it."""
     a, b, c = table.perms([ia, ib, ic])
     return MapTriple(g, a, b, c, m, n, euler_characteristic(table.n, m, n))
 
 
 def _generating_orbits(g: PermGroup, types=None):
     """(m, n) -> {first member (ia, ib, ic) of each generating C_G(a)-orbit
-    of that type, in enumerator order: the class_size x orbit_size triples
-    that its inner class holds}, from the involution_triples stream."""
-    firsts = {}
-    for ia, ib, ic, m, n, class_size, orbit_size in involution_triples(g, types):
-        if orbit_size:
-            firsts.setdefault((m, n), {})[(ia, ib, ic)] = class_size * orbit_size
-    return firsts
+    of that type, in the order of ``_candidate_orbits``: the class_size x
+    orbit_size triples that its inner class holds}.  The first members of
+    a representative's orbits are tested in one batched ``closure`` of
+    their (ab, bc) pairs; only the generating ones are kept."""
+    table = element_table(g)
+    order_of = table.order_of
+    out = {}
+    for ia, class_size, orbit_size, invs, cs, ab, bc, _, _, (i, j) in _candidate_orbits(table, types):
+        full = table.closure(np.stack([ab[i], bc[i, j]], axis=1)).all(axis=1)
+        i, j = i[full], j[full]
+        found = zip(invs[i].tolist(), cs[j].tolist(), order_of[ab[i]].tolist(),
+                    order_of[bc[i, j]].tolist())
+        for ib, ic, m, n in found:
+            out.setdefault((m, n), {})[(ia, ib, ic)] = class_size * orbit_size
+    return out
 
 
 def classify_maps_for_group(g: PermGroup, types=None):
     """Census of (2,m,n)*-triples on g, up to Aut(g).
 
-    Runs involution_triples over the involution class representatives a,
-    with one closure test per C_G(a)-orbit of candidates (b, c), the only
-    generation proof of a representative: every triple with
-    2 <= ord(ab) <= ord(bc) that passes verify_star_group (degenerate
-    quotient types like (2, l) included) is conjugate to one of them.  Only
-    the first member of each generating C_G(a)-orbit is kept: Inn(g) acts
+    Reads ``_generating_orbits``: over the involution class
+    representatives a, one batched closure test per representative, a row
+    per C_G(a)-orbit of candidates (b, c), is the only generation proof of
+    a representative: every triple with 2 <= ord(ab) <= ord(bc) that
+    passes verify_star_group (degenerate quotient types like (2, l)
+    included) is conjugate to one of them.  Only the first member of each
+    generating C_G(a)-orbit is kept: Inn(g) acts
     freely on generating triples, so that orbit is one inner class, keyed
     by its least member with a class representative first, and a type
     (m, n) has the sum of class_size x orbit_size triples in all.

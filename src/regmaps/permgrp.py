@@ -49,6 +49,7 @@ __all__ = [
     "hom_from_generator_images",
     "ElementTable",
     "element_table",
+    "check_element_budget",
 ]
 
 Perm = tuple
@@ -137,6 +138,18 @@ def from_cycles(degree: int, cycle_list) -> Perm:
     return tuple(images)
 
 
+def check_element_budget(order: int, degree: int) -> None:
+    """Refuse (``ResourceError``) to list a group of this order and degree:
+    more than ELEMENTS_CAP elements, or elements x degree above CHAIN_CAP."""
+    if order > ELEMENTS_CAP:
+        raise ResourceError(f"element budget is {ELEMENTS_CAP}, group has order {order}")
+    if order * degree > CHAIN_CAP:
+        raise ResourceError(
+            f"element list budget is {CHAIN_CAP} entries (elements x degree):"
+            f" order {order} at degree {degree}"
+        )
+
+
 class PermGroup:
     """A finite group given by permutation generators of a common degree."""
 
@@ -191,13 +204,7 @@ class PermGroup:
         than the order or two equal rows is a ``ContractError``."""
         if self._elements is None:
             order, degree = self.order(), self.degree
-            if order > ELEMENTS_CAP:
-                raise ResourceError(f"element budget is {ELEMENTS_CAP}, group has order {order}")
-            if order * degree > CHAIN_CAP:
-                raise ResourceError(
-                    f"element list budget is {CHAIN_CAP} entries (elements x degree):"
-                    f" order {order} at degree {degree}"
-                )
+            check_element_budget(order, degree)
             chain, self._chain = self._chain, None
             if chain is None:
                 chain = _schreier_sims_order(degree, self.generators, claimed=order)[1]
@@ -718,9 +725,14 @@ class ElementTable:
     def _lookup(self, images) -> np.ndarray:
         """Index of the element with the base-point images ``images[t]``
         (an array per base point, of any shape), or -1 where none has them."""
-        code = np.zeros(images.shape[1:], dtype=np.intp)
-        for t, lut in enumerate(self._luts):
-            code = lut[code * self.degree + images[t]]
+        luts = self._luts
+        if not luts:  # the trivial group
+            return np.zeros(images.shape[1:], dtype=np.intp)
+        code = np.asarray(luts[0][images[0]])  # 0-d for one element
+        for t in range(1, len(luts)):
+            code *= self.degree
+            code += images[t]
+            luts[t].take(code, out=code, mode="wrap")  # in place; a miss stays -1
         return code
 
     def find(self, perms) -> np.ndarray:
@@ -801,9 +813,50 @@ class ElementTable:
         return members
 
     def closure(self, seed_indices) -> np.ndarray:
-        """Mask of the subgroup generated by the given element indices."""
-        seeds = sorted(set(seed_indices))
-        return self._span([self.right(i) for i in seeds], seeds)
+        """Mask of the subgroup generated by the given element indices.
+
+        For a (k, 2) index array of seed pairs, one mask per row, (k, n):
+        one BFS over the flat ids row * n + x, in blocks of at most
+        CHAIN_CAP ids.  Each level multiplies only the frontier by its
+        row's seeds, and a row past n/2 elements is all of G (Lagrange)."""
+        if np.ndim(seed_indices) < 2:
+            seeds = sorted(set(seed_indices))
+            return self._span([self.right(i) for i in seeds], seeds)
+        pairs = np.asarray(seed_indices, dtype=np.intp)
+        n, images = self.n, self._images
+        out = np.zeros((len(pairs), n), dtype=bool)
+        out[:, self.identity_index] = True
+        step = max(1, CHAIN_CAP // n)
+        for start in range(0, len(pairs), step):
+            seeds = pairs[start:start + step]
+            members = out[start:start + step]
+            flat = members.reshape(-1)  # id row * n + x
+            frontier = np.unique(np.arange(len(seeds))[:, None] * n + seeds)
+            frontier = frontier[~flat[frontier]]
+            flat[frontier] = True
+            size = members.sum(axis=1)
+            slot = np.empty(flat.size, dtype=np.int32)
+            while frontier.size:
+                row = frontier // n
+                x = self._base_images[:, frontier - row * n]
+                prods = np.empty((len(self.base), seeds.shape[1], frontier.size), dtype=np.int32)
+                for k, seed in enumerate(seeds.T):
+                    prods[:, k] = images[x, seed[row]]  # x * seed sends b to seed[x[b]]
+                prods = self._lookup(prods)
+                prods += row * n
+                new = prods[~flat[prods]]
+                place = np.arange(new.size, dtype=np.int32)
+                slot[new] = place
+                new = new[slot[new] == place]  # one copy of each
+                flat[new] = True
+                size += np.bincount(new // n, minlength=len(seeds))
+                whole = 2 * size > n  # a subgroup of more than n/2 elements is G
+                if whole.any():
+                    members[whole] = True
+                    size[whole] = 0  # and their frontier is dropped
+                    new = new[~whole[new // n]]
+                frontier = new
+        return out
 
     def bfs_schedule(self, gen_indices):
         """BFS spanning tree (dst, src, gen_slot) of the Cayley graph, each

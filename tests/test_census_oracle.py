@@ -2,8 +2,8 @@
 involutions a (not just class representatives), divide by |Aut(G)| and
 compare with classify_maps_for_group; check its orbit representatives
 and self-duality flags with pairwise ``ElementTable.extend_map`` tests;
-and check the enumerator's one closure test per C_G(a)-orbit against a
-closure test per candidate."""
+and check the enumerator's one closure test per C_G(a)-orbit, single or
+in the census's batches, against a closure test per candidate."""
 
 import numpy as np
 import pytest
@@ -132,11 +132,13 @@ def per_candidate_triples(g, types=None):
 
 
 def _counting_closures(monkeypatch):
+    """The seed pairs of each ``ElementTable.closure`` call, one list per
+    call: a row per pair of a batch, or the one pair of a single test."""
     calls = []
     closure = permgrp.ElementTable.closure
 
     def counted(self, seeds):
-        calls.append(seeds)
+        calls.append(list(map(tuple, np.reshape(seeds, (-1, 2)).tolist())))
         return closure(self, seeds)
 
     monkeypatch.setattr(permgrp.ElementTable, "closure", counted)
@@ -153,19 +155,20 @@ def test_enumerator_matches_per_candidate_closures(name, pgl_groups, monkeypatch
     for types in (None, set(some) | {(n, m) for m, n in some}):
         want, orbits = per_candidate_triples(g, types)
         calls = _counting_closures(monkeypatch)
-        assert list(involution_triples(g, types)) == want
-        assert len(calls) == orbits
+        assert list(involution_triples(g, types)) == [t[:5] for t in want]
+        assert sum(map(len, calls)) == len(calls) == orbits
         monkeypatch.undo()
 
 
 def test_orbit_gather_in_blocks_keeps_the_stream(monkeypatch):
     # cell:h1:2,21 has a central involution, so C_G(a) = G: a cap of five
-    # rows of |G| entries per base point splits its gather into blocks
+    # rows of |G| x (3 x base points + 1) entries splits its gather into
+    # blocks
     g = _group("cell:h1:2,21", None)
     table = element_table(g)
     calls = _counting_closures(monkeypatch)
     want = list(involution_triples(g))
-    closures = len(calls)
+    closures = sum(map(len, calls))
     gathers = []
     conjugates = permgrp.ElementTable.conjugates
 
@@ -175,19 +178,21 @@ def test_orbit_gather_in_blocks_keeps_the_stream(monkeypatch):
         return conjugates(self, i, by)
 
     monkeypatch.setattr(permgrp.ElementTable, "conjugates", counted)
-    monkeypatch.setattr(mapcore, "CHAIN_CAP", 5 * table.n * len(table.base))
+    monkeypatch.setattr(mapcore, "CHAIN_CAP", 5 * table.n * (3 * len(table.base) + 1))
     del calls[:]
     assert list(involution_triples(g)) == want
-    assert len(calls) == closures
+    assert sum(map(len, calls)) == closures
     assert gathers == [5] * 8 + [3]  # the 43 involutions conjugated by the whole group
 
 
 def test_pgl2_7_census_tests_each_centralizer_orbit_once(pgl_groups, monkeypatch):
-    # 490 candidates pass the order filter, in 55 C_G(a)-orbits
+    # 490 candidates pass the order filter, in 55 C_G(a)-orbits: one batch
+    # per involution class, whose rows are different pairs, 55 rows in all
     g = pgl_groups["pgl7"]
     calls = _counting_closures(monkeypatch)
     assert len(classify_maps_for_group(g)) == 13
-    assert len(calls) == 55
+    assert [len(set(rows)) for rows in calls] == [len(rows) for rows in calls]
+    assert len(calls) == 2 and sum(map(len, calls)) == 55
 
 
 @pytest.mark.parametrize("name", ["pgl7", "h2:3,5", "he3", "cell:h1:2,21"])
@@ -208,13 +213,13 @@ def test_census_keeps_one_entry_per_generating_orbit(name, pgl_groups):
 
 def test_wrong_orbit_size_fails_the_weight_check(pgl_groups, monkeypatch):
     g = pgl_groups["pgl7"]
-    enumerate_triples = mapcore.involution_triples
+    generating_orbits = mapcore._generating_orbits
 
     def doubled(g, types=None):
-        for *t, size in enumerate_triples(g, types):
-            yield (*t, 2 * size)
+        return {mn: {key: 2 * weight for key, weight in kept.items()}
+                for mn, kept in generating_orbits(g, types).items()}
 
-    monkeypatch.setattr(mapcore, "involution_triples", doubled)
+    monkeypatch.setattr(mapcore, "_generating_orbits", doubled)
     with pytest.raises(ContractError, match=r"orbit of \d+ triples, \|Aut\| = 336"):
         classify_maps_for_group(g)
 

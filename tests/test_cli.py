@@ -212,6 +212,24 @@ def test_pgl2_order_is_known_before_any_chain(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: element budget is 20000, group has order 13841284800\n"
 
 
+@pytest.mark.parametrize("argv,order", [
+    (["census", "pgl2:29791"], 26439622130880),
+    (["census", "psl2:29791"], 13219811065440),
+    (["verify", "cell:pgl2:29791:3:8,5"], 26439622130880),
+])
+def test_oversized_pgl2_is_refused_before_its_generators(monkeypatch, capsys, argv, order):
+    # q = 31^3: the order formula refuses the group before make_pgl2 spends
+    # seconds of field arithmetic on the generators of 29792 points
+    def build(*args):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(cli, "make_pgl2", build)
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == f"error: element budget is 20000, group has order {order}\n"
+
+
 def test_reports_deterministic(capsys):
     _c1, rep1 = run_json(capsys, "census", "pgl2:5")
     _c2, rep2 = run_json(capsys, "census", "pgl2:5")

@@ -1,8 +1,9 @@
 """Oracles for the proofs that the fast paths leave out.
 
-``find_triples`` and the census representatives take <ab, bc> = G from the
-closure test in ``involution_triples`` and build no Schreier-Sims chain for
-a triple; here ``verify_star_group`` proves every one of them again.
+``find_triples`` and the census representatives take <ab, bc> = G from a
+closure test (one per orbit in ``involution_triples``, one batch per class
+representative in the census) and build no Schreier-Sims chain for a
+triple; here ``verify_star_group`` proves every one of them again.
 ``odd_core`` rules a class out by one gather over its conjugates before any
 normal closure; here it is compared with a normal closure per class.
 """

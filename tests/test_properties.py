@@ -9,7 +9,12 @@ checks.
 import random
 from fractions import Fraction
 
+import numpy as np
+import pytest
+
+from regmaps import permgrp
 from regmaps.algebra import det_bareiss, mod_p_rank
+from regmaps.cli import resolve_group
 from regmaps.constructors import (
     build_h1,
     build_h2,
@@ -27,7 +32,7 @@ from regmaps.mapcore import (
     euler_characteristic,
     verify_star_group,
 )
-from regmaps.permgrp import odd_core, pinv, pmul, quotient_group, sylow2_shape
+from regmaps.permgrp import element_table, odd_core, pinv, pmul, quotient_group, sylow2_shape
 
 
 def _conjugate_triple(t, g):
@@ -167,6 +172,28 @@ def check_constructor_census_equivalence(seed=0xC0FFEE, min_cases=1000):
     return cases
 
 
+def check_batched_closure(g, seed=0xC0FFEE, cases=1000):
+    """``ElementTable.closure`` of a (k, 2) array of seed pairs against
+    one single-subgroup mask per pair: random pairs, then pairs drawn
+    from an index-2 subgroup one of them generated, if any, which fill
+    exactly n/2 elements and so never cross the whole-group cut.
+    Returns the number of index-2 rows."""
+    t = element_table(g)
+    rng = random.Random(seed)
+    pairs = [(rng.randrange(t.n), rng.randrange(t.n)) for _ in range(cases // 2)]
+    singles = [t.closure(list(pair)) for pair in pairs]
+    half = next((mask for mask in singles if 2 * mask.sum() == t.n), None)
+    if half is not None:
+        inside = np.flatnonzero(half).tolist()
+        more = [(rng.choice(inside), rng.choice(inside)) for _ in range(cases - len(pairs))]
+        pairs += more
+        singles += [t.closure(list(pair)) for pair in more]
+    got = t.closure(np.array(pairs))
+    assert got.shape == (len(pairs), t.n)
+    assert all(np.array_equal(row, mask) for row, mask in zip(got, singles))
+    return sum(2 * int(mask.sum()) == t.n for mask in singles)
+
+
 # -- the pytest wrappers -------------------------------------------------------
 
 
@@ -192,3 +219,17 @@ def test_snf_random_properties(snf_random_cases):
 
 def test_constructor_census_equivalence():
     assert check_constructor_census_equivalence() >= 1000
+
+
+# index-2 subgroups: PGL(2,7) has PSL(2,7), the dihedral groups their
+# rotations; PSL(2,13), He3 and C3 wr C3 have none
+@pytest.mark.parametrize("name,index2", [
+    ("pgl2:7", True), ("psl2:13", False), ("he3", False), ("wr3", False),
+    ("h1:200", True), ("cell:h1:2,21", True),
+])
+def test_batched_closure_matches_single_masks(name, index2, monkeypatch):
+    g = resolve_group(name)[0]
+    assert bool(check_batched_closure(g)) == index2
+    # seven rows per block: the 1000 rows run as 143 separate BFS blocks
+    monkeypatch.setattr(permgrp, "CHAIN_CAP", 7 * element_table(g).n)
+    assert bool(check_batched_closure(g, seed=7)) == index2
