@@ -1,27 +1,33 @@
 """Exact integer arithmetic: prime parts, prime-power tests, integer
 matrices, Smith normal form and mod-p rank.
 
-Everything here works with Python's arbitrary-precision integers.
+Every answer is exact: values that do not fit int64 are Python's
+arbitrary-precision integers.
 
-Matrices are stored sparse, one {col: value} dict per row.  One sparse
-eliminator (Dumas, Saunders and Villard, "On efficient sparse integer
-matrix Smith normal form computations", J. Symbolic Comput. 32 (2001))
-pivots on unit entries, those of two-term rows first as substitutions of
-one column by another, then the rest in Markowitz order.  The Smith
-normal form runs it over Z on the +-1 entries, then a dense minimal-pivot
-pass finishes the rows that are left; kernel relation matrices have a few
-nonzeros per row and almost all of them go in the sparse phase.  The
-mod-p rank runs it over F_p, where every nonzero entry is a unit, so it
-needs no dense pass.
+Matrices are stored sparse in compressed rows: a row pointer, a column
+array and a value array, int64 where every value fits and Python ints
+otherwise.  One sparse eliminator (Dumas, Saunders and Villard, "On
+efficient sparse integer matrix Smith normal form computations", J.
+Symbolic Comput. 32 (2001)) pivots on unit entries.  It starts with bulk
+rounds on those arrays, each killing the columns of single-entry unit rows
+and substituting the unit columns of two-entry rows that cannot chain,
+while the products fit int64.  On dict rows for what is left, two-term
+rows go first as substitutions of one column by another, then the rest in
+Markowitz order.  The Smith normal form runs it over Z on the +-1
+entries, then a dense minimal-pivot pass finishes the rows that are left;
+kernel relation matrices have a few nonzeros per row and almost all of
+them go in the sparse phase.  The mod-p rank runs it over F_p, where
+every nonzero entry is a unit, so it needs no dense pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import heapq
-from itertools import islice
 import operator
 from math import gcd
+
+import numpy as np
 
 from .errors import ParameterError, ResourceError
 
@@ -175,17 +181,36 @@ def _ints(values):
         raise ParameterError(f"IntMatrix entries must be integers: {exc}") from exc
 
 
+# The largest int64.  A matrix keeps its values as int64 when every one
+# fits, and a bulk elimination round (``_bulk_rounds``) runs only while
+# every product it forms and every sum of them stays within it.
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _compact(values) -> np.ndarray:
+    """The integers ``values`` (a list or an array) as an int64 array if
+    every one fits, else as an object array of Python ints."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
 class IntMatrix:
     """Sparse integer matrix with arbitrary-precision entries.
 
-    ``sparse`` holds one ``{col: value}`` dict per row with the zeros left
-    out; it is the only storage and must not be mutated.  Entries must be
-    integers (anything ``operator.index`` accepts, such as numpy integers);
-    floats and strings raise ``ParameterError``.  ``entries`` is a dense
-    row-major view built on each access, for small matrices and tests.
+    One storage, compressed rows: row i holds the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending, and the nonzero
+    ``values`` at the same places.  ``values`` is int64 when every entry
+    fits and an object array of exact Python ints otherwise.  The arrays
+    must not be mutated.  Entries must be integers (anything
+    ``operator.index`` accepts, such as numpy integers); floats and strings
+    raise ``ParameterError``.  ``sparse`` (one ``{col: value}`` dict per
+    row), ``row``, ``to_rows`` and the dense row-major ``entries`` are
+    views built on each access.
     """
 
-    __slots__ = ("rows", "cols", "sparse")
+    __slots__ = ("rows", "cols", "indptr", "indices", "values")
 
     def __init__(self, rows: int, cols: int, entries):
         entries = _ints(entries)
@@ -193,29 +218,63 @@ class IntMatrix:
             raise ParameterError(
                 f"IntMatrix {rows}x{cols} needs {rows * cols} entries, got {len(entries)}"
             )
+        self._store(rows, cols, np.arange(len(entries)), _compact(entries))
+
+    def _store(self, rows, cols, flat, values):
+        """Keep the nonzero ``values`` at the in-range positions ``flat`` =
+        row * cols + col, given in any order and without repeats."""
+        nonzero = values != 0
+        flat, values = flat[nonzero], values[nonzero]
+        if np.any(flat[1:] <= flat[:-1]):
+            order = np.argsort(flat, kind="stable")
+            flat, values = flat[order], values[order]
+            if np.any(flat[1:] == flat[:-1]):
+                raise ParameterError("IntMatrix triples repeat a position")
         self.rows = rows
         self.cols = cols
-        self.sparse = tuple(
-            {j: x for j, x in enumerate(entries[i * cols:(i + 1) * cols]) if x}
-            for i in range(rows)
-        )
+        self.indptr = np.searchsorted(flat, np.arange(rows + 1, dtype=np.int64) * cols)
+        self.indices = flat % max(cols, 1)
+        self.values = _compact(values)
+
+    @classmethod
+    def from_triples(cls, rows: int, cols: int, row_ids, col_ids, values) -> "IntMatrix":
+        """Matrix with entry ``values[t]`` at (``row_ids[t]``, ``col_ids[t]``),
+        from integer arrays (``values`` may be an object array of Python
+        ints); zero values are dropped, a repeated position raises
+        ``ParameterError``."""
+        row_ids, col_ids, values = map(np.asarray, (row_ids, col_ids, values))
+        if values.dtype in (object, np.uint64):  # ints that int64 may not hold
+            values = np.array(_ints(values.tolist()), dtype=object)
+        for name, a in (("row", row_ids), ("column", col_ids), ("value", values)):
+            if a.dtype != object and not np.issubdtype(a.dtype, np.integer):
+                raise ParameterError(f"IntMatrix {name} array must hold integers, not {a.dtype}")
+        if rows < 0 or cols < 0 or row_ids.ndim != 1 or not (
+            row_ids.shape == col_ids.shape == values.shape
+        ):
+            raise ParameterError("IntMatrix triples need three 1-D arrays of one length")
+        if row_ids.size and not (0 <= row_ids.min() <= row_ids.max() < rows
+                                 and 0 <= col_ids.min() <= col_ids.max() < cols):
+            raise ParameterError(f"IntMatrix positions exceed range({rows}) x range({cols})")
+        m = cls.__new__(cls)
+        m._store(rows, cols, row_ids.astype(np.int64) * cols + col_ids, values)
+        return m
 
     @classmethod
     def from_sparse(cls, cols: int, sparse_rows) -> "IntMatrix":
         """Matrix with ``cols`` columns and one row per ``{col: value}``
         mapping; zero values are dropped and every column must lie in
         range(cols)."""
-        m = cls(0, cols, ())
         sparse_rows = list(sparse_rows)
         keys = _ints(j for row in sparse_rows for j in row)
         values = _ints(x for row in sparse_rows for x in row.values())
+        if cols < 0:
+            raise ParameterError(f"IntMatrix needs cols >= 0, got {cols}")
         if keys and not 0 <= min(keys) <= max(keys) < cols:
             raise ParameterError(f"IntMatrix columns {min(keys)}..{max(keys)} exceed range({cols})")
-        entries = iter(zip(keys, values))
-        m.rows = len(sparse_rows)
-        m.sparse = tuple(
-            {j: x for j, x in islice(entries, len(row)) if x} for row in sparse_rows
-        )
+        row_ids = np.repeat(np.arange(len(sparse_rows)), [len(row) for row in sparse_rows])
+        m = cls.__new__(cls)
+        m._store(len(sparse_rows), cols, row_ids * cols + np.array(keys, dtype=np.int64),
+                 _compact(values))
         return m
 
     @classmethod
@@ -227,16 +286,28 @@ class IntMatrix:
             raise ParameterError("ragged rows")
         return cls(nrows, ncols, [x for r in rows_list for x in r])
 
+    def _row_ids(self) -> np.ndarray:
+        """The row of each stored entry, ascending."""
+        return np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.indptr))
+
+    @property
+    def sparse(self) -> tuple:
+        ptr, cols, values = self.indptr.tolist(), self.indices.tolist(), self.values.tolist()
+        return tuple(dict(zip(cols[a:b], values[a:b])) for a, b in zip(ptr, ptr[1:]))
+
     @property
     def entries(self) -> tuple:
-        dense = [0] * (self.rows * self.cols)
-        for i, row in enumerate(self.sparse):
-            for j, x in row.items():
-                dense[i * self.cols + j] = x
-        return tuple(dense)
+        dense = np.zeros(self.rows * self.cols, dtype=self.values.dtype)
+        dense[self._row_ids() * self.cols + self.indices] = self.values
+        return tuple(dense.tolist())
 
     def row(self, i: int):
-        return [self.sparse[i].get(j, 0) for j in range(self.cols)]
+        i = range(self.rows)[i]
+        a, b = int(self.indptr[i]), int(self.indptr[i + 1])
+        out = [0] * self.cols
+        for j, x in zip(self.indices[a:b].tolist(), self.values[a:b].tolist()):
+            out[j] = x
+        return out
 
     def to_rows(self):
         return [self.row(i) for i in range(self.rows)]
@@ -297,24 +368,106 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     a nonzero.  Returns the nonzero diagonal entries d1 | d2 | ... (the 1s
     first) and the free rank cols - (number of nonzero factors).
     """
-    rows = dict(enumerate(m.sparse))
-    units = _eliminate_unit_pivots(rows)
+    units, rows = _eliminate_unit_pivots(m)
     cols_left = sorted({j for row in rows.values() for j in row})
     A = [[row.get(c, 0) for c in cols_left] for _i, row in sorted(rows.items())]
     factors = [1] * units + _dense_snf(A, len(cols_left))
     return SnfResult(tuple(factors), m.cols - len(factors))
 
 
-def _eliminate_unit_pivots(rows, p=None) -> int:
-    """Pivot on unit entries of the integer rows {row: {col: value}} until
-    none is left; return how many.  ``rows`` is replaced in place by the
-    nonzero rows left, over the columns that were not pivots.
+def _bulk_rounds(nrows, ncols, i, j, x, p=None):
+    """Unit pivots of the short rows, taken in rounds of array operations.
+
+    The entries are given as arrays in (row i, column j) order, nonzero,
+    with int64 values x (reduced mod p over F_p).  A round takes
+
+    - for each column j, the first row whose only entry is a unit at j
+      (x_j = 0);
+    - each two-entry row with a unit x at column j, beside y at column k,
+      where j lies in no other row of at most two entries (x_j =
+      -(y / x) x_k; the first such unit of the row).  No other pivot row
+      holds j, and k is no such pivot, so these pivots do not chain; a k
+      killed in the round kills j as well;
+
+    drops the pivot rows and rewrites every other entry through the
+    column map in one gather, summing the entries that meet at one
+    (row, column) and dropping the zeros.  These are the unimodular row
+    operations of taking the pivots one after another.  Rounds go on until
+    one takes no pivot, or until a product or a row's sum of them could
+    leave int64.  Over Z a round runs only while (largest |x|)^2 * (longest
+    row) <= ``_INT64_MAX``, so below 2^31 for two-entry rows; over F_p the
+    products are reduced before they are summed, and rounds run only for
+    (p - 1) * max(p - 1, longest row) <= ``_INT64_MAX``, so for p < 2^31.
+    Returns (pivots, i, j, x) of the entries left.
+    """
+    units = 0
+    while x.size:
+        starts = np.flatnonzero(np.r_[True, i[1:] != i[:-1]])
+        lengths = np.diff(np.r_[starts, x.size])
+        longest = int(lengths.max())
+        largest = p - 1 if p else int(np.abs(x).max())
+        if largest * (max(largest, longest) if p else largest * longest) > _INT64_MAX:
+            break
+        unit = np.ones(x.size, dtype=bool) if p else np.abs(x) == 1
+        length = np.repeat(lengths, lengths)
+        in_short = np.bincount(j[length <= 2], minlength=ncols)
+        single = np.flatnonzero((length == 1) & unit)
+        killed, first = np.unique(j[single], return_index=True)
+        a = starts[lengths == 2]
+        a_ok = unit[a] & (in_short[j[a]] == 1)
+        b_ok = unit[a + 1] & (in_short[j[a + 1]] == 1) & ~a_ok
+        pivot = np.where(a_ok, a, a + 1)[a_ok | b_ok]
+        other = np.where(a_ok, a + 1, a)[a_ok | b_ok]
+        if not killed.size and not pivot.size:
+            break
+        target = np.arange(ncols)
+        factor = np.ones(ncols, dtype=np.int64)
+        alive = np.ones(ncols, dtype=bool)
+        alive[killed] = False
+        cj, ck = j[pivot], j[other]
+        target[cj] = ck
+        if p:
+            residues, at = np.unique(x[pivot], return_inverse=True)
+            inverses = np.array([pow(r, -1, p) for r in residues.tolist()], dtype=np.int64)
+            factor[cj] = (p - x[other]) * inverses[at] % p
+        else:
+            factor[cj] = -x[other] * x[pivot]
+        alive[cj] = alive[ck]
+        gone = np.zeros(nrows, dtype=bool)
+        gone[i[single[first]]] = True
+        gone[i[pivot]] = True
+        keep = alive[j] & ~gone[i]
+        i, j, x = i[keep], j[keep], x[keep]
+        j, x = target[j], x * factor[j]
+        if p:
+            x %= p
+        key = i * ncols + j
+        order = np.argsort(key, kind="stable")
+        key, i, j, x = key[order], i[order], j[order], x[order]
+        at = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        if at.size < key.size:
+            i, j, x = i[at], j[at], np.add.reduceat(x, at)
+        if p:
+            x %= p
+        nonzero = x != 0
+        i, j, x = i[nonzero], j[nonzero], x[nonzero]
+        units += killed.size + pivot.size
+    return units, i, j, x
+
+
+def _eliminate_unit_pivots(m: IntMatrix, p=None):
+    """Pivot on unit entries of m until none is left; return (pivots,
+    rows), ``rows`` the nonzero rows left as {row: {col: value}}, over the
+    columns that were not pivots.
 
     Over Z (``p`` None) the units are the +-1 entries and the arithmetic is
     exact.  Over F_p the entries are reduced mod p, every nonzero residue
     is a unit, and the count is the rank.
 
-    First the rows of at most two entries, in row order, are resolved
+    The bulk rounds of ``_bulk_rounds`` go first, on the stored arrays,
+    when the values are int64; then the dict rows are built for the rows
+    that are left (for every row on the exact path of larger values).
+    On them, the rows of at most two entries, in row order, are resolved
     through the column map ``sub`` (x_j = c x_k, or x_j = 0 with k None);
     one that resolves to a unit x at column j beside y at column k is a
     pivot recorded as x_j = -(y / x) x_k, and the other rows are rewritten
@@ -328,6 +481,17 @@ def _eliminate_unit_pivots(rows, p=None) -> int:
     column that lost a nonzero are pushed at their current cost, and an
     entry popped with a stale, lower cost is pushed again.
     """
+    i, j, x = m._row_ids(), m.indices, m.values
+    if p:
+        x = _compact(x.astype(object) % p if p > _INT64_MAX else x % p)
+        nonzero = x != 0
+        i, j, x = i[nonzero], j[nonzero], x[nonzero]
+    units = 0
+    if x.dtype != object:
+        units, i, j, x = _bulk_rounds(m.rows, m.cols, i, j, x, p)
+    rows = {}
+    for r, c, v in zip(i.tolist(), j.tolist(), x.tolist()):
+        rows.setdefault(r, {})[c] = v
     sub = {}
 
     def rewrite(row):
@@ -340,7 +504,6 @@ def _eliminate_unit_pivots(rows, p=None) -> int:
                 out[j] = out.get(j, 0) + c
         return {j: y for j, x in out.items() if (y := x % p if p else x)}
 
-    units = 0
     for i in list(rows):
         if len(rows[i]) <= 2:
             row = rows[i] = rewrite(rows[i])
@@ -405,7 +568,7 @@ def _eliminate_unit_pivots(rows, p=None) -> int:
         # every column of the pivot row lost at least that row's entry
         for entry in units_of(changed_rows, prow):
             heapq.heappush(heap, entry)
-    return units
+    return units, rows
 
 
 def _dense_snf(A, ncols: int):
@@ -493,7 +656,7 @@ def mod_p_rank(m: IntMatrix, p: int) -> int:
     """
     if not is_prime(p):
         raise ParameterError(f"mod_p_rank needs a prime, got {p}")
-    return _eliminate_unit_pivots(dict(enumerate(m.sparse)), p)
+    return _eliminate_unit_pivots(m, p)[0]
 
 
 def det_bareiss(m: IntMatrix) -> int:

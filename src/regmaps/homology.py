@@ -9,8 +9,8 @@ G, read off G's element table.  Reidemeister-Schreier then presents K on
 relator's period word acts on the cosets as right multiplication by one
 element, so its cycles share one length, that element's order; every
 cycle is traced at once on integer arrays.  The abelianized relation
-matrix, kept as sparse rows, yields K/K' by Smith normal form and the
-mod-r kernel dimension by mod-p rank.
+matrix, handed to ``IntMatrix`` as those arrays, yields K/K' by Smith
+normal form and the mod-r kernel dimension by mod-p rank.
 
 A smooth target (M, N) = (m, n) realizes the surface group: K/K' is
 C2 x Z^(1-chi).  The branched target (rm, rn) gives the elementary-abelian
@@ -24,7 +24,7 @@ from math import lcm
 
 import numpy as np
 
-from .algebra import IntMatrix, SnfResult, mod_p_rank, smith_normal_form, is_prime
+from .algebra import _INT64_MAX, IntMatrix, SnfResult, mod_p_rank, smith_normal_form, is_prime
 from .errors import ContractError, ParameterError
 from .mapcore import MapTriple, euler_characteristic, map_counts
 from .permgrp import _indices, element_table
@@ -88,7 +88,10 @@ def kernel_presentation(t: TriangleTarget) -> KernelPresentation:
     (cycle, column) pairs of P's letters from every start are counted by
     ``np.unique``, and a cycle's row is its counts times e / L, so the work
     does not grow with e.  Starts on one cycle abelianize identically, so
-    each cycle gives one row, in the order of its least coset.
+    each cycle gives one row, in the order of its least coset.  The
+    (row, column, value) triples go to ``IntMatrix.from_triples`` as
+    arrays; the values are int64 unless count * e could leave it, and
+    exact Python ints then.
     """
     _two, M, N = t.delta_type
     table = element_table(t.triple.group)
@@ -107,7 +110,7 @@ def kernel_presentation(t: TriangleTarget) -> KernelPresentation:
     # (period word, exponent) of A^2, B^2, C^2, (AC)^2, (AB)^M and (BC)^N
     relators = [((0,), 2), ((1,), 2), ((2,), 2), ((0, 2), 2), ((0, 1), M), ((1, 2), N)]
 
-    rows, orders = [], {}
+    row_ids, col_ids, values, orders, n_rows = [], [], [], {}, 0
     for period, exponent in relators:
         state, letters = np.arange(n), []
         for lab in period:
@@ -120,24 +123,27 @@ def kernel_presentation(t: TriangleTarget) -> KernelPresentation:
                 break
             least, step = nxt, step[step]
         _, cycle_of, length = np.unique(least, return_inverse=True, return_counts=True)
-        lengths = length.tolist()
-        order = orders[period] = lcm(*set(lengths))
+        order = orders[period] = lcm(*set(length.tolist()))
         if exponent % order:
             raise ContractError(f"relator cycle of length {order} does not divide {exponent}")
         letters = np.concatenate(letters)
         owner = np.tile(cycle_of, len(period))[letters >= 0]
         pairs, count = np.unique(owner * n_gens + letters[letters >= 0], return_counts=True)
-        cycle_rows = [{} for _ in lengths]
-        for key, v in zip(pairs.tolist(), count.tolist()):
-            cyc, j = divmod(key, n_gens)
-            cycle_rows[cyc][j] = v * (exponent // lengths[cyc])
-        rows += cycle_rows
+        cycle, col = np.divmod(pairs, n_gens)
+        # count * exponent bounds every entry; past int64 they are exact ints
+        exact = object if int(count.max(initial=0)) * exponent > _INT64_MAX else np.int64
+        row_ids.append(n_rows + cycle)
+        col_ids.append(col)
+        values.append(count.astype(exact) * (exponent // length.astype(exact))[cycle])
+        n_rows += len(length)
 
     # ord(ab) | M and ord(bc) | N from the traced cycles give chi and the genus
     chi = euler_characteristic(n, orders[(0, 1)], orders[(1, 2)])
     return KernelPresentation(
         n_generators=n_gens,
-        relation_matrix=IntMatrix.from_sparse(n_gens, rows),
+        relation_matrix=IntMatrix.from_triples(
+            n_rows, n_gens, *map(np.concatenate, (row_ids, col_ids, values))
+        ),
         genus_g=2 - chi,
         delta_type=t.delta_type,
     )

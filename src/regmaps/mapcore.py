@@ -356,6 +356,18 @@ def _conjugate_rows(table, xs, by) -> np.ndarray:
     return out
 
 
+def _product_rows(table, xs, ys) -> np.ndarray:
+    """int32 [k, u]: the index of xs[k] * ys[u], from ``ElementTable.product``
+    in row blocks of at most CHAIN_CAP entries held at once: for each row
+    and u, the base images of the product, the intp copy of the first as
+    an index and the intp code of ``_lookup``."""
+    out = np.empty((len(xs), len(ys)), dtype=np.int32)
+    step = max(1, CHAIN_CAP // max(1, len(ys) * (len(table.base) + 2)))
+    for start in range(0, len(xs), step):
+        out[start:start + step] = table.product(xs[start:start + step, None], ys)
+    return out
+
+
 def _orbit_firsts(table, ia, invs, c_pos, keep):
     """(label, firsts): the C_G(a)-orbits of the candidates ``keep`` [b, c]
     of a = element ia, b over the involutions ``invs`` and c over
@@ -410,7 +422,7 @@ def _candidate_orbits(table, types):
         ms = order_of[ab][:, None]  # ord(ab), one row per b
         c_pos = np.flatnonzero(ms[:, 0] <= 2)  # (ac)^2 = 1; a itself is one
         cs = invs[c_pos]
-        bc = table.product(invs[:, None], cs)  # b * c
+        bc = _product_rows(table, invs, cs)  # b * c
         ns = order_of[bc]  # ord(bc), b by c
         if types is None:
             keep = (ms >= 2) & (ms <= ns)

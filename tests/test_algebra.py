@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import GF, ZZ, Matrix, isprime, nextprime, primefactors
 from sympy.polys.matrices import DomainMatrix
 from sympy.matrices.normalforms import invariant_factors
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from regmaps.algebra import (
     MR_BOUND,
@@ -177,6 +180,20 @@ def test_two_term_substitutions():
     assert smith_normal_form(IntMatrix.from_rows([[2, 1]])) == SnfResult((1,), 1)
     assert smith_normal_form(IntMatrix.from_rows([[2, 2]])) == SnfResult((2,), 1)
     assert smith_normal_form(IntMatrix.from_rows([[2, 1, 0], [0, 2, 2]])) == SnfResult((1, 2), 1)
+    # x0 = -B x2 and x1 = -B x2 meet in the long row as -2 B^2 x2, past
+    # int64 for B = 2^31 + 1: that round must be left to the exact path
+    B = 2 ** 31 + 1
+    meet = IntMatrix.from_sparse(4, [{0: 1, 2: B}, {1: 1, 2: B}, {0: B, 1: B, 3: B}])
+    assert smith_normal_form(meet) == SnfResult((1, 1, B), 1)
+    # mod p = 2^31 - 1 the products stay in int64 only if reduced first:
+    # x0 = -(3/2) x1, 1/2 = (p + 1) / 2, turns the second row into the third
+    halves = IntMatrix.from_sparse(4, [{0: 2, 1: 3}, {0: 8, 2: 1, 3: 1}, {1: -12, 2: 1, 3: 1}])
+    assert mod_p_rank(halves, 2 ** 31 - 1) == mod_p_rank(halves, 5) == 2
+    # and x0 = x1 = x4 = -x2 meet in the fourth row as three products (p - 1)^2
+    meet = IntMatrix.from_sparse(5, [
+        {0: 1, 2: 1}, {1: 1, 2: 1}, {4: 1, 2: 1}, {0: -1, 1: -1, 4: -1, 3: 1}, {2: 3, 3: 1},
+    ])
+    assert mod_p_rank(meet, 2 ** 31 - 1) == 4
     # multiples of p vanish before the pass, other residues are units
     assert mod_p_rank(IntMatrix.from_rows([[3, 1], [1, 6], [9, 3]]), 3) == 2
     assert mod_p_rank(IntMatrix.from_rows([[3, 6], [2, 5]]), 3) == 1
@@ -244,6 +261,64 @@ def test_mod_p_rank_matches_sympy(p):
         assert mod_p_rank(sparse, p) == mod_p_rank(dense, p)
 
 
+UNITS = st.sampled_from((1, -1))
+SMALL = st.sampled_from((1, -1, 1, -1, 2, -2, 3))
+# 2^31 and above: a product of two entries, or a row's sum of them, can
+# leave int64, so the bulk rounds must hand the rows to the exact path;
+# HUGE entries do not fit int64 at all
+BIG = st.sampled_from((2 ** 31, -(2 ** 31) - 1, 2 ** 32 + 1, -(2 ** 40)))
+HUGE = st.sampled_from((3 * 2 ** 62, -(2 ** 70)))
+
+
+@st.composite
+def _bulk_round_matrix(draw):
+    """(cols, sparse rows) built from pieces that reach every branch of a
+    bulk round: repeated single-entry rows on one column, two-entry rows
+    whose partner a single-entry unit row kills, chains and cycles of
+    two-entry rows, non-unit entries, long rows (each a multiple of one
+    value) and, in some matrices, entries of 2^31 and above; the pieces'
+    rows are shuffled."""
+    cols = draw(st.integers(1, 8))
+    col = st.integers(0, cols - 1)
+    large = draw(st.sampled_from((None, BIG, HUGE)))  # one large value per matrix
+    value = SMALL if large is None else SMALL | st.just(draw(large))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(("single", "pair", "chain", "long")), max_size=6)):
+        if kind == "single":
+            j = draw(col)
+            rows += [{j: draw(value)} for _ in range(draw(st.integers(1, 3)))]
+        elif kind == "pair":
+            j, k = draw(col), draw(col)
+            rows.append({j: draw(UNITS), k: draw(value)})
+            if draw(st.booleans()):
+                rows.append({k: draw(UNITS)})
+        elif kind == "chain":
+            start, length = draw(col), draw(st.integers(1, cols))
+            path = [(start + t) % cols for t in range(length)]
+            if draw(st.booleans()):
+                path.append(start)
+            rows += [{a: draw(UNITS), b: draw(value)} for a, b in zip(path, path[1:])]
+        else:  # a long row, a multiple of one value so its gcd can be large
+            f = draw(value)
+            rows.append({j: f * draw(SMALL) for j in draw(st.lists(col, min_size=3, max_size=8))})
+    order = draw(st.permutations(range(len(rows))))
+    return cols, [rows[t] for t in order]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(_bulk_round_matrix(), st.sampled_from((2, 3, 5, 2 ** 31 - 1, 4294967311)))
+def test_eliminator_matches_sympy_on_bulk_round_shapes(case, p):
+    cols, rows = case
+    m = IntMatrix.from_sparse(cols, rows)
+    want = []
+    if m.rows:
+        snf = sympy_snf(Matrix(m.to_rows()), domain=ZZ)
+        want = sorted(abs(int(snf[t, t])) for t in range(min(snf.shape)) if snf[t, t])
+    assert smith_normal_form(m) == SnfResult(tuple(want), cols - len(want)), rows
+    dm = DomainMatrix([[ZZ(x) for x in row] for row in m.to_rows()], (m.rows, cols), ZZ)
+    assert mod_p_rank(m, p) == dm.convert_to(GF(p)).rank(), rows
+
+
 def test_matrix_from_sparse_validation():
     m = IntMatrix.from_sparse(3, [{2: np.int64(4), 0: 0}, {}])
     assert m.to_rows() == [[0, 0, 4], [0, 0, 0]] and m.sparse == ({2: 4}, {})
@@ -251,6 +326,19 @@ def test_matrix_from_sparse_validation():
     for bad in ({3: 1}, {-1: 1}, {0: 1.5}, {"0": 1}, {0.0: 1}):
         with pytest.raises(ParameterError):
             IntMatrix.from_sparse(3, [bad])
+
+
+def test_matrix_from_triples():
+    # any order; zeros dropped; values past int64 kept exact, others int64
+    m = IntMatrix.from_triples(2, 3, [1, 0, 1], [0, 2, 2], np.array([5, 4, 0]))
+    assert m == IntMatrix.from_rows([[0, 0, 4], [5, 0, 0]])
+    big = IntMatrix.from_triples(1, 2, [0, 0], [1, 0], np.array([2 ** 70, 3], dtype=object))
+    assert big.sparse == ({0: 3, 1: 2 ** 70},) and big.entries == (3, 2 ** 70)
+    assert IntMatrix.from_triples(1, 1, [0], [0], np.array([7], dtype=object)).values.dtype == np.int64
+    for bad in (([0, 0], [1, 1], [1, 2]), ([2], [0], [1]), ([0], [3], [1]), ([-1], [0], [1]),
+                ([0], [0], [1.5]), ([0], [0], np.array([1.5], dtype=object)), ([0], [0], [1, 2])):
+        with pytest.raises(ParameterError):
+            IntMatrix.from_triples(2, 3, *bad)
 
 
 def test_matrix_text_roundtrip():

@@ -185,6 +185,27 @@ def test_orbit_gather_in_blocks_keeps_the_stream(monkeypatch):
     assert gathers == [5] * 8 + [3]  # the 43 involutions conjugated by the whole group
 
 
+def test_product_in_row_blocks_matches_one_product(monkeypatch):
+    # a cap of four rows of involutions x (base points + 2) entries splits
+    # the b * c product of the enumerator into blocks of four rows
+    g = _group("cell:h1:2,21", None)
+    table = element_table(g)
+    invs = table.involution_indices()
+    want = table.product(invs[:, None], invs)
+    blocks = []
+    product = permgrp.ElementTable.product
+
+    def counted(self, *indices):
+        blocks.append(len(indices[0]))
+        return product(self, *indices)
+
+    monkeypatch.setattr(permgrp.ElementTable, "product", counted)
+    monkeypatch.setattr(mapcore, "CHAIN_CAP", 4 * len(invs) * (len(table.base) + 2))
+    got = mapcore._product_rows(table, invs, invs)
+    assert got.dtype == np.int32 and np.array_equal(got, want)
+    assert blocks == [4] * (len(invs) // 4) + [len(invs) % 4] * (len(invs) % 4 > 0)
+
+
 def test_pgl2_7_census_tests_each_centralizer_orbit_once(pgl_groups, monkeypatch):
     # 490 candidates pass the order filter, in 55 C_G(a)-orbits: one batch
     # per involution class, whose rows are different pairs, 55 rows in all

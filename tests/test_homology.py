@@ -268,3 +268,17 @@ def test_kernel_homology_above_two_thousand(kind, q, m, rank):
     snf = kernel_abelianization(kernel_presentation(TriangleTarget(t, (2, m, m))))
     assert snf.torsion() == (2,) and snf.free_rank == 1 - t.chi
     assert branched_rank_check(t, 3) == (rank, rank, True)
+
+
+@pytest.mark.parametrize("bits", [40, 70])
+def test_huge_exponent_stays_exact(pgl_groups, bits):
+    # (AB)^M with M = 5 * 2^bits scales every AB row by K = 2^bits: past
+    # 2^63 the relation matrix holds exact ints and the SNF takes the exact
+    # path; mod 3 the entries reduce and the rank is that of M = 5
+    t = find_triples(pgl_groups["pgl5"], 5, 4)[0]
+    K = 2 ** bits
+    pres = kernel_presentation(TriangleTarget(t, (2, 5 * K, 4)))
+    assert (pres.relation_matrix.values.dtype == object) == (bits == 70)
+    snf = kernel_abelianization(pres)
+    assert snf.torsion() == (K,) * 11 + (2 * K,) and snf.free_rank == 4
+    assert mod_p_rank(pres.relation_matrix, 3) == 237
